@@ -1,6 +1,6 @@
 //! The macro benchmark: full `World` runs under fixed-seed workloads.
 //!
-//! Three scenarios exercise the engine's distinct regimes:
+//! Four scenarios exercise the engine's distinct regimes:
 //!
 //! * `sparse_commute` — a 10-minute drive at the default suburban AP
 //!   density. Dominated by TCP/beacon traffic to a handful of in-range
@@ -11,6 +11,8 @@
 //! * `chaos_storm` — the dense deployment under a seeded stormy
 //!   [`FaultPlan`](spider_workloads::FaultPlan), stressing the fault
 //!   lookup path on every frame and the periodic fault sweep.
+//! * `stock_commute` — Table 2's stock MadWiFi row (10 minutes of the
+//!   Table 2 town), the events/sec anchor for the baseline-driver path.
 //!
 //! Every scenario is a pure function of its seed, so the numbers in
 //! `BENCH_world.json` are reproducible modulo machine speed. The
@@ -18,6 +20,7 @@
 //! events/sec against the checked-in JSON and fails on a >2x drop.
 
 use crate::runs::StdConfigs;
+use spider_baselines::{StockConfig, StockDriver};
 use spider_core::{OperationMode, SpiderConfig, SpiderDriver};
 use spider_simcore::{worker_count, Json, SimDuration, SimTime};
 use spider_wire::Channel;
@@ -46,6 +49,8 @@ pub struct ScenarioSpec {
     pub seed: u64,
     /// Overlay a seeded stormy fault plan (seed [`STORM_SEED`]).
     pub storm: bool,
+    /// Drive the stock baseline instead of single-channel Spider.
+    pub stock: bool,
     /// Minimum deployment size the run asserts (0 = no floor).
     pub min_sites: usize,
 }
@@ -66,6 +71,7 @@ pub fn scenarios(fast: bool) -> Vec<ScenarioSpec> {
             density_per_km: 12.0,
             seed: 42,
             storm: false,
+            stock: false,
             min_sites: 0,
         },
         ScenarioSpec {
@@ -74,6 +80,7 @@ pub fn scenarios(fast: bool) -> Vec<ScenarioSpec> {
             density_per_km: 220.0,
             seed: 42,
             storm: false,
+            stock: false,
             min_sites: 1_000,
         },
         ScenarioSpec {
@@ -82,7 +89,19 @@ pub fn scenarios(fast: bool) -> Vec<ScenarioSpec> {
             density_per_km: 220.0,
             seed: 42,
             storm: true,
+            stock: false,
             min_sites: 1_000,
+        },
+        ScenarioSpec {
+            name: "stock_commute",
+            sim_secs: scale(600),
+            density_per_km: ScenarioParams::default().density_per_km,
+            // World seed 1 also draws Table 2's pinned town
+            // (`TABLE2_DEPLOY_SEED`).
+            seed: 1,
+            storm: false,
+            stock: true,
+            min_sites: 0,
         },
     ]
 }
@@ -127,12 +146,16 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioResult {
     if spec.storm {
         cfg.faults = FaultPlan::seeded(STORM_SEED, sites, cfg.duration, &FaultProfile::stormy());
     }
-    let driver = SpiderDriver::new(SpiderConfig::for_mode(
-        OperationMode::SingleChannelMultiAp(Channel::CH6),
-        1,
-    ));
     let t = Instant::now();
-    let result = World::new(cfg, driver).run();
+    let result = if spec.stock {
+        World::new(cfg, StockDriver::new(StockConfig::stock(1))).run()
+    } else {
+        let driver = SpiderDriver::new(SpiderConfig::for_mode(
+            OperationMode::SingleChannelMultiAp(Channel::CH6),
+            1,
+        ));
+        World::new(cfg, driver).run()
+    };
     let wall_secs = t.elapsed().as_secs_f64();
     ScenarioResult {
         name: spec.name.to_string(),
@@ -956,11 +979,11 @@ mod tests {
     }
 
     #[test]
-    fn suite_has_the_three_scenarios_and_fast_mode_keeps_density() {
+    fn suite_has_the_four_scenarios_and_fast_mode_keeps_density() {
         let full = scenarios(false);
         let fast = scenarios(true);
-        assert_eq!(full.len(), 3);
-        assert_eq!(fast.len(), 3);
+        assert_eq!(full.len(), 4);
+        assert_eq!(fast.len(), 4);
         for (f, s) in full.iter().zip(&fast) {
             assert_eq!(f.name, s.name);
             assert_eq!(f.density_per_km, s.density_per_km);
@@ -971,6 +994,9 @@ mod tests {
             .iter()
             .any(|s| s.name == "dense_downtown" && s.min_sites >= 1_000));
         assert!(full.iter().any(|s| s.storm));
+        assert!(fast
+            .iter()
+            .any(|s| s.name == "stock_commute" && s.stock && s.sim_secs == 60));
     }
 
     #[test]
@@ -982,6 +1008,7 @@ mod tests {
             density_per_km: 12.0,
             seed: 7,
             storm: false,
+            stock: false,
             min_sites: 1,
         };
         let r = run_scenario(&spec);

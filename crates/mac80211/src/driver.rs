@@ -140,8 +140,11 @@ pub trait ClientSystem {
         out
     }
 
-    /// Timer-driven processing. Called at least whenever `now` reaches
-    /// the time previously returned by [`next_wakeup`](Self::next_wakeup).
+    /// Timer-driven processing. Called at least when `now` reaches the
+    /// time previously returned by [`next_wakeup`](Self::next_wakeup),
+    /// and at most once per armed wake: the world arms one wake for the
+    /// earliest `next_wakeup` it has observed, and a wake superseded by
+    /// an earlier one never polls.
     fn poll_into(&mut self, now: SimTime, out: &mut Vec<DriverAction>);
 
     /// Allocating convenience wrapper around

@@ -551,6 +551,8 @@ pub fn try_sweep_with<J: Sync, R: Send>(
         }
         // The watchdog thread polls the workers' current-job slots and
         // collects any job over the deadline. It only ever *observes*.
+        // It parks between ticks, so the unpark after the pool drains
+        // ends it at once instead of a tick later.
         let watchdog = opts.watchdog.map(|deadline| {
             let current = &current_job;
             let started = &started_ms;
@@ -561,7 +563,7 @@ pub fn try_sweep_with<J: Sync, R: Send>(
                 let tick = (deadline / 8).max(Duration::from_millis(5));
                 let mut flagged: Vec<usize> = Vec::new();
                 while !done.load(Ordering::Relaxed) {
-                    thread::sleep(tick);
+                    thread::park_timeout(tick);
                     let now_ms = epoch.elapsed().as_millis() as u64;
                     for (cur, start) in current.iter().zip(started) {
                         let job = cur.load(Ordering::Relaxed);
@@ -595,6 +597,7 @@ pub fn try_sweep_with<J: Sync, R: Send>(
         }
         done.store(true, Ordering::Relaxed);
         if let Some(w) = watchdog {
+            w.thread().unpark();
             if let Ok(mut flagged) = w.join() {
                 flagged.sort_unstable();
                 hung = flagged;
@@ -926,6 +929,26 @@ mod tests {
         // The slow job still completes — the watchdog only names it.
         assert!(report.is_complete());
         assert_eq!(report.hung, vec![5]);
+    }
+
+    #[test]
+    fn watchdog_ends_with_the_pool_not_a_tick_later() {
+        // A 120 s deadline ticks every 15 s; the sweep must not wait
+        // out a tick once its trivial jobs are done.
+        let jobs: Vec<u32> = (0..8).collect();
+        // Times the sweep itself, not simulated time. lint:allow(wall-clock)
+        let t = std::time::Instant::now();
+        let report = try_sweep_with(
+            &jobs,
+            |j| *j,
+            |j| j.to_string(),
+            SweepOptions {
+                workers: 2,
+                watchdog: Some(Duration::from_secs(120)),
+            },
+        );
+        assert!(report.is_complete());
+        assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
     }
 
     #[test]

@@ -156,6 +156,44 @@ enum Ev {
     MobilityCheck,
 }
 
+/// The armed time of one timer owner's wake event: the client system's
+/// `ClientWake`, or one AP's `ApWake`.
+///
+/// Invariant: at most one wake per owner is live, the one whose
+/// timestamp equals the armed time. Re-arming earlier cannot pull the
+/// later event out of the queue, so that event stays behind,
+/// superseded; [`WakeSlot::fire`] rejects it when it pops, before the
+/// world does any work for it (DESIGN.md §9).
+// Clone: part of the world snapshot — a fork must reject the same
+// superseded wakes its parent would have.
+#[derive(Debug, Clone, Copy)]
+struct WakeSlot(SimTime);
+
+impl WakeSlot {
+    /// Nothing armed.
+    const IDLE: WakeSlot = WakeSlot(SimTime::MAX);
+
+    /// Arm the slot for `at` if that is earlier than the pending wake.
+    /// Returns whether the caller must schedule a wake event at `at`.
+    fn arm(&mut self, at: SimTime) -> bool {
+        let earlier = at < self.0;
+        if earlier {
+            self.0 = at;
+        }
+        earlier
+    }
+
+    /// Whether a wake popped at `now` is the live one. Firing the live
+    /// wake disarms the slot; a superseded wake leaves it untouched.
+    fn fire(&mut self, now: SimTime) -> bool {
+        let live = now == self.0;
+        if live {
+            self.0 = SimTime::MAX;
+        }
+        live
+    }
+}
+
 /// One access point with everything behind it.
 // Clone: part of the world snapshot — the MAC association table, DHCP
 // pool, live TCP senders, ARP bindings, backhaul horizon and the ISS
@@ -184,8 +222,8 @@ struct ApNode {
     backhaul_latency: SimDuration,
     /// Whether the AP is inside the client's activation horizon.
     active: bool,
-    /// Earliest scheduled ApWake (dedup).
-    wake_scheduled: SimTime,
+    /// This AP's live `ApWake`.
+    wake: WakeSlot,
     /// Deterministic ISS source for new TCP connections.
     iss_rng: SimRng,
 }
@@ -252,7 +290,8 @@ pub struct World<C: ClientSystem> {
     conn: IntervalTracker,
     delivered_prev: u64,
     encountered: FxHashSet<usize>,
-    client_wake_scheduled: SimTime,
+    /// The client system's live `ClientWake`.
+    client_wake: WakeSlot,
     // Deliberately NOT forked: `snapshot()` sets this to `None` so a
     // fork never inherits the parent's open trace file. The capture
     // sink is observability, not simulation state — dropping it cannot
@@ -334,7 +373,7 @@ impl<C: ClientSystem + Clone> World<C> {
             conn: self.conn.clone(),
             delivered_prev: self.delivered_prev,
             encountered: self.encountered.clone(),
-            client_wake_scheduled: self.client_wake_scheduled,
+            client_wake: self.client_wake,
             capture: None,
             fstats: self.fstats.clone(),
             #[cfg(feature = "validate")]
@@ -552,7 +591,7 @@ impl<C: ClientSystem> World<C> {
                 backhaul_bps: site.backhaul_bps,
                 backhaul_latency: SimDuration::from_secs_f64(site.backhaul_latency_s),
                 active: false,
-                wake_scheduled: SimTime::MAX,
+                wake: WakeSlot::IDLE,
                 iss_rng: root.stream_indexed("iss", site.id as u64),
             });
         }
@@ -596,7 +635,7 @@ impl<C: ClientSystem> World<C> {
             conn: IntervalTracker::new(SimTime::ZERO, false),
             delivered_prev: 0,
             encountered: FxHashSet::default(),
-            client_wake_scheduled: SimTime::MAX,
+            client_wake: WakeSlot::IDLE,
             capture,
             fstats: FaultStats::default(),
             #[cfg(feature = "validate")]
@@ -681,8 +720,8 @@ impl<C: ClientSystem> World<C> {
         }
         self.started = true;
         self.queue.schedule(SimTime::ZERO, Ev::MobilityCheck);
+        self.client_wake.arm(SimTime::ZERO);
         self.queue.schedule(SimTime::ZERO, Ev::ClientWake);
-        self.client_wake_scheduled = SimTime::ZERO;
     }
 
     /// Advance the simulation through every event firing at or before
@@ -875,9 +914,8 @@ impl<C: ClientSystem> World<C> {
         self.prev_connected = connected;
         // Client wakeup maintenance.
         let nw = obs.next_wakeup.max(now);
-        if nw < self.client_wake_scheduled && nw < SimTime::MAX {
+        if self.client_wake.arm(nw) {
             self.queue.schedule(nw, Ev::ClientWake);
-            self.client_wake_scheduled = nw;
         }
     }
 
@@ -886,7 +924,9 @@ impl<C: ClientSystem> World<C> {
     fn dispatch(&mut self, now: SimTime, ev: Ev) -> bool {
         match ev {
             Ev::ClientWake => {
-                self.client_wake_scheduled = SimTime::MAX;
+                if !self.client_wake.fire(now) {
+                    return false;
+                }
                 let mut actions = std::mem::take(&mut self.actions_scratch);
                 actions.clear();
                 self.client.poll_into(now, &mut actions);
@@ -905,8 +945,9 @@ impl<C: ClientSystem> World<C> {
                 true
             }
             Ev::ApWake(i) => {
-                self.aps[i].wake_scheduled = SimTime::MAX;
-                self.ap_wake(now, i);
+                if self.aps[i].wake.fire(now) {
+                    self.ap_wake(now, i);
+                }
                 false
             }
             Ev::AirToClient { frame, channel, ap } => {
@@ -1171,9 +1212,8 @@ impl<C: ClientSystem> World<C> {
 
     fn schedule_ap_wake(&mut self, now: SimTime, i: usize, at: SimTime) {
         let at = at.max(now);
-        if at < self.aps[i].wake_scheduled && at <= SimTime::ZERO + self.cfg.duration {
+        if at <= SimTime::ZERO + self.cfg.duration && self.aps[i].wake.arm(at) {
             self.queue.schedule(at, Ev::ApWake(i));
-            self.aps[i].wake_scheduled = at;
         }
     }
 
@@ -1841,6 +1881,79 @@ mod tests {
         assert!(result.aps_encountered > 5, "{result}");
         assert!(!result.join_log.join.is_empty(), "{result}");
         assert!(result.bytes > 0, "{result}");
+    }
+
+    /// A client that wakes every 100 ms, except that its first poll
+    /// asks for a channel switch whose completion pulls the next wake
+    /// in to "now": the wake armed at 100 ms is superseded in the queue.
+    #[derive(Clone, Default)]
+    struct RearmingClient {
+        next: SimTime,
+        switched: bool,
+        /// `(instant, whether that instant was the armed wake)` per poll.
+        polls: Vec<(SimTime, bool)>,
+        log: spider_mac80211::JoinLog,
+    }
+
+    impl ClientSystem for RearmingClient {
+        fn label(&self) -> String {
+            "rearming".into()
+        }
+        fn on_frame_into(&mut self, _: SimTime, _: &RxFrame<'_>, _: &mut Vec<DriverAction>) {}
+        fn on_switch_complete_into(&mut self, now: SimTime, _: Channel, _: &mut Vec<DriverAction>) {
+            self.next = now;
+        }
+        fn poll_into(&mut self, now: SimTime, out: &mut Vec<DriverAction>) {
+            self.polls.push((now, now == self.next));
+            if !self.switched {
+                self.switched = true;
+                out.push(DriverAction::SwitchChannel(Channel::CH6));
+            }
+            self.next = now + SimDuration::from_millis(100);
+        }
+        fn next_wakeup(&self, _: SimTime) -> SimTime {
+            self.next
+        }
+        fn join_log(&self) -> &spider_mac80211::JoinLog {
+            &self.log
+        }
+        fn is_connected(&self) -> bool {
+            false
+        }
+        fn delivered_bytes(&self) -> u64 {
+            0
+        }
+        fn initial_channel(&self) -> Channel {
+            Channel::CH1
+        }
+        fn clone_boxed(&self) -> Box<dyn ClientSystem + Send> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn superseded_wakes_are_dropped_undispatched() {
+        let cfg = WorldConfig::new(
+            MobilityModel::Static(Position::ORIGIN),
+            Deployment::lab(Vec::new(), 250_000.0),
+            SimDuration::from_secs(2),
+            1,
+        );
+        let (result, client) = World::new(cfg, RearmingClient::default()).run_with();
+        assert_eq!(result.switches, 1);
+        // Every poll came at the instant the client armed, once each:
+        // the superseded 100 ms wake neither polled early nor started a
+        // second wake chain.
+        let polls = &client.polls;
+        assert!(polls.iter().all(|&(_, armed)| armed), "{polls:?}");
+        // t = 0, the switch completion, then every 100 ms to the end.
+        let switch_at = polls[1].0;
+        assert!(switch_at > SimTime::ZERO && switch_at < SimTime::from_millis(100));
+        let periodic = SimTime::from_secs(2)
+            .saturating_since(switch_at)
+            .as_micros()
+            / 100_000;
+        assert_eq!(polls.len() as u64, 2 + periodic, "{polls:?}");
     }
 }
 
