@@ -8,7 +8,7 @@
 
 use spider_bench::{print_table, write_csv};
 use spider_model::selection::{density_score, greedy_select, optimal_select, ApOption};
-use spider_simcore::{forked_sweep, OnlineStats, SimRng};
+use spider_simcore::{sweep, OnlineStats, SimRng};
 
 const TRIALS: u64 = 200;
 const ROOT_SEED: u64 = 11;
@@ -17,40 +17,32 @@ fn main() {
     let budget = 30.0; // seconds of radio time on a road segment
     let groups = [4usize, 8, 12, 16];
 
-    // One knapsack instance per job, each drawing from its own derived
-    // RNG stream — the instance depends only on (group, trial), not on
-    // which worker ran the trials before it. All instances fan from a
-    // single shared root via `forked_sweep` (the prefix-sharing API):
-    // deriving a trial's stream from the cloned root is bit-identical
-    // to seeding cold inside the job.
+    // One knapsack instance per job, each drawing from its own RNG
+    // stream derived from one shared root — the instance depends only
+    // on (group, trial), not on which worker ran the trials before it.
     let mut jobs = Vec::new();
     for &n_aps in &groups {
         for trial in 0..TRIALS {
             jobs.push((n_aps, trial));
         }
     }
-    let fan: Vec<(usize, (usize, u64))> = jobs.iter().map(|&j| (0, j)).collect();
-    let trials = forked_sweep(
-        &[ROOT_SEED],
-        &fan,
-        |&seed| SimRng::new(seed),
-        |root, &(n_aps, trial)| {
-            let mut rng = root.stream_indexed("appendix-a", (n_aps as u64) * 1_000 + trial);
-            let options: Vec<ApOption> = (0..n_aps)
-                .map(|_| {
-                    let t_i = rng.uniform_in(2.0, 25.0); // time in range
-                    let w_i = rng.uniform_in(50_000.0, 1_000_000.0); // bytes/s
-                    let d_i = rng.uniform_in(0.1, 1.5); // join/switch overhead
-                    ApOption::from_encounter(t_i, w_i, d_i, budget)
-                })
-                .collect();
-            let exact = optimal_select(&options, budget, 2_000);
-            let greedy = greedy_select(&options, budget, density_score);
-            let ratio = (exact.value > 0.0).then(|| greedy.value / exact.value);
-            let exact_match = (greedy.value - exact.value).abs() < 1e-9;
-            (ratio, exact_match)
-        },
-    );
+    let root = SimRng::new(ROOT_SEED);
+    let trials = sweep(&jobs, |&(n_aps, trial)| {
+        let mut rng = root.stream_indexed("appendix-a", (n_aps as u64) * 1_000 + trial);
+        let options: Vec<ApOption> = (0..n_aps)
+            .map(|_| {
+                let t_i = rng.uniform_in(2.0, 25.0); // time in range
+                let w_i = rng.uniform_in(50_000.0, 1_000_000.0); // bytes/s
+                let d_i = rng.uniform_in(0.1, 1.5); // join/switch overhead
+                ApOption::from_encounter(t_i, w_i, d_i, budget)
+            })
+            .collect();
+        let exact = optimal_select(&options, budget, 2_000);
+        let greedy = greedy_select(&options, budget, density_score);
+        let ratio = (exact.value > 0.0).then(|| greedy.value / exact.value);
+        let exact_match = (greedy.value - exact.value).abs() < 1e-9;
+        (ratio, exact_match)
+    });
 
     let mut rows = Vec::new();
     let mut table = Vec::new();

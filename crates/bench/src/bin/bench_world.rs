@@ -1,9 +1,10 @@
 //! `bench_world` — the engine's macro benchmark.
 //!
-//! Runs the three fixed-seed world workloads (sparse commute, dense
-//! downtown, chaos storm), prints events/sec and wall-clock per
-//! scenario, then times the parallel sweep runner on a batch of
-//! Table 2 drives (serial vs worker pool), and writes
+//! Runs the four fixed-seed world workloads (sparse commute, dense
+//! downtown, chaos storm, stock commute), prints events/sec and
+//! wall-clock per scenario, then times the parallel sweep runner on a
+//! batch of Table 2 drives (serial vs worker pool), the checkpoint/fork
+//! engine and the campaign divergence trie, and writes
 //! `BENCH_world.json` at the repository root.
 //!
 //! Flags:
@@ -20,8 +21,8 @@
 //!   checked-in baseline is never clobbered by a partial run.
 
 use spider_bench::worldbench::{
-    check_regressions, run_checkpoint_bench, run_prefix_tree_bench, run_scenario, run_suite_bench,
-    scenarios, to_json,
+    check_regressions, document, run_checkpoint_bench, run_prefix_tree_bench, run_scenario,
+    run_suite_bench, scenarios,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -83,20 +84,20 @@ fn main() -> ExitCode {
         // Table 2 drives, serial vs the worker pool.
         let suite = run_suite_bench(fast);
         println!(
-            "  suite sweep      {:>2} jobs  {:>2} workers  {:>8.3}s cold-serial  {:>8.3}s forked-parallel  {:.2}x  {} events ({})",
+            "  suite sweep      {:>2} jobs  {:>2} workers  {:>8.3}s serial  {:>8.3}s parallel  {:.2}x  {} events ({})",
             suite.jobs,
             suite.workers,
             suite.serial_wall_secs,
             suite.parallel_wall_secs,
             suite.speedup(),
-            suite.events_cold,
-            if suite.fan_identical { "fan bit-identical" } else { "FAN DIVERGED" },
+            suite.events_serial,
+            if suite.identical { "bit-identical" } else { "DIVERGED" },
         );
         // The wall-clock speedup is machine dependent (1.00 on a 1-vCPU
         // runner); the deterministic gate is the event accounting and
-        // byte-identity of the forked fan.
-        if !suite.fan_identical || suite.events_cold != suite.events_forked {
-            eprintln!("suite bench: forked fan diverged from the cold serial leg");
+        // byte-identity of the two legs.
+        if !suite.identical || suite.events_serial != suite.events_parallel {
+            eprintln!("suite bench: parallel leg diverged from the serial leg");
             return ExitCode::FAILURE;
         }
 
@@ -128,17 +129,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
 
-        // Fourth section: the checkpoint prefix-tree — the Table 2
-        // seed fan served by seed-rebased forks of one constructed
-        // world per row, and a chaos campaign whose trials share
-        // checkpoints through the divergence trie.
+        // Fourth section: the checkpoint prefix-tree — a chaos campaign
+        // whose trials share checkpoints through the divergence trie.
         let pt = run_prefix_tree_bench(fast);
         println!(
-            "  prefix tree      fan {:>2} jobs: {:>7.3}s cold vs {:>7.3}s forked ({})  campaign {:>2} trials: {:>7.3}s vs {:>7.3}s, {:.2}x fewer events, depth {} ({})",
-            pt.fan_jobs,
-            pt.fan_cold_wall_secs,
-            pt.fan_forked_wall_secs,
-            if pt.fan_identical_w1 && pt.fan_identical_w4 { "bit-identical @1/@4 workers" } else { "DIVERGED" },
+            "  prefix tree      campaign {:>2} trials: {:>7.3}s cold vs {:>7.3}s forked, {:.2}x fewer events, depth {} ({})",
             pt.campaign_trials,
             pt.campaign_cold_wall_secs,
             pt.campaign_forked_wall_secs,
@@ -146,10 +141,6 @@ fn main() -> ExitCode {
             pt.tree_depth,
             if pt.campaign_identical { "report identical" } else { "REPORT DIVERGED" },
         );
-        if !pt.fan_identical_w1 || !pt.fan_identical_w4 {
-            eprintln!("prefix-tree bench: forked seed fan diverged from cold construction");
-            return ExitCode::FAILURE;
-        }
         if !pt.campaign_identical {
             eprintln!("prefix-tree bench: forked campaign report diverged from the cold report");
             return ExitCode::FAILURE;
@@ -164,8 +155,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
 
-        let json = to_json(mode, &results, Some(&suite), Some(&cp), Some(&pt));
-        if let Err(e) = std::fs::write(&out, &json) {
+        let json = document(mode, &results, &suite, &cp, &pt).pretty();
+        if let Err(e) = std::fs::write(&out, json) {
             eprintln!("failed to write {}: {e}", out.display());
             return ExitCode::FAILURE;
         }

@@ -7,38 +7,30 @@
 
 use spider_bench::{print_table, write_csv};
 use spider_model::{simulate_join_probability, JoinModel};
-use spider_simcore::{forked_sweep, SimRng};
+use spider_simcore::{sweep, SimRng};
 
 const ROOT_SEED: u64 = 2;
 
 fn main() {
-    // One Monte-Carlo point per job, each with its own derived RNG
-    // stream so the draw sequence is a function of the point alone —
-    // not of how many points ran before it on the same thread. The
-    // whole figure fans from one shared root through `forked_sweep`
-    // (the same prefix-sharing API the world-level fans use): cloning
-    // the root and deriving a point's stream from the clone draws
-    // bit-identically to seeding cold inside each job.
+    // One Monte-Carlo point per job, each with its own RNG stream
+    // derived from one shared root, so the draw sequence is a function
+    // of the point alone — not of how many points ran before it on the
+    // same thread.
     let mut jobs = Vec::new();
     for beta_max in [5.0, 10.0] {
         for i in 1..=20u64 {
             jobs.push((beta_max, i));
         }
     }
-    let fan: Vec<(usize, (f64, u64))> = jobs.iter().map(|&j| (0, j)).collect();
-    let points = forked_sweep(
-        &[ROOT_SEED],
-        &fan,
-        |&seed| SimRng::new(seed),
-        |root, &(beta_max, i)| {
-            let model = JoinModel::paper_defaults(beta_max);
-            let fi = i as f64 / 20.0;
-            let analytic = model.p_join(fi, 4.0);
-            let mut rng = root.stream_indexed("fig02-point", (beta_max as u64) * 100 + i);
-            let mc = simulate_join_probability(&model, fi, 4.0, 100, 100, &mut rng);
-            (analytic, mc)
-        },
-    );
+    let root = SimRng::new(ROOT_SEED);
+    let points = sweep(&jobs, |&(beta_max, i)| {
+        let model = JoinModel::paper_defaults(beta_max);
+        let fi = i as f64 / 20.0;
+        let analytic = model.p_join(fi, 4.0);
+        let mut rng = root.stream_indexed("fig02-point", (beta_max as u64) * 100 + i);
+        let mc = simulate_join_probability(&model, fi, 4.0, 100, 100, &mut rng);
+        (analytic, mc)
+    });
 
     let mut rows = Vec::new();
     let mut table = Vec::new();

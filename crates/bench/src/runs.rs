@@ -3,7 +3,7 @@
 use spider_baselines::{StockConfig, StockDriver};
 use spider_core::{ChannelSchedule, OperationMode, SpiderConfig, SpiderDriver};
 use spider_mac80211::ClientSystem;
-use spider_simcore::{forked_sweep_with, sweep, sweep_with, worker_count, Json, SimDuration};
+use spider_simcore::{sweep, sweep_with, worker_count, Json, SimDuration};
 use spider_wire::Channel;
 use spider_workloads::metrics::RunResult;
 use spider_workloads::scenarios::{boston_scenario, town_scenario, ScenarioParams};
@@ -50,15 +50,13 @@ pub fn town_params(seed: u64) -> ScenarioParams {
     }
 }
 
-/// Deployment seed pinned across the Table 2 seed fan. Every seed
-/// shares one physical town (and one Boston variant), so seeds diverge
-/// only in world RNG — beacon phases, DHCP draws, loss — which is
-/// exactly the shape [`World::rebase_seed`] can serve from a single
-/// constructed world per row (DESIGN.md §13).
+/// Deployment seed pinned across Table 2's seeds. Every seed shares
+/// one physical town (and one Boston variant), so seeds diverge only in
+/// world RNG — beacon phases, DHCP draws, loss.
 pub const TABLE2_DEPLOY_SEED: u64 = 1;
 
 /// [`town_params`] with the deployment pinned to
-/// [`TABLE2_DEPLOY_SEED`]: the Table 2 fan's per-seed parameters.
+/// [`TABLE2_DEPLOY_SEED`]: Table 2's per-seed parameters.
 pub fn table2_params(seed: u64) -> ScenarioParams {
     ScenarioParams {
         deploy_seed: Some(TABLE2_DEPLOY_SEED),
@@ -66,113 +64,9 @@ pub fn table2_params(seed: u64) -> ScenarioParams {
     }
 }
 
-/// Whether seed fans fork from one constructed world per configuration
-/// (the default) or reconstruct every world cold. `SPIDER_FORK=0`
-/// forces the cold leg; output is byte-identical either way, and CI
-/// diffs the two legs' artifacts.
-pub fn fork_enabled() -> bool {
-    std::env::var("SPIDER_FORK").map_or(true, |v| v.trim() != "0")
-}
-
 /// Run any client system through a world.
 pub fn run_driver<C: ClientSystem>(cfg: WorldConfig, client: C) -> RunResult {
     World::new(cfg, client).run()
-}
-
-/// A constructed Table 2 row world, ready to fan across seeds via
-/// [`World::rebase_seed`]. Rows 0–4 drive Spider and row 5 the stock
-/// baseline; one enum lets the heterogeneous rows share a single
-/// forked sweep.
-// Both variants are full Worlds (kilobytes each, six instances per
-// fan run); boxing would add indirection without meaningfully
-// shrinking anything that matters at this scale.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-pub enum Table2Base {
-    /// A Spider-driven row (rows 0–4).
-    Spider(World<SpiderDriver>),
-    /// The stock-driver baseline row (row 5).
-    Stock(World<StockDriver>),
-}
-
-impl Table2Base {
-    /// Construct row `row`'s world under `seed`. The deployment is
-    /// always pinned to [`TABLE2_DEPLOY_SEED`]; `seed` sets only the
-    /// world RNG streams.
-    pub fn build_for(row: usize, seed: u64) -> Table2Base {
-        Self::build_scaled(row, seed, None)
-    }
-
-    /// [`Table2Base::build_for`] with an optional duration override —
-    /// bench and smoke miniatures of the fan run shortened drives.
-    pub fn build_scaled(row: usize, seed: u64, duration: Option<SimDuration>) -> Table2Base {
-        let params = |seed| {
-            let mut p = table2_params(seed);
-            if let Some(d) = duration {
-                p.duration = d;
-            }
-            p
-        };
-        let period = StdConfigs::period();
-        let spider_mode = match row {
-            0 => OperationMode::SingleChannelMultiAp(Channel::CH1),
-            1 => OperationMode::SingleChannelSingleAp(Channel::CH1),
-            2 => OperationMode::MultiChannelMultiAp { period },
-            3 => OperationMode::MultiChannelSingleAp { period },
-            // Cambridge (Boston mix): channel 6 single-AP, the external
-            // validation row.
-            4 => {
-                let spider =
-                    SpiderConfig::for_mode(OperationMode::SingleChannelSingleAp(Channel::CH6), 1);
-                return Table2Base::Spider(World::new(
-                    boston_scenario(&params(seed)),
-                    SpiderDriver::new(spider),
-                ));
-            }
-            5 => {
-                return Table2Base::Stock(World::new(
-                    town_scenario(&params(seed)),
-                    StockDriver::new(StockConfig::stock(1)),
-                ));
-            }
-            _ => panic!("table2 has {} rows", StdConfigs::TABLE2_ROWS),
-        };
-        Table2Base::Spider(World::new(
-            town_scenario(&params(seed)),
-            SpiderDriver::new(SpiderConfig::for_mode(spider_mode, 1)),
-        ))
-    }
-
-    /// Construct row `row`'s shared fan base (seeded with
-    /// [`TABLE2_DEPLOY_SEED`]; per-seed forks rebase from it).
-    pub fn build(row: usize) -> Table2Base {
-        Self::build_for(row, TABLE2_DEPLOY_SEED)
-    }
-
-    /// Run the world as constructed.
-    pub fn run(self) -> RunResult {
-        match self {
-            Table2Base::Spider(w) => w.run(),
-            Table2Base::Stock(w) => w.run(),
-        }
-    }
-
-    /// Run one seed of the fan: re-derive every RNG stream under `seed`
-    /// and run. Bit-identical to [`Table2Base::build_for`]`(row, seed)`
-    /// followed by [`run`](Self::run) — the prefix-tree gate in
-    /// `bench_world` byte-diffs exactly that.
-    pub fn run_seed(self, seed: u64) -> RunResult {
-        match self {
-            Table2Base::Spider(mut w) => {
-                w.rebase_seed(seed);
-                w.run()
-            }
-            Table2Base::Stock(mut w) => {
-                w.rebase_seed(seed);
-                w.run()
-            }
-        }
-    }
 }
 
 /// Run Spider with the given configuration.
@@ -206,11 +100,34 @@ impl StdConfigs {
         }
     }
 
-    /// Run Table 2 row `row` on `seed` cold — construct the world from
-    /// scratch and run it. The unit of work of the cold leg, and the
-    /// reference the forked leg must match byte-for-byte.
+    /// Run Table 2 row `row` on `seed`. The deployment is always
+    /// pinned to [`TABLE2_DEPLOY_SEED`]; `seed` sets only the world RNG
+    /// streams.
     pub fn table2_row(row: usize, seed: u64) -> RunResult {
-        Table2Base::build_for(row, seed).run()
+        let params = table2_params(seed);
+        let period = Self::period();
+        let mode = match row {
+            0 => OperationMode::SingleChannelMultiAp(Channel::CH1),
+            1 => OperationMode::SingleChannelSingleAp(Channel::CH1),
+            2 => OperationMode::MultiChannelMultiAp { period },
+            3 => OperationMode::MultiChannelSingleAp { period },
+            // Cambridge (Boston mix): channel 6 single-AP, the external
+            // validation row.
+            4 => {
+                return spider_run(
+                    boston_scenario(&params),
+                    SpiderConfig::for_mode(OperationMode::SingleChannelSingleAp(Channel::CH6), 1),
+                )
+            }
+            5 => {
+                return run_driver(
+                    town_scenario(&params),
+                    StockDriver::new(StockConfig::stock(1)),
+                )
+            }
+            _ => panic!("table2 has {} rows", Self::TABLE2_ROWS),
+        };
+        spider_run(town_scenario(&params), SpiderConfig::for_mode(mode, 1))
     }
 
     /// Table 2's four Spider rows on the town drive (plus MadWiFi), with
@@ -227,55 +144,21 @@ impl StdConfigs {
 
     /// [`StdConfigs::table2`] across several seeds as one flat sweep:
     /// one entry per row, carrying that row's per-seed results in seed
-    /// order. Honours [`fork_enabled`] (`SPIDER_FORK=0` runs the cold
-    /// leg).
+    /// order.
     pub fn table2_seeds(seeds: &[u64]) -> Vec<(String, Vec<RunResult>)> {
-        Self::table2_fan(seeds, fork_enabled(), worker_count())
+        Self::table2_seeds_with(seeds, worker_count())
     }
 
-    /// The Table 2 seed fan with explicit legs. `forked` constructs
-    /// each row's world once ([`Table2Base::build`]) and serves every
-    /// seed by [`World::rebase_seed`] forks; cold reconstructs per
-    /// `(row, seed)`. Both legs are byte-identical at any worker count
-    /// — the `prefix_tree` gate in `bench_world` enforces it.
-    pub fn table2_fan(
-        seeds: &[u64],
-        forked: bool,
-        workers: usize,
-    ) -> Vec<(String, Vec<RunResult>)> {
-        Self::table2_fan_scaled(seeds, forked, workers, None)
-    }
-
-    /// [`StdConfigs::table2_fan`] with an optional duration override,
-    /// so the `prefix_tree` bench can gate byte-identity on a
-    /// shortened miniature of the real fan.
-    pub fn table2_fan_scaled(
-        seeds: &[u64],
-        forked: bool,
-        workers: usize,
-        duration: Option<SimDuration>,
-    ) -> Vec<(String, Vec<RunResult>)> {
-        // Seed-major job order; each job's base index is its row.
+    /// [`StdConfigs::table2_seeds`] with an explicit worker count. The
+    /// output is byte-identical at any worker count; `bench_world`
+    /// gates exactly that.
+    pub fn table2_seeds_with(seeds: &[u64], workers: usize) -> Vec<(String, Vec<RunResult>)> {
+        // Seed-major job order.
         let jobs: Vec<(usize, u64)> = seeds
             .iter()
             .flat_map(|&seed| (0..Self::TABLE2_ROWS).map(move |row| (row, seed)))
             .collect();
-        let flat: Vec<RunResult> = if forked {
-            let rows: Vec<usize> = (0..Self::TABLE2_ROWS).collect();
-            forked_sweep_with(
-                &rows,
-                &jobs,
-                |&row| Table2Base::build_scaled(row, TABLE2_DEPLOY_SEED, duration),
-                |base, &seed| base.run_seed(seed),
-                workers,
-            )
-        } else {
-            sweep_with(
-                &jobs,
-                |&(row, seed)| Table2Base::build_scaled(row, seed, duration).run(),
-                workers,
-            )
-        };
+        let flat = sweep_with(&jobs, |&(row, seed)| Self::table2_row(row, seed), workers);
         let mut results: Vec<Option<RunResult>> = flat.into_iter().map(Some).collect();
         (0..Self::TABLE2_ROWS)
             .map(|row| {
@@ -347,36 +230,6 @@ mod tests {
         assert!((s.fraction(Channel::CH1) - 0.25).abs() < 1e-9);
         let full = StdConfigs::f6_schedule(1.0);
         assert!(full.is_single_channel());
-    }
-
-    #[test]
-    fn rebase_fan_matches_cold_on_a_short_drive() {
-        // A 60-second miniature of the Table 2 fan: one constructed
-        // base serving two seeds must be byte-identical to cold
-        // construction under each seed.
-        let short = |seed| {
-            let mut p = table2_params(seed);
-            p.duration = SimDuration::from_secs(60);
-            p
-        };
-        let driver = || {
-            SpiderDriver::new(SpiderConfig::for_mode(
-                OperationMode::MultiChannelMultiAp {
-                    period: StdConfigs::period(),
-                },
-                1,
-            ))
-        };
-        let base = World::new(town_scenario(&short(TABLE2_DEPLOY_SEED)), driver());
-        for seed in [2u64, 9] {
-            let forked = base.fork_with_seed(seed).run();
-            let cold = World::new(town_scenario(&short(seed)), driver()).run();
-            assert_eq!(
-                forked.to_json().pretty(),
-                cold.to_json().pretty(),
-                "seed {seed}: forked fan diverged from cold construction"
-            );
-        }
     }
 
     #[test]

@@ -127,6 +127,24 @@ pub struct ScenarioResult {
     pub bytes: u64,
 }
 
+impl ScenarioResult {
+    /// Render as one entry of the `scenarios` array of
+    /// `BENCH_world.json`; `name` and `events_per_sec` are the keys
+    /// `--check` reads back.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("name", Json::str(self.name.clone())),
+            ("sites", Json::UInt(self.sites as u64)),
+            ("seed", Json::UInt(self.seed)),
+            ("sim_seconds", Json::UInt(self.sim_secs)),
+            ("wall_seconds", Json::Num(self.wall_secs)),
+            ("events", Json::UInt(self.events)),
+            ("events_per_sec", Json::Num(self.events_per_sec)),
+            ("bytes", Json::UInt(self.bytes)),
+        ])
+    }
+}
+
 /// Build and run one scenario, timing the whole `World::run`.
 pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioResult {
     let params = ScenarioParams {
@@ -175,30 +193,28 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioResult {
 pub const PRE_PR_DENSE_EVENTS_PER_SEC: f64 = 2_489_000.0;
 
 /// Measured outcome of the sweep-runner suite benchmark: the same
-/// batch of experiment jobs run cold on one worker and as the forked
-/// seed fan on the worker pool.
+/// batch of experiment jobs run on one worker and on the worker pool.
 #[derive(Debug, Clone)]
 pub struct SuiteResult {
     /// Number of independent experiment jobs in the batch.
     pub jobs: usize,
-    /// Worker threads used for the parallel (forked) leg.
+    /// Worker threads used for the parallel leg.
     pub workers: usize,
-    /// Wall-clock seconds for the serial cold leg (1 worker, every
-    /// world constructed from scratch).
+    /// Wall-clock seconds for the serial leg (1 worker).
     pub serial_wall_secs: f64,
-    /// Wall-clock seconds for the parallel forked leg.
+    /// Wall-clock seconds for the parallel leg.
     pub parallel_wall_secs: f64,
-    /// Total simulated events of the cold leg. Deterministic — a pure
+    /// Total simulated events of the serial leg. Deterministic — a pure
     /// function of the job list — unlike wall seconds.
-    pub events_cold: u64,
-    /// Total simulated events of the forked leg. Equal to
-    /// [`events_cold`](Self::events_cold) exactly when the fan is
-    /// bit-identical (forking shares construction, not events).
-    pub events_forked: u64,
-    /// The forked fan's results equalled the cold leg byte for byte —
-    /// the deterministic gate. Wall-clock speedup stays informational:
-    /// a 1-vCPU CI runner legitimately measures 1.00.
-    pub fan_identical: bool,
+    pub events_serial: u64,
+    /// Total simulated events of the parallel leg; equal to
+    /// [`events_serial`](Self::events_serial) when the sweep is
+    /// deterministic.
+    pub events_parallel: u64,
+    /// The parallel leg's results equalled the serial leg byte for
+    /// byte — the deterministic gate. Wall-clock speedup stays
+    /// informational: a 1-vCPU CI runner legitimately measures 1.00.
+    pub identical: bool,
 }
 
 impl SuiteResult {
@@ -207,42 +223,64 @@ impl SuiteResult {
     pub fn speedup(&self) -> f64 {
         self.serial_wall_secs / self.parallel_wall_secs.max(1e-9)
     }
+
+    /// Render as the `suite` section of `BENCH_world.json`.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            (
+                "note",
+                Json::str(
+                    "sweep runner on Table 2 drives: identical batch on 1 worker vs the pool; \
+                     the gate is the deterministic event accounting and byte-identity, \
+                     wall seconds are informational",
+                ),
+            ),
+            ("experiment_jobs", Json::UInt(self.jobs as u64)),
+            ("workers", Json::UInt(self.workers as u64)),
+            ("serial_wall_seconds", Json::Num(self.serial_wall_secs)),
+            ("parallel_wall_seconds", Json::Num(self.parallel_wall_secs)),
+            ("parallel_speedup", Json::Num(self.speedup())),
+            ("events_serial", Json::UInt(self.events_serial)),
+            ("events_parallel", Json::UInt(self.events_parallel)),
+            ("identical", Json::Bool(self.identical)),
+        ])
+    }
 }
 
 /// Benchmark the sweep runner on a representative slice of the
 /// experiment suite: Table 2's six configurations across three seeds
 /// (one seed in fast mode), i.e. real 30-minute `World` drives, not a
-/// synthetic load. Runs the identical batch twice — once cold on one
-/// worker, once as the [`StdConfigs::table2_fan`] forked leg on
+/// synthetic load. Runs the identical batch twice through
+/// [`StdConfigs::table2_seeds_with`] — once on one worker, once on
 /// [`worker_count`] workers — and asserts the results are byte-
-/// identical, which is the sweep *and* fork determinism contract
-/// measured on the real workload. The event totals of both legs are
-/// recorded so the gate rests on deterministic numbers, not on
-/// machine-dependent wall-clock speedup.
+/// identical, which is the sweep determinism contract measured on the
+/// real workload. The event totals of both legs are recorded so the
+/// gate rests on deterministic numbers, not on machine-dependent
+/// wall-clock speedup.
 pub fn run_suite_bench(fast: bool) -> SuiteResult {
     let seeds: &[u64] = if fast { &[1] } else { &[1, 2, 3] };
 
     let t = Instant::now();
-    let cold = StdConfigs::table2_fan(seeds, false, 1);
+    let serial = StdConfigs::table2_seeds_with(seeds, 1);
     let serial_wall_secs = t.elapsed().as_secs_f64();
 
     let workers = worker_count();
     let t = Instant::now();
-    let forked = StdConfigs::table2_fan(seeds, true, workers);
+    let parallel = StdConfigs::table2_seeds_with(seeds, workers);
     let parallel_wall_secs = t.elapsed().as_secs_f64();
 
-    let render = |fan: &[(String, Vec<spider_workloads::RunResult>)]| -> Vec<String> {
-        fan.iter()
+    let render = |rows: &[(String, Vec<spider_workloads::RunResult>)]| -> Vec<String> {
+        rows.iter()
             .flat_map(|(_, rs)| rs.iter().map(|r| r.to_json().pretty()))
             .collect()
     };
-    let fan_identical = render(&cold) == render(&forked);
+    let identical = render(&serial) == render(&parallel);
     assert!(
-        fan_identical,
-        "suite bench: forked seed fan diverged from the cold serial leg"
+        identical,
+        "suite bench: parallel Table 2 sweep diverged from the serial leg"
     );
-    let events = |fan: &[(String, Vec<spider_workloads::RunResult>)]| -> u64 {
-        fan.iter()
+    let events = |rows: &[(String, Vec<spider_workloads::RunResult>)]| -> u64 {
+        rows.iter()
             .flat_map(|(_, rs)| rs.iter().map(|r| r.events))
             .sum()
     };
@@ -252,9 +290,9 @@ pub fn run_suite_bench(fast: bool) -> SuiteResult {
         workers,
         serial_wall_secs,
         parallel_wall_secs,
-        events_cold: events(&cold),
-        events_forked: events(&forked),
-        fan_identical,
+        events_serial: events(&serial),
+        events_parallel: events(&parallel),
+        identical,
     }
 }
 
@@ -302,9 +340,7 @@ impl CheckpointResult {
         self.shrink_events_cold as f64 / self.shrink_events_simulated.max(1) as f64
     }
 
-    /// Render as the `checkpoint` section of `BENCH_world.json`. Keys
-    /// are distinct from the scenario `name`/`events_per_sec` keys so
-    /// the line-oriented `--check` parser never sees them.
+    /// Render as the `checkpoint` section of `BENCH_world.json`.
     pub fn to_json(&self) -> Json {
         Json::obj([
             (
@@ -486,28 +522,11 @@ pub fn run_checkpoint_bench(fast: bool) -> CheckpointResult {
     }
 }
 
-/// Measured outcome of the checkpoint prefix-tree benchmark: the
-/// Table 2 seed fan served by [`World::rebase_seed`]
-/// forks of one constructed world per row, and a chaos campaign whose
-/// trials fork from a divergence trie instead of each simulating its
-/// own prefix (DESIGN.md §13).
+/// Measured outcome of the checkpoint prefix-tree benchmark: a chaos
+/// campaign whose trials fork from a divergence trie instead of each
+/// simulating its own prefix (DESIGN.md §13).
 #[derive(Debug, Clone)]
 pub struct PrefixTreeResult {
-    /// Seeds in the fan leg.
-    pub fan_seeds: usize,
-    /// `(row, seed)` jobs in the fan leg.
-    pub fan_jobs: usize,
-    /// Simulated seconds per fan job (a shortened miniature of the
-    /// real 1800 s fan; identity is duration-independent).
-    pub fan_sim_secs: u64,
-    /// Wall seconds for the cold fan leg (every world from scratch).
-    pub fan_cold_wall_secs: f64,
-    /// Wall seconds for the forked fan leg.
-    pub fan_forked_wall_secs: f64,
-    /// Forked fan output byte-identical to cold on 1 worker.
-    pub fan_identical_w1: bool,
-    /// Forked fan output byte-identical to cold on 4 workers.
-    pub fan_identical_w4: bool,
     /// Trials in the campaign leg.
     pub campaign_trials: usize,
     /// Wall seconds for the cold campaign ([`run_campaign`]).
@@ -538,29 +557,15 @@ impl PrefixTreeResult {
         self.campaign_events_cold as f64 / self.campaign_events_simulated.max(1) as f64
     }
 
-    /// Render as the `prefix_tree` section of `BENCH_world.json`. Keys
-    /// are distinct from the scenario `name`/`events_per_sec` keys so
-    /// the line-oriented `--check` parser never sees them.
+    /// Render as the `prefix_tree` section of `BENCH_world.json`.
     pub fn to_json(&self) -> Json {
         Json::obj([
             (
                 "note",
                 Json::str(
-                    "checkpoint prefix-tree: Table 2 seed fan via World::rebase_seed forks, \
-                     and cross-trial checkpoint sharing through the campaign divergence trie",
+                    "checkpoint prefix-tree: cross-trial checkpoint sharing through \
+                     the campaign divergence trie",
                 ),
-            ),
-            (
-                "seed_fan",
-                Json::obj([
-                    ("seeds", Json::UInt(self.fan_seeds as u64)),
-                    ("jobs", Json::UInt(self.fan_jobs as u64)),
-                    ("sim_seconds", Json::UInt(self.fan_sim_secs)),
-                    ("cold_wall_seconds", Json::Num(self.fan_cold_wall_secs)),
-                    ("forked_wall_seconds", Json::Num(self.fan_forked_wall_secs)),
-                    ("identical_1_worker", Json::Bool(self.fan_identical_w1)),
-                    ("identical_4_workers", Json::Bool(self.fan_identical_w4)),
-                ]),
             ),
             (
                 "campaign_trie",
@@ -587,38 +592,13 @@ impl PrefixTreeResult {
     }
 }
 
-/// Benchmark the checkpoint prefix-tree (DESIGN.md §13) in both the
-/// shapes this repo fans out over:
-///
-/// * **seed fan** — a shortened Table 2 fan run cold and forked
-///   ([`StdConfigs::table2_fan_scaled`]); the forked leg must be
-///   byte-identical to cold on 1 and on 4 workers;
-/// * **campaign trie** — a tight-SLO chaos campaign run cold
-///   ([`run_campaign`]) and through the divergence trie
-///   ([`run_campaign_forked`]); reports must be byte-identical while
-///   the trie simulates measurably fewer events.
+/// Benchmark the checkpoint prefix-tree (DESIGN.md §13): a tight-SLO
+/// chaos campaign run cold ([`run_campaign`]) and through the
+/// divergence trie ([`run_campaign_forked`]); reports must be
+/// byte-identical while the trie simulates measurably fewer events.
 pub fn run_prefix_tree_bench(fast: bool) -> PrefixTreeResult {
-    // Seed-fan leg.
-    let fan_sim_secs: u64 = if fast { 60 } else { 300 };
-    let seeds: &[u64] = if fast { &[1, 2] } else { &[1, 2, 3] };
-    let duration = Some(SimDuration::from_secs(fan_sim_secs));
-    let render = |fan: &[(String, Vec<spider_workloads::RunResult>)]| -> Vec<String> {
-        fan.iter()
-            .flat_map(|(_, rs)| rs.iter().map(|r| r.to_json().pretty()))
-            .collect()
-    };
-    let t = Instant::now();
-    let cold = StdConfigs::table2_fan_scaled(seeds, false, 4, duration);
-    let fan_cold_wall_secs = t.elapsed().as_secs_f64();
-    let forked_w1 = StdConfigs::table2_fan_scaled(seeds, true, 1, duration);
-    let t = Instant::now();
-    let forked_w4 = StdConfigs::table2_fan_scaled(seeds, true, 4, duration);
-    let fan_forked_wall_secs = t.elapsed().as_secs_f64();
-    let cold_rendered = render(&cold);
-
-    // Campaign leg: a tight-SLO chaos campaign on the checkpoint
-    // bench's town, once cold and once through the divergence trie.
-    // Back-loaded schedules (every episode in the second half of the
+    // A tight-SLO chaos campaign on the checkpoint bench's town, once
+    // cold and once through the divergence trie. Back-loaded schedules (every episode in the second half of the
     // drive) are the regime the trie targets — long shared fault-free
     // prefixes — matching the checkpoint bench's final-tenth scenario.
     let campaign_sim_secs: u64 = if fast { 120 } else { 300 };
@@ -673,13 +653,6 @@ pub fn run_prefix_tree_bench(fast: bool) -> PrefixTreeResult {
     let campaign_forked_wall_secs = t.elapsed().as_secs_f64();
 
     PrefixTreeResult {
-        fan_seeds: seeds.len(),
-        fan_jobs: seeds.len() * StdConfigs::TABLE2_ROWS,
-        fan_sim_secs,
-        fan_cold_wall_secs,
-        fan_forked_wall_secs,
-        fan_identical_w1: render(&forked_w1) == cold_rendered,
-        fan_identical_w4: render(&forked_w4) == cold_rendered,
         campaign_trials: campaign_cfg.trials,
         campaign_cold_wall_secs,
         campaign_forked_wall_secs,
@@ -692,140 +665,79 @@ pub fn run_prefix_tree_bench(fast: bool) -> PrefixTreeResult {
     }
 }
 
-/// Render the results as the `BENCH_world.json` document. The engine
-/// scenarios are always single-threaded; `suite`, when present, adds a
-/// section for the parallel sweep runner, `checkpoint` one for the
-/// checkpoint/fork engine, and `prefix_tree` one for the seed-fan and
-/// campaign-trie sharing benchmark. Their keys are deliberately
-/// distinct from the per-scenario `name`/`events_per_sec` keys so the
-/// line-oriented `--check` parser never sees them.
-pub fn to_json(
+/// Assemble the `BENCH_world.json` document. The engine scenarios are
+/// always single-threaded; `suite` covers the parallel sweep runner,
+/// `checkpoint` the checkpoint/fork engine, and `prefix_tree` the
+/// campaign-trie sharing benchmark.
+pub fn document(
     mode: &str,
     results: &[ScenarioResult],
-    suite: Option<&SuiteResult>,
-    checkpoint: Option<&CheckpointResult>,
-    prefix_tree: Option<&PrefixTreeResult>,
-) -> String {
-    let mut s = String::with_capacity(1024);
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"world\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str("  \"pre_pr_baseline\": {\n");
-    s.push_str(
-        "    \"note\": \"engine at commit cb89511, before the spatial grid / shared-frame rewrite\",\n",
-    );
-    s.push_str(&format!(
-        "    \"dense_downtown_events_per_sec\": {PRE_PR_DENSE_EVENTS_PER_SEC:.1},\n"
-    ));
-    s.push_str("    \"wall_seconds\": { \"sparse_commute\": 0.130, \"dense_downtown\": 1.744, \"chaos_storm\": 7.194 }\n");
-    s.push_str("  },\n");
-    s.push_str("  \"scenarios\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-        s.push_str(&format!("      \"sites\": {},\n", r.sites));
-        s.push_str(&format!("      \"seed\": {},\n", r.seed));
-        s.push_str(&format!("      \"sim_seconds\": {},\n", r.sim_secs));
-        s.push_str(&format!("      \"wall_seconds\": {:.4},\n", r.wall_secs));
-        s.push_str(&format!("      \"events\": {},\n", r.events));
-        s.push_str(&format!(
-            "      \"events_per_sec\": {:.1},\n",
-            r.events_per_sec
-        ));
-        s.push_str(&format!("      \"bytes\": {}\n", r.bytes));
-        s.push_str(if i + 1 == results.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]");
-    if let Some(suite) = suite {
-        s.push_str(",\n");
-        s.push_str("  \"suite\": {\n");
-        s.push_str(
-            "    \"note\": \"sweep runner on Table 2 drives: identical batch, cold on 1 worker vs the forked fan on the pool; the gate is the deterministic event accounting and byte-identity, wall seconds are informational\",\n",
-        );
-        s.push_str(&format!("    \"experiment_jobs\": {},\n", suite.jobs));
-        s.push_str(&format!("    \"workers\": {},\n", suite.workers));
-        s.push_str(&format!(
-            "    \"serial_wall_seconds\": {:.4},\n",
-            suite.serial_wall_secs
-        ));
-        s.push_str(&format!(
-            "    \"parallel_wall_seconds\": {:.4},\n",
-            suite.parallel_wall_secs
-        ));
-        s.push_str(&format!(
-            "    \"parallel_speedup\": {:.2},\n",
-            suite.speedup()
-        ));
-        s.push_str(&format!("    \"events_cold\": {},\n", suite.events_cold));
-        s.push_str(&format!(
-            "    \"events_forked\": {},\n",
-            suite.events_forked
-        ));
-        s.push_str(&format!("    \"fan_identical\": {}\n", suite.fan_identical));
-        s.push_str("  }");
-    }
-    if let Some(cp) = checkpoint {
-        s.push_str(",\n  \"checkpoint\": ");
-        // Re-indent the simcore-rendered object to sit two levels deep.
-        for (i, line) in cp.to_json().pretty().lines().enumerate() {
-            if i > 0 {
-                s.push_str("\n  ");
-            }
-            s.push_str(line);
-        }
-    }
-    if let Some(pt) = prefix_tree {
-        s.push_str(",\n  \"prefix_tree\": ");
-        for (i, line) in pt.to_json().pretty().lines().enumerate() {
-            if i > 0 {
-                s.push_str("\n  ");
-            }
-            s.push_str(line);
-        }
-    }
-    s.push_str("\n}\n");
-    s
+    suite: &SuiteResult,
+    checkpoint: &CheckpointResult,
+    prefix_tree: &PrefixTreeResult,
+) -> Json {
+    Json::obj([
+        ("bench", Json::str("world")),
+        ("mode", Json::str(mode)),
+        (
+            "pre_pr_baseline",
+            Json::obj([
+                (
+                    "note",
+                    Json::str(
+                        "engine at commit cb89511, before the spatial grid / shared-frame rewrite",
+                    ),
+                ),
+                (
+                    "dense_downtown_events_per_sec",
+                    Json::Num(PRE_PR_DENSE_EVENTS_PER_SEC),
+                ),
+                (
+                    "wall_seconds",
+                    Json::obj([
+                        ("sparse_commute", Json::Num(0.130)),
+                        ("dense_downtown", Json::Num(1.744)),
+                        ("chaos_storm", Json::Num(7.194)),
+                    ]),
+                ),
+            ]),
+        ),
+        (
+            "scenarios",
+            Json::arr(results.iter().map(ScenarioResult::to_json)),
+        ),
+        ("suite", suite.to_json()),
+        ("checkpoint", checkpoint.to_json()),
+        ("prefix_tree", prefix_tree.to_json()),
+    ])
 }
 
-/// Extract `(name, events_per_sec)` pairs from a `BENCH_world.json`
-/// document. Not a general JSON parser — it reads exactly the format
-/// [`to_json`] writes, which is all `--check` needs.
-pub fn parse_events_per_sec(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut name: Option<String> = None;
-    for line in json.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"name\": \"") {
-            if let Some(end) = rest.find('"') {
-                name = Some(rest[..end].to_string());
-            }
-        } else if let Some(rest) = line.strip_prefix("\"events_per_sec\": ") {
-            let num = rest.trim_end_matches(',');
-            if let (Some(n), Ok(v)) = (name.take(), num.parse::<f64>()) {
-                out.push((n, v));
-            }
-        }
-    }
-    out
-}
-
-/// Compare fresh results against a baseline document. Returns one
-/// message per scenario whose events/sec dropped by more than
+/// Compare fresh results against a baseline `BENCH_world.json`. Returns
+/// one message per scenario whose events/sec dropped by more than
 /// [`REGRESSION_FACTOR`]; empty means the gate passes. Scenarios
-/// missing on either side are skipped (renames should not fail CI).
+/// missing on either side are skipped (renames should not fail CI); a
+/// baseline that does not parse fails the gate.
 pub fn check_regressions(baseline_json: &str, results: &[ScenarioResult]) -> Vec<String> {
-    let baseline = parse_events_per_sec(baseline_json);
+    let baseline = match Json::parse(baseline_json) {
+        Ok(doc) => doc,
+        Err(e) => return vec![format!("baseline is not valid JSON: {e}")],
+    };
+    let scenarios = baseline
+        .get("scenarios")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
     let mut failures = Vec::new();
     for r in results {
-        if let Some((_, base)) = baseline.iter().find(|(n, _)| n == &r.name) {
-            if r.events_per_sec * REGRESSION_FACTOR < *base {
+        let base = scenarios
+            .iter()
+            .find(|s| s.get("name").and_then(Json::as_str) == Some(r.name.as_str()))
+            .and_then(|s| s.get("events_per_sec"))
+            .and_then(Json::as_f64);
+        if let Some(base) = base {
+            if r.events_per_sec * REGRESSION_FACTOR < base {
                 failures.push(format!(
-                    "{}: {:.0} events/sec is more than {REGRESSION_FACTOR}x below baseline {:.0}",
-                    r.name, r.events_per_sec, base
+                    "{}: {:.0} events/sec is more than {REGRESSION_FACTOR}x below baseline {base:.0}",
+                    r.name, r.events_per_sec
                 ));
             }
         }
@@ -850,51 +762,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_roundtrips_through_the_check_parser() {
-        let results = vec![
-            result("sparse_commute", 1_500_000.0),
-            result("dense_downtown", 9_000_000.5),
-        ];
-        let json = to_json("full", &results, None, None, None);
-        let parsed = parse_events_per_sec(&json);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "sparse_commute");
-        assert!((parsed[0].1 - 1_500_000.0).abs() < 0.2);
-        assert_eq!(parsed[1].0, "dense_downtown");
-        assert!((parsed[1].1 - 9_000_000.5).abs() < 0.2);
-    }
-
-    #[test]
-    fn suite_section_is_rendered_and_invisible_to_the_check_parser() {
-        let suite = SuiteResult {
+    fn suite() -> SuiteResult {
+        SuiteResult {
             jobs: 18,
             workers: 4,
             serial_wall_secs: 12.0,
             parallel_wall_secs: 3.0,
-            events_cold: 5_000_000,
-            events_forked: 5_000_000,
-            fan_identical: true,
-        };
-        assert!((suite.speedup() - 4.0).abs() < 1e-9);
-        let results = vec![result("sparse_commute", 1_500_000.0)];
-        let json = to_json("full", &results, Some(&suite), None, None);
-        assert!(json.contains("\"experiment_jobs\": 18"));
-        assert!(json.contains("\"parallel_speedup\": 4.00"));
-        assert!(json.contains("\"events_cold\": 5000000"));
-        assert!(json.contains("\"events_forked\": 5000000"));
-        assert!(json.contains("\"fan_identical\": true"));
-        // The regression-gate parser must see exactly the scenarios,
-        // with or without the suite section.
-        assert_eq!(
-            parse_events_per_sec(&json),
-            parse_events_per_sec(&to_json("full", &results, None, None, None))
-        );
+            events_serial: 5_000_000,
+            events_parallel: 5_000_000,
+            identical: true,
+        }
     }
 
-    #[test]
-    fn checkpoint_section_is_rendered_and_invisible_to_the_check_parser() {
-        let cp = CheckpointResult {
+    fn checkpoint() -> CheckpointResult {
+        CheckpointResult {
             sites: 69,
             sim_secs: 300,
             cold_wall_secs: 0.2,
@@ -906,32 +787,11 @@ mod tests {
             shrink_events_cold: 3_000_000,
             shrink_events_simulated: 900_000,
             minimized_identical: true,
-        };
-        assert!((cp.events_ratio() - 10.0 / 3.0).abs() < 1e-9);
-        let results = vec![result("sparse_commute", 1_500_000.0)];
-        let json = to_json("full", &results, None, Some(&cp), None);
-        assert!(json.contains("\"checkpoint\":"));
-        assert!(json.contains("\"bit_identical\": true"));
-        assert!(json.contains("\"events_ratio\":"));
-        // The regression-gate parser must see exactly the scenarios.
-        assert_eq!(
-            parse_events_per_sec(&json),
-            parse_events_per_sec(&to_json("full", &results, None, None, None))
-        );
-        // And the document itself must stay parseable JSON.
-        Json::parse(&json).expect("BENCH_world.json with checkpoint section parses");
+        }
     }
 
-    #[test]
-    fn prefix_tree_section_is_rendered_and_invisible_to_the_check_parser() {
-        let pt = PrefixTreeResult {
-            fan_seeds: 3,
-            fan_jobs: 18,
-            fan_sim_secs: 300,
-            fan_cold_wall_secs: 9.0,
-            fan_forked_wall_secs: 6.0,
-            fan_identical_w1: true,
-            fan_identical_w4: true,
+    fn prefix_tree() -> PrefixTreeResult {
+        PrefixTreeResult {
             campaign_trials: 16,
             campaign_cold_wall_secs: 4.0,
             campaign_forked_wall_secs: 1.5,
@@ -941,33 +801,77 @@ mod tests {
             tree_depth: 2,
             checkpoints: 9,
             events_shared: 400_000,
-        };
-        assert!((pt.campaign_events_ratio() - 1.3).abs() < 1e-9);
-        let results = vec![result("sparse_commute", 1_500_000.0)];
-        let json = to_json("full", &results, None, None, Some(&pt));
-        assert!(json.contains("\"prefix_tree\":"));
-        assert!(json.contains("\"identical_1_worker\": true"));
-        assert!(json.contains("\"identical_4_workers\": true"));
-        assert!(json.contains("\"report_identical\": true"));
-        assert!(json.contains("\"tree_depth\": 2"));
-        // The regression-gate parser must see exactly the scenarios.
+        }
+    }
+
+    /// The document as `bench_world` writes it, parsed back.
+    fn written(results: &[ScenarioResult]) -> Json {
+        let text = document("full", results, &suite(), &checkpoint(), &prefix_tree()).pretty();
+        Json::parse(&text).expect("BENCH_world.json parses")
+    }
+
+    #[test]
+    fn document_round_trips_through_the_parser() {
+        let results = vec![
+            result("sparse_commute", 1_500_000.0),
+            result("dense_downtown", 9_000_000.5),
+        ];
+        let doc = document("full", &results, &suite(), &checkpoint(), &prefix_tree());
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        let scenarios = doc.get("scenarios").and_then(Json::as_arr).unwrap();
+        assert_eq!(scenarios.len(), 2);
         assert_eq!(
-            parse_events_per_sec(&json),
-            parse_events_per_sec(&to_json("full", &results, None, None, None))
+            scenarios[1].get("events_per_sec").and_then(Json::as_f64),
+            Some(9_000_000.5)
         );
-        // And the document itself must stay parseable JSON.
-        Json::parse(&json).expect("BENCH_world.json with prefix_tree section parses");
+    }
+
+    #[test]
+    fn suite_section_is_rendered() {
+        let s = suite();
+        assert!((s.speedup() - 4.0).abs() < 1e-9);
+        let doc = written(&[result("sparse_commute", 1_500_000.0)]);
+        let section = doc.get("suite").expect("suite section");
+        assert_eq!(section.get("experiment_jobs"), Some(&Json::UInt(18)));
+        assert_eq!(section.get("parallel_speedup"), Some(&Json::Num(4.0)));
+        assert_eq!(section.get("events_serial"), Some(&Json::UInt(5_000_000)));
+        assert_eq!(section.get("events_parallel"), Some(&Json::UInt(5_000_000)));
+        assert_eq!(section.get("identical"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn checkpoint_section_is_rendered() {
+        assert!((checkpoint().events_ratio() - 10.0 / 3.0).abs() < 1e-9);
+        let doc = written(&[result("sparse_commute", 1_500_000.0)]);
+        let section = doc.get("checkpoint").expect("checkpoint section");
+        let resume = section.get("resume").expect("resume leg");
+        assert_eq!(resume.get("bit_identical"), Some(&Json::Bool(true)));
+        let shrink = section.get("shrink_campaign").expect("shrink leg");
+        assert!(shrink.get("events_ratio").and_then(Json::as_f64).is_some());
+    }
+
+    #[test]
+    fn prefix_tree_section_is_rendered() {
+        assert!((prefix_tree().campaign_events_ratio() - 1.3).abs() < 1e-9);
+        let doc = written(&[result("sparse_commute", 1_500_000.0)]);
+        let trie = doc
+            .get("prefix_tree")
+            .and_then(|pt| pt.get("campaign_trie"))
+            .expect("campaign_trie leg");
+        assert_eq!(trie.get("report_identical"), Some(&Json::Bool(true)));
+        assert_eq!(trie.get("tree_depth"), Some(&Json::UInt(2)));
     }
 
     #[test]
     fn regression_gate_fires_only_past_the_factor() {
-        let baseline = to_json(
+        let baseline = document(
             "full",
             &[result("dense_downtown", 8_000_000.0)],
-            None,
-            None,
-            None,
-        );
+            &suite(),
+            &checkpoint(),
+            &prefix_tree(),
+        )
+        .pretty();
         // 2x slower exactly: passes (gate is strict >2x).
         assert!(check_regressions(&baseline, &[result("dense_downtown", 4_000_000.0)]).is_empty());
         // Slightly worse than 2x: fails.
@@ -976,6 +880,13 @@ mod tests {
         assert!(failures[0].contains("dense_downtown"));
         // Unknown scenario on either side: skipped, not failed.
         assert!(check_regressions(&baseline, &[result("brand_new", 1.0)]).is_empty());
+    }
+
+    #[test]
+    fn regression_gate_rejects_an_unparseable_baseline() {
+        let failures = check_regressions("{\"scenarios\": [", &[result("dense_downtown", 1.0)]);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("not valid JSON"));
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! | `sans-io`      | no `println!`/`eprintln!`/file I/O in library crates (bins, examples, benches and `#[cfg(test)]` are exempt) |
 //! | `forbid-unsafe`| every crate root must carry `#![forbid(unsafe_code)]` |
 //! | `clone-nondet` | no `Clone` (derived or hand-written) on a type whose body carries a `lint:allow`-escaped determinism violation — the checkpoint engine (DESIGN.md §13) deep-clones worlds, and forking escaped nondeterministic state silently breaks fork/resume bit-identity |
-//! | `rng-derivation` | no hand-cooked `SimRng::new(..)` seeds (XOR/splitmix/FNV arithmetic) outside `simcore::rng` — a cooked seed bypasses the recorded derivation chain that `rebase_seed` replays |
+//! | `rng-derivation` | no hand-cooked `SimRng::new(..)` seeds (XOR/splitmix/FNV arithmetic) outside `simcore::rng` — a cooked seed can collide with a labelled `stream`/`stream_indexed` derivation and silently alias two streams meant to be independent |
 //! | `snapshot-completeness` | every struct/enum reachable from `World` state must be Clone-covered, and a hand-written Clone/snapshot path must mention every field — the static guard for fork/resume bit-identity |
 //! | `stream-label` | no duplicate `stream("…")` labels per (function, receiver) — identical labels alias the same RNG stream — and no computed labels outside `simcore::rng` |
 //! | `float-ord`    | no `partial_cmp(..).unwrap()` comparators or `f32`/`f64` container keys; NaN-capable ordering panics or silently reorders — use `total_cmp` |
@@ -89,9 +89,8 @@ pub enum Rule {
     /// `Clone` on a type holding `lint:allow`-escaped nondeterministic
     /// state (checkpoint-engine hazard).
     CloneNondet,
-    /// Hand-cooked `SimRng` seeds outside `simcore::rng` (seed-rebase
-    /// hazard: the derivation chain cannot replay arithmetic it never
-    /// saw).
+    /// Hand-cooked `SimRng` seeds outside `simcore::rng` (a cooked seed
+    /// can collide with a labelled stream's derived seed).
     RngDerivation,
     /// A type reachable from `World` state without Clone coverage, or a
     /// field missed by a hand-written Clone/snapshot path
@@ -229,8 +228,8 @@ const IO_EXEMPT_CRATES: &[&str] = &["bench", "lint"];
 const SWEEP_FILE: &str = "crates/simcore/src/sweep.rs";
 
 /// The one file allowed to do seed arithmetic and dynamic stream
-/// derivation: the RNG itself, which records every derivation step so
-/// `rebase_seed` can replay it (DESIGN.md §13).
+/// derivation: the RNG itself, whose `stream`/`stream_indexed` are the
+/// single seed-mixing formula every stream goes through.
 const RNG_FILE: &str = "crates/simcore/src/rng.rs";
 
 /// Crates whose hash-map iteration feeds output/aggregation paths and
@@ -658,11 +657,11 @@ fn scan_file(sf: &ScannedFile, out: &mut Vec<Violation>) {
         }
 
         // rng-derivation: every stream handed to the simulator must be
-        // derived through the recorded API (`stream`/`stream_indexed`),
-        // never by cooking a root seed with ad-hoc arithmetic. A cooked
-        // seed bypasses the derivation chain that `World::rebase_seed`
-        // replays (DESIGN.md §13), so the stream silently keeps its old
-        // seed after a rebase. Only `simcore::rng` itself mixes seeds.
+        // derived through `stream`/`stream_indexed`, never by cooking a
+        // root seed with ad-hoc arithmetic. A cooked seed mixes with the
+        // same operations the derivation formula uses, so it can land
+        // on the seed of a labelled stream elsewhere and silently alias
+        // the two. Only `simcore::rng` itself mixes seeds.
         if !is_rng && !allowed(Rule::RngDerivation, i) {
             for (pos, _) in code.match_indices("SimRng::new(") {
                 let tail = &code[pos + "SimRng::new(".len()..];
@@ -691,7 +690,7 @@ fn scan_file(sf: &ScannedFile, out: &mut Vec<Violation>) {
                         i,
                         format!(
                             "`SimRng::new(..{tok}..)` cooks a seed by hand; derive the stream \
-                             via `stream`/`stream_indexed` so `rebase_seed` can replay it"
+                             via `stream`/`stream_indexed` so it cannot alias a labelled stream"
                         ),
                     );
                 }
@@ -935,7 +934,7 @@ mod tests {
         let src = "fn t() { let _ = std::time::Instant::now(); }\n";
         assert_eq!(scan_one("crates/simcore/src/x.rs", src).len(), 1);
         assert!(scan_one("crates/bench/src/bin/fig01.rs", src).is_empty());
-        assert!(scan_one("crates/workloads/examples/timing.rs", src).is_empty());
+        assert!(scan_one("examples/quickstart.rs", src).is_empty());
     }
 
     #[test]
@@ -1067,7 +1066,7 @@ let other = std::env::var(\"X\");
         assert_eq!(v[0].line, 3, "second derivation is the violation");
 
         // Same label in *different* functions re-derives the same
-        // stream deliberately (e.g. `new` vs `rebase_seed`) — fine.
+        // stream deliberately (e.g. a constructor and a reset) — fine.
         let two_fns =
             "fn f(r: &SimRng) { let _ = r.stream(\"mob\"); }\nfn g(r: &SimRng) { let _ = r.stream(\"mob\"); }\n";
         assert!(scan_one("crates/workloads/src/x.rs", two_fns).is_empty());

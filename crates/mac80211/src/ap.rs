@@ -156,18 +156,6 @@ impl ApMac {
         self.next_beacon
     }
 
-    /// Re-seat the beacon phase on a freshly constructed AP.
-    ///
-    /// Used by the seed-rebase path (DESIGN.md §13): the beacon phase is
-    /// drawn from the world seed at construction time, so re-deriving a
-    /// world under a new seed must overwrite the already-baked first
-    /// beacon instant. Only meaningful before the AP has beaconed;
-    /// callers guard that (the world-level rebase requires an unstarted
-    /// world).
-    pub fn rebase_first_beacon(&mut self, first_beacon: SimTime) {
-        self.next_beacon = first_beacon;
-    }
-
     /// Fast-forward the beacon timer to `now` without emitting the
     /// missed beacons. Simulation worlds call this when an AP re-enters
     /// the client's radio horizon after a long gap — the beacons it sent

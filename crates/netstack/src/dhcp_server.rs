@@ -78,13 +78,6 @@ impl DhcpServer {
         }
     }
 
-    /// The server's held RNG stream, for seed rebasing (DESIGN.md §13).
-    /// The stream is only drawn from inside `on_message`, so an
-    /// unstarted world can still re-derive it under a new root seed.
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// The server's configuration.
     pub fn config(&self) -> &DhcpServerConfig {
         &self.cfg

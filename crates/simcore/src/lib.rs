@@ -32,11 +32,10 @@ pub use bucket::TokenBucket;
 pub use event::{EventQueue, ScheduledEvent};
 pub use hashing::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use json::{Json, JsonError};
-pub use rng::{Derivation, SimRng};
+pub use rng::SimRng;
 pub use stats::{Cdf, IntervalReport, IntervalTracker, OnlineStats, RateMeter};
 pub use sweep::{
-    forked_sweep, forked_sweep_tree, forked_sweep_tree_with, forked_sweep_with, grow_tree_with,
-    sweep, sweep_with, try_sweep, try_sweep_with, worker_count, JobFailure, SweepOptions,
-    SweepReport,
+    grow_tree_with, sweep, sweep_with, try_sweep, try_sweep_with, worker_count, JobFailure,
+    SweepOptions, SweepReport,
 };
 pub use time::{SimDuration, SimTime};

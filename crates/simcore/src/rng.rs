@@ -11,108 +11,17 @@
 //! generator keeps the bit stream — and therefore every simulation result
 //! recorded in `EXPERIMENTS.md` — stable across dependency upgrades, and
 //! makes the generator `Clone` so simulation state can be snapshotted.
-//!
-//! Every stream additionally records its **derivation path** — the root
-//! seed plus the chain of `stream`/`stream_indexed` hops that produced
-//! it — so a snapshotted stream can be re-derived under a different root
-//! seed with [`SimRng::rebase_seed`]. That is what lets a constructed
-//! `World` be forked into an N-seed fan instead of being rebuilt N times
-//! (DESIGN.md §13). Rebasing is only sound **before the first draw**: a
-//! stream that has stepped carries state that is a function of the old
-//! seed *and* of how much was drawn, and there is no way to replay the
-//! draws under the new seed without rerunning the consumer. Debug and
-//! `validate` builds therefore track a per-stream drawn flag and panic on
-//! a late rebase; plain release builds omit the flag so the hot path
-//! stays at the measured engine floor.
-
-/// Maximum recorded stream-derivation depth. Derivation chains in this
-/// workspace are at most `root → stream → stream_indexed`; the inline
-/// array keeps [`SimRng`] allocation-free (worlds clone per-AP streams
-/// at every fork).
-const MAX_DERIVATION_HOPS: usize = 4;
-
-/// The recorded derivation path of a [`SimRng`]: the root seed plus the
-/// `stream`/`stream_indexed` hop chain that produced the stream's seed.
-///
-/// Replaying the chain from [`Derivation::root_seed`] reproduces the
-/// stream's seed bit-exactly; replaying it from a *different* root is
-/// exactly [`SimRng::rebase_seed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Derivation {
-    root: u64,
-    /// `(label hash, mixed index)` per hop. The mixed index is
-    /// `splitmix64(index + 1)` for `stream_indexed` and `0` for
-    /// `stream` — XOR with zero is the identity, so both hop kinds
-    /// replay through the single formula in [`Derivation::derived_seed`].
-    hops: [(u64, u64); MAX_DERIVATION_HOPS],
-    depth: u8,
-}
-
-impl Derivation {
-    /// A depth-zero derivation: the stream *is* the root.
-    fn root(seed: u64) -> Derivation {
-        Derivation {
-            root: seed,
-            hops: [(0, 0); MAX_DERIVATION_HOPS],
-            depth: 0,
-        }
-    }
-
-    /// Extend the chain by one hop.
-    fn child(mut self, label_hash: u64, index_mix: u64) -> Derivation {
-        assert!(
-            (self.depth as usize) < MAX_DERIVATION_HOPS,
-            "SimRng derivation chain deeper than {MAX_DERIVATION_HOPS} hops; \
-             raise MAX_DERIVATION_HOPS if this is intentional"
-        );
-        self.hops[self.depth as usize] = (label_hash, index_mix);
-        self.depth += 1;
-        self
-    }
-
-    /// Replay the hop chain from the recorded root seed.
-    fn derived_seed(&self) -> u64 {
-        let mut seed = self.root;
-        for &(label, idx) in &self.hops[..self.depth as usize] {
-            seed = splitmix64(seed ^ label ^ idx);
-        }
-        seed
-    }
-
-    /// The root seed the chain starts from.
-    pub fn root_seed(&self) -> u64 {
-        self.root
-    }
-
-    /// Number of `stream`/`stream_indexed` hops from the root.
-    pub fn depth(&self) -> usize {
-        self.depth as usize
-    }
-}
 
 /// A seeded random number generator with named sub-stream derivation.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     seed: u64,
     state: [u64; 4],
-    derivation: Derivation,
-    /// Set on the first draw; [`SimRng::rebase_seed`] is only sound
-    /// before it. Tracked only where the guard can fire.
-    #[cfg(any(debug_assertions, feature = "validate"))]
-    drawn: bool,
 }
 
 impl SimRng {
     /// Create a generator from a root seed.
     pub fn new(seed: u64) -> Self {
-        SimRng::from_derivation(Derivation::root(seed))
-    }
-
-    /// Build a generator whose seed is the replay of `derivation`. The
-    /// single constructor every public path funnels through — it is what
-    /// keeps the recorded chain and the actual seed in lockstep.
-    fn from_derivation(derivation: Derivation) -> Self {
-        let seed = derivation.derived_seed();
         // Expand the 64-bit seed into 256 bits of state with SplitMix64,
         // per the xoshiro reference implementation's seeding advice.
         let mut sm = seed;
@@ -125,72 +34,34 @@ impl SimRng {
         if state == [0; 4] {
             state = [0x9E3779B97F4A7C15, 1, 2, 3];
         }
-        SimRng {
-            seed,
-            state,
-            derivation,
-            #[cfg(any(debug_assertions, feature = "validate"))]
-            drawn: false,
-        }
+        SimRng { seed, state }
     }
 
-    /// The seed this generator was derived with (for a sub-stream this is
-    /// the derived seed, not the root — see [`SimRng::derivation`]).
+    /// The seed this generator was built with (for a sub-stream this is
+    /// the derived seed, not the root).
     pub fn seed(&self) -> u64 {
         self.seed
     }
 
-    /// The recorded derivation path (root seed + hop chain) of this
-    /// stream.
-    pub fn derivation(&self) -> Derivation {
-        self.derivation
-    }
-
-    /// Re-derive this stream under a new root seed, replaying its
-    /// recorded `stream`/`stream_indexed` hop chain from `new_root` and
-    /// resetting the generator state — bit-identical to having built the
-    /// same chain from `SimRng::new(new_root)` in the first place.
-    ///
-    /// Only sound **before the first draw**: once a stream has stepped,
-    /// its state is a function of the old seed and the consumption so
-    /// far, and re-deriving would silently decouple it from both. Debug
-    /// and `validate` builds panic on a late rebase.
-    pub fn rebase_seed(&mut self, new_root: u64) {
-        #[cfg(any(debug_assertions, feature = "validate"))]
-        assert!(
-            !self.drawn,
-            "rebase_seed on a stream that has already drawn: seed rebasing \
-             is only sound before the first draw (DESIGN.md §13)"
-        );
-        let mut derivation = self.derivation;
-        derivation.root = new_root;
-        *self = SimRng::from_derivation(derivation);
-    }
-
     /// Derive an independent sub-stream identified by `label`.
     ///
-    /// Derivation depends only on the root seed and the label — not on how
-    /// many values have been drawn — so call order cannot introduce
-    /// cross-stream coupling.
+    /// The derived seed depends only on this stream's seed and the
+    /// label — not on how many values have been drawn — so call order
+    /// cannot introduce cross-stream coupling.
     pub fn stream(&self, label: &str) -> SimRng {
-        SimRng::from_derivation(self.derivation.child(fnv1a(label.as_bytes()), 0))
+        SimRng::new(splitmix64(self.seed ^ fnv1a(label.as_bytes())))
     }
 
     /// Derive an independent sub-stream identified by a numeric index
     /// (e.g. one stream per AP).
     pub fn stream_indexed(&self, label: &str, index: u64) -> SimRng {
-        SimRng::from_derivation(
-            self.derivation
-                .child(fnv1a(label.as_bytes()), splitmix64(index.wrapping_add(1))),
-        )
+        SimRng::new(splitmix64(
+            self.seed ^ fnv1a(label.as_bytes()) ^ splitmix64(index.wrapping_add(1)),
+        ))
     }
 
     /// Next raw 64 random bits (xoshiro256++ step).
     pub fn next_u64(&mut self) -> u64 {
-        #[cfg(any(debug_assertions, feature = "validate"))]
-        {
-            self.drawn = true;
-        }
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -478,56 +349,31 @@ mod tests {
     }
 
     #[test]
-    fn derivation_replays_to_the_streams_seed() {
+    fn stream_derivation_is_pinned() {
+        // Every recorded result in the repository is a function of these
+        // seeds: any change to `stream`/`stream_indexed` moves every CSV.
         let root = SimRng::new(41);
-        for rng in [
-            root.clone(),
-            root.stream("loss"),
-            root.stream_indexed("dhcp", 17),
-            root.stream("a").stream_indexed("b", 3),
+        for (mut rng, seed, first) in [
+            (root.clone(), 0x0000_0000_0000_0029, 0x7f6e_c036_c340_8d8e),
+            (
+                root.stream("loss"),
+                0xd5c1_fb8b_0ff8_49ed,
+                0x0299_c3da_6fce_1997,
+            ),
+            (
+                root.stream_indexed("dhcp", 17),
+                0xbbc8_125b_52de_b35b,
+                0xeab3_5661_039c_4d37,
+            ),
+            (
+                root.stream("a").stream_indexed("b", 3),
+                0x1828_48da_49db_4b9f,
+                0xe9a1_157f_2bc7_e176,
+            ),
         ] {
-            assert_eq!(rng.derivation().root_seed(), 41);
-            // The recorded chain replayed from the root must land on the
-            // exact seed the stream was actually built with.
-            let mut rebased = rng.clone();
-            rebased.rebase_seed(41);
-            assert_eq!(rebased.seed(), rng.seed());
+            assert_eq!(rng.seed(), seed);
+            assert_eq!(rng.next_u64(), first);
         }
-    }
-
-    #[test]
-    fn rebase_matches_cold_derivation() {
-        // Rebasing a chain built under root 1 onto root 2 must be
-        // bit-identical to deriving the same chain from root 2 cold.
-        let mut rebased = SimRng::new(1).stream_indexed("beacon-phase", 9);
-        rebased.rebase_seed(2);
-        let mut cold = SimRng::new(2).stream_indexed("beacon-phase", 9);
-        assert_eq!(rebased.derivation(), cold.derivation());
-        for _ in 0..100 {
-            assert_eq!(rebased.next_u64(), cold.next_u64());
-        }
-    }
-
-    #[test]
-    fn rebase_resets_generator_state_before_any_draw() {
-        // rebase to the *same* root is the identity on an undrawn stream.
-        let reference = SimRng::new(5).stream("loss");
-        let mut rebased = reference.clone();
-        rebased.rebase_seed(5);
-        let mut a = reference;
-        let mut b = rebased;
-        for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    #[cfg(any(debug_assertions, feature = "validate"))]
-    #[should_panic(expected = "rebase_seed on a stream that has already drawn")]
-    fn rebase_after_draw_panics() {
-        let mut rng = SimRng::new(3).stream("loss");
-        rng.next_u64();
-        rng.rebase_seed(4);
     }
 
     #[test]

@@ -38,24 +38,11 @@
 //! fully-successful sweeps the result vector is bit-identical to the
 //! serial path at any worker count, exactly like [`sweep`].
 //!
-//! Not every job in a batch deserves its own cold start, though: trial
-//! batches often share a long scenario prefix (same world, same seed,
-//! divergence only at a fault or config event), and since PR 7 a world
-//! can be checkpointed and forked. [`forked_sweep`] is the job form for
-//! that shape — jobs are grouped by the checkpoint they share, each
-//! group's warmup runs **once**, and every job then runs from a clone
-//! of its group's checkpoint. Results are still slot-ordered and
-//! bit-identical at any worker count; only redundant prefix simulation
-//! disappears.
-//!
-//! [`forked_sweep_tree`] generalises the flat base list into a base
-//! **tree**: checkpoints themselves can fork from other checkpoints
-//! (parent links, parents at smaller indices), which is the shape of a
-//! campaign whose trial plans share *faulty* prefixes, not just the
-//! fault-free one. [`grow_tree_with`] materialises the tree level by
+//! [`grow_tree_with`] materialises a **tree** of states level by
 //! level — siblings in parallel, children only after their parent's
-//! level — and the flat [`forked_sweep`] is now just the degenerate
-//! all-roots tree.
+//! level. A chaos campaign uses it to grow the checkpoints of its
+//! divergence trie, where trial plans share faulty prefixes, not just
+//! the fault-free one (DESIGN.md §13).
 //!
 //! Only `std` is used — scoped threads, no external dependencies.
 
@@ -185,58 +172,6 @@ pub fn sweep_with<J: Sync, R: Send>(
         .collect()
 }
 
-/// Prefix-sharing sweep: run each job from a clone of a shared, warmed
-/// checkpoint instead of from a cold start.
-///
-/// `bases` describes the distinct checkpoints; `warmup` is called once
-/// per base (in parallel, like any sweep job) and returns the
-/// checkpoint state `S` — typically a `World` advanced to just before
-/// the point where the batch's variants diverge. Each job is a
-/// `(base_index, job)` pair; `run` receives a fresh clone of its base's
-/// checkpoint. With a deterministic clone (the whole point of the
-/// checkpoint engine: cloning a world preserves its event queue, RNG
-/// streams and client stack bit-for-bit), results are byte-identical to
-/// cold runs and to the serial path at any worker count.
-///
-/// # Panics
-///
-/// Panics if a job names a base index out of range, and propagates
-/// panics from `warmup`/`run` like [`sweep`] does.
-pub fn forked_sweep<B, S, J, R>(
-    bases: &[B],
-    jobs: &[(usize, J)],
-    warmup: impl Fn(&B) -> S + Sync,
-    run: impl Fn(S, &J) -> R + Sync,
-) -> Vec<R>
-where
-    B: Sync,
-    S: Clone + Send + Sync,
-    J: Sync,
-    R: Send,
-{
-    forked_sweep_with(bases, jobs, warmup, run, worker_count())
-}
-
-/// [`forked_sweep`] with an explicit worker count (used by tests so
-/// they don't have to mutate the process environment).
-pub fn forked_sweep_with<B, S, J, R>(
-    bases: &[B],
-    jobs: &[(usize, J)],
-    warmup: impl Fn(&B) -> S + Sync,
-    run: impl Fn(S, &J) -> R + Sync,
-    workers: usize,
-) -> Vec<R>
-where
-    B: Sync,
-    S: Clone + Send + Sync,
-    J: Sync,
-    R: Send,
-{
-    // A flat base list is the degenerate tree: every base is a root.
-    let nodes: Vec<(Option<usize>, &B)> = bases.iter().map(|b| (None, b)).collect();
-    forked_sweep_tree_with(&nodes, jobs, |_parent, b| warmup(b), run, workers)
-}
-
 /// Grow a checkpoint *tree* level by level: each node's state is built
 /// by `grow` from its parent's finished state (`None` for a root).
 ///
@@ -299,67 +234,6 @@ where
         .into_iter()
         .map(|s| s.expect("grow_tree: every node grown"))
         .collect()
-}
-
-/// Tree-shaped [`forked_sweep`]: bases form a checkpoint tree (parent
-/// links) instead of a flat list, so jobs can fork from checkpoints
-/// that themselves forked from a deeper shared prefix — the shape of a
-/// chaos campaign whose trial plans share faulty prefixes, not just the
-/// fault-free one (DESIGN.md §13).
-///
-/// `nodes[i] = (parent, base)` with parents at smaller indices; `grow`
-/// builds each node's checkpoint from its parent's (or from scratch for
-/// a root). Each job `(node_index, job)` then runs from a clone of its
-/// node's checkpoint. Results stay slot-ordered and worker-count
-/// invariant exactly like every other sweep in this module.
-///
-/// # Panics
-///
-/// Panics if a job names a node index out of range or a node names a
-/// parent at an equal or larger index, and propagates panics from
-/// `grow`/`run` like [`sweep`] does.
-pub fn forked_sweep_tree<B, S, J, R>(
-    nodes: &[(Option<usize>, B)],
-    jobs: &[(usize, J)],
-    grow: impl Fn(Option<&S>, &B) -> S + Sync,
-    run: impl Fn(S, &J) -> R + Sync,
-) -> Vec<R>
-where
-    B: Sync,
-    S: Clone + Send + Sync,
-    J: Sync,
-    R: Send,
-{
-    forked_sweep_tree_with(nodes, jobs, grow, run, worker_count())
-}
-
-/// [`forked_sweep_tree`] with an explicit worker count (used by tests
-/// so they don't have to mutate the process environment).
-pub fn forked_sweep_tree_with<B, S, J, R>(
-    nodes: &[(Option<usize>, B)],
-    jobs: &[(usize, J)],
-    grow: impl Fn(Option<&S>, &B) -> S + Sync,
-    run: impl Fn(S, &J) -> R + Sync,
-    workers: usize,
-) -> Vec<R>
-where
-    B: Sync,
-    S: Clone + Send + Sync,
-    J: Sync,
-    R: Send,
-{
-    if let Some(&(bad, _)) = jobs.iter().find(|(n, _)| *n >= nodes.len()) {
-        panic!(
-            "forked_sweep: job references base {bad} but only {} bases were provided",
-            nodes.len()
-        );
-    }
-    let checkpoints: Vec<S> = grow_tree_with(nodes, grow, workers);
-    sweep_with(
-        jobs,
-        |(node, job)| run(checkpoints[*node].clone(), job),
-        workers,
-    )
 }
 
 /// One quarantined job failure inside a [`try_sweep`] batch.
@@ -643,60 +517,6 @@ mod tests {
         let serial = sweep_with(&jobs, run, 1);
         for workers in [2, 3, 4, 7, 16] {
             assert_eq!(serial, sweep_with(&jobs, run, workers));
-        }
-    }
-
-    #[test]
-    fn forked_sweep_matches_cold_runs_at_any_worker_count() {
-        // Model a "world": a counter warmed to the base value, then each
-        // job extends a clone. Cold reference = warmup + job in one go.
-        let bases: Vec<u64> = vec![100, 2_000, 30_000];
-        let jobs: Vec<(usize, u64)> = (0..40).map(|i| (i % 3, i as u64)).collect();
-        let warmup = |b: &u64| b * 3; // "advance to the checkpoint"
-        let tail = |s: u64, j: &u64| s + j * 7;
-        let cold: Vec<u64> = jobs
-            .iter()
-            .map(|(b, j)| tail(warmup(&bases[*b]), j))
-            .collect();
-        for workers in [1, 2, 4, 7] {
-            assert_eq!(
-                forked_sweep_with(&bases, &jobs, warmup, tail, workers),
-                cold
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "only 1 bases were provided")]
-    fn forked_sweep_rejects_out_of_range_base() {
-        forked_sweep_with(&[1u64], &[(1usize, 0u64)], |b| *b, |s, _| s, 1);
-    }
-
-    #[test]
-    fn tree_sweep_matches_cold_runs_at_any_worker_count() {
-        // A three-level tree: node state = parent state * 3 + own base.
-        // Cold reference recomputes every chain from the root.
-        let nodes: Vec<(Option<usize>, u64)> = vec![
-            (None, 5),     // 0: root
-            (Some(0), 11), // 1
-            (Some(0), 13), // 2
-            (Some(1), 17), // 3: grandchild
-            (None, 1_000), // 4: second root
-            (Some(4), 19), // 5
-        ];
-        let grow = |parent: Option<&u64>, base: &u64| parent.copied().unwrap_or(0) * 3 + base;
-        let jobs: Vec<(usize, u64)> = (0..30).map(|i| (i % nodes.len(), i as u64)).collect();
-        let tail = |s: u64, j: &u64| s * 7 + j;
-        let mut chain = vec![0u64; nodes.len()];
-        for (i, (parent, base)) in nodes.iter().enumerate() {
-            chain[i] = parent.map(|p| chain[p]).unwrap_or(0) * 3 + base;
-        }
-        let cold: Vec<u64> = jobs.iter().map(|(n, j)| tail(chain[*n], j)).collect();
-        for workers in [1, 2, 4, 7] {
-            assert_eq!(
-                forked_sweep_tree_with(&nodes, &jobs, grow, tail, workers),
-                cold
-            );
         }
     }
 

@@ -33,8 +33,7 @@ pub struct ScenarioParams {
     /// [`seed`](Self::seed) (each seed gets its own town). `Some(d)`
     /// pins the deployment to `d` so a fan of seeds shares one physical
     /// town and differs only in world RNG (beacon phases, DHCP draws,
-    /// loss) — the shape [`World::rebase_seed`](crate::World::rebase_seed)
-    /// can serve from a single constructed world.
+    /// loss).
     pub deploy_seed: Option<u64>,
     /// Open-AP density per km of road.
     pub density_per_km: f64,

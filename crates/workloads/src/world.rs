@@ -326,8 +326,8 @@ pub struct World<C: ClientSystem> {
 }
 
 // `Clone` routes through [`World::snapshot`] so generic checkpoint
-// plumbing (e.g. `simcore::forked_sweep`) can clone worlds; the named
-// methods below are the intent-bearing API.
+// plumbing can clone worlds; the named methods below are the
+// intent-bearing API.
 impl<C: ClientSystem + Clone> Clone for World<C> {
     fn clone(&self) -> Self {
         self.snapshot()
@@ -424,53 +424,6 @@ impl<C: ClientSystem + Clone> World<C> {
         );
         self.findex = FaultIndex::build(&faults, self.aps.len());
         self.cfg.faults = faults;
-    }
-
-    /// Re-derive every RNG stream this world holds under a new root
-    /// seed — the seed analogue of [`World::rebase_plan`], and the
-    /// primitive that turns an N-seed experiment fan into N forks of
-    /// one constructed world (DESIGN.md §13).
-    ///
-    /// Every stream a world holds records its derivation path (root
-    /// seed + label/index chain, see `simcore::rng`), so rebasing
-    /// replays each chain from `new_seed`: held streams (per-AP DHCP
-    /// and ISS, the world loss stream) via [`SimRng::rebase_seed`], and
-    /// the per-AP beacon phase — which is *drawn* at construction, not
-    /// held — by re-deriving its stream and redrawing the baked-in
-    /// first-beacon instant. The result is bit-identical to
-    /// constructing the world cold with `cfg.seed = new_seed`.
-    ///
-    /// Only sound on an **unstarted** world: once events have fired,
-    /// streams have drawn (their state is a function of the old seed)
-    /// and the beacon phase has been consumed by the queue. This
-    /// method asserts the world has not started; debug and `validate`
-    /// builds additionally panic inside [`SimRng::rebase_seed`] if any
-    /// held stream has drawn.
-    pub fn rebase_seed(&mut self, new_seed: u64) {
-        assert!(
-            !self.started,
-            "rebase_seed: world has already started; seed rebasing is only \
-             sound before the first event (DESIGN.md §13)"
-        );
-        let root = SimRng::new(new_seed);
-        for (site, ap) in self.cfg.deployment.sites.iter().zip(self.aps.iter_mut()) {
-            let mut phase_rng = root.stream_indexed("beacon-phase", site.id as u64);
-            ap.mac
-                .rebase_first_beacon(SimTime::from_micros(phase_rng.uniform_u64(0, 102_400)));
-            ap.dhcp.rng_mut().rebase_seed(new_seed);
-            ap.iss_rng.rebase_seed(new_seed);
-        }
-        self.rng_loss.rebase_seed(new_seed);
-        self.cfg.seed = new_seed;
-    }
-
-    /// Fork this world under a different root seed: snapshot +
-    /// [`World::rebase_seed`]. Same contract — the source world must
-    /// not have started.
-    pub fn fork_with_seed(&self, seed: u64) -> World<C> {
-        let mut w = self.snapshot();
-        w.rebase_seed(seed);
-        w
     }
 
     /// Fork this world and advance the fork as close to `target` as

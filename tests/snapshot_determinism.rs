@@ -3,17 +3,19 @@
 //! The checkpoint engine's whole contract is one sentence: a forked
 //! world resumes **bit-identically** to a from-scratch run. These tests
 //! drive the benchmark suite's two heaviest deployments (the dense
-//! downtown drive and the same drive under a seeded fault storm) plus a
-//! chaos-campaign schedule, snapshot each at three mid-run points, and
-//! assert the forked `RunResult` — every metric, the join log, the
-//! per-class fault counters — equals the uninterrupted run's. Built
-//! with `--features validate` in CI, the air-frame conservation audit
-//! additionally replays across every snapshot boundary: frames created
-//! before a fork must balance against deliveries after it.
+//! downtown drive and the same drive under a seeded fault storm), a
+//! chaos-campaign schedule and the stock-driver baseline, snapshot each
+//! at three mid-run points, and assert the forked `RunResult` — every
+//! metric, the join log, the per-class fault counters — equals the
+//! uninterrupted run's. Built with `--features validate` in CI, the
+//! air-frame conservation audit additionally replays across every
+//! snapshot boundary: frames created before a fork must balance against
+//! deliveries after it.
 
 use spider_repro::baselines::{StockConfig, StockDriver};
 use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
-use spider_repro::simcore::{forked_sweep_with, SimDuration, SimTime};
+use spider_repro::mac80211::ClientSystem;
+use spider_repro::simcore::{sweep_with, SimDuration, SimTime};
 use spider_repro::wire::Channel;
 use spider_repro::workloads::scenarios::{town_scenario, ScenarioParams};
 use spider_repro::workloads::{
@@ -22,20 +24,6 @@ use spider_repro::workloads::{
 
 /// Same fault-plan seed as the benchmark suite's `chaos_storm`.
 const STORM_SEED: u64 = 99;
-
-/// A town drive with the deployment pinned to one seed while the world
-/// seed varies — the shape every seed-rebase comparison needs, since a
-/// cold world at a different seed would otherwise also get a different
-/// physical town.
-fn pinned_cfg(seed: u64, deploy_seed: u64, density: f64, sim_secs: u64) -> WorldConfig {
-    town_scenario(&ScenarioParams {
-        duration: SimDuration::from_secs(sim_secs),
-        seed,
-        deploy_seed: Some(deploy_seed),
-        density_per_km: density,
-        ..Default::default()
-    })
-}
 
 fn dense_cfg(sim_secs: u64, storm: bool) -> WorldConfig {
     let mut cfg = town_scenario(&ScenarioParams {
@@ -65,9 +53,14 @@ fn spider_driver() -> SpiderDriver {
 /// Advance one world through `fractions` of its duration, forking at
 /// each point and finishing the fork; every forked result — and the
 /// original, finished last — must equal the cold run bit for bit.
-fn assert_forks_match_cold(cfg: WorldConfig, what: &str) {
-    let cold = World::new(cfg.clone(), spider_driver()).run();
-    let mut live = World::new(cfg, spider_driver());
+/// Returns the cold run.
+fn assert_forks_match_cold<C: ClientSystem + Clone>(
+    cfg: WorldConfig,
+    driver: impl Fn() -> C,
+    what: &str,
+) -> RunResult {
+    let cold = World::new(cfg.clone(), driver()).run();
+    let mut live = World::new(cfg, driver());
     let total = cold.duration;
     for fraction in [0.25, 0.5, 0.75] {
         let at = SimTime::ZERO + SimDuration::from_secs_f64(total.as_secs_f64() * fraction);
@@ -91,20 +84,39 @@ fn assert_forks_match_cold(cfg: WorldConfig, what: &str) {
         original, cold,
         "{what}: the forked-from world itself diverged"
     );
+    cold
 }
 
 #[test]
 fn dense_downtown_forks_are_bit_identical() {
     let cfg = dense_cfg(60, false);
     assert!(cfg.deployment.len() >= 1_000, "deployment lost its density");
-    assert_forks_match_cold(cfg, "dense_downtown");
+    assert_forks_match_cold(cfg, spider_driver, "dense_downtown");
 }
 
 #[test]
 fn chaos_storm_forks_are_bit_identical() {
     let cfg = dense_cfg(60, true);
     assert!(!cfg.faults.is_empty(), "storm plan came up empty");
-    assert_forks_match_cold(cfg, "chaos_storm");
+    assert_forks_match_cold(cfg, spider_driver, "chaos_storm");
+}
+
+/// Forking is driver-agnostic: the stock single-connection baseline's
+/// state must snapshot as cleanly as Spider's.
+#[test]
+fn stock_baseline_forks_are_bit_identical() {
+    let cfg = town_scenario(&ScenarioParams {
+        duration: SimDuration::from_secs(120),
+        seed: 42,
+        density_per_km: 40.0,
+        ..Default::default()
+    });
+    let cold = assert_forks_match_cold(
+        cfg,
+        || StockDriver::new(StockConfig::stock(1)),
+        "stock_baseline",
+    );
+    assert!(cold.bytes > 0, "stock baseline never transferred anything");
 }
 
 fn campaign_cfg(sim_secs: u64) -> (WorldConfig, FaultPlan) {
@@ -128,7 +140,7 @@ fn campaign_schedule_forks_are_bit_identical() {
     let (mut cfg, plan) = campaign_cfg(120);
     assert!(!plan.is_empty(), "campaign schedule came up empty");
     cfg.faults = plan;
-    assert_forks_match_cold(cfg, "campaign_schedule");
+    assert_forks_match_cold(cfg, spider_driver, "campaign_schedule");
 }
 
 /// The prefix-sharing primitive itself: a world advanced under a
@@ -159,11 +171,12 @@ fn fork_with_plan_from_shared_prefix_matches_cold_run() {
     );
 }
 
-/// A forked sweep over plan variants sharing one checkpoint: identical
-/// results at `SPIDER_JOBS=1` and `4` (explicit worker counts — the env
-/// override feeds the same parameter), and identical to cold runs.
+/// A sweep over plan variants forked from one shared checkpoint:
+/// identical results at `SPIDER_JOBS=1` and `4` (explicit worker
+/// counts — the env override feeds the same parameter), and identical
+/// to cold runs.
 #[test]
-fn forked_sweep_is_worker_count_invariant() {
+fn plan_fork_sweep_is_worker_count_invariant() {
     let (cfg, plan) = campaign_cfg(90);
     // Variants that share the full no-fault prefix: the original plan,
     // a ddmin-style half, and a single-episode rump.
@@ -186,80 +199,16 @@ fn forked_sweep_is_worker_count_invariant() {
         })
         .collect();
 
-    let jobs: Vec<(usize, FaultPlan)> = variants.iter().cloned().map(|p| (0, p)).collect();
     let divergence = boundary + SimDuration::from_micros(1);
+    let base = World::new(cfg, spider_driver())
+        .advance_shared(boundary, divergence)
+        .0;
     for workers in [1, 4] {
-        let results = forked_sweep_with(
-            &[&cfg],
-            &jobs,
-            |c| {
-                World::new((*c).clone(), spider_driver())
-                    .advance_shared(boundary, divergence)
-                    .0
-            },
-            |base, p| base.fork_with_plan(p.clone()).finish().0,
+        let results = sweep_with(
+            &variants,
+            |p| base.fork_with_plan(p.clone()).finish().0,
             workers,
         );
-        assert_eq!(results, cold, "forked sweep at {workers} workers");
+        assert_eq!(results, cold, "plan-fork sweep at {workers} workers");
     }
-}
-
-/// The seed-rebase primitive (DESIGN.md §13): one constructed world,
-/// forked under new root seeds, must equal cold construction at those
-/// seeds bit for bit — across all three benchmark scenario shapes.
-#[test]
-fn seed_rebase_matches_cold_construction_across_scenarios() {
-    for (name, density, storm, sim_secs) in [
-        ("sparse_commute", 12.0, false, 120u64),
-        ("dense_downtown", 220.0, false, 30),
-        ("chaos_storm", 220.0, true, 30),
-    ] {
-        let mk = |seed: u64| {
-            let mut cfg = pinned_cfg(seed, 42, density, sim_secs);
-            if storm {
-                cfg.faults = FaultPlan::seeded(
-                    STORM_SEED,
-                    cfg.deployment.len(),
-                    cfg.duration,
-                    &FaultProfile::stormy(),
-                );
-                assert!(!cfg.faults.is_empty(), "storm plan came up empty");
-            }
-            cfg
-        };
-        let base = World::new(mk(42), spider_driver());
-        for seed in [5u64, 23] {
-            let forked = base.fork_with_seed(seed).run();
-            let cold = World::new(mk(seed), spider_driver()).run();
-            assert_eq!(
-                forked, cold,
-                "{name}: seed-rebased fork to seed {seed} diverged from cold construction"
-            );
-        }
-    }
-}
-
-/// Seed rebasing is driver-agnostic: the stock single-connection
-/// baseline holds the same world-side streams, so its forks must
-/// rebase just as cleanly as Spider's.
-#[test]
-fn seed_rebase_matches_cold_for_the_stock_baseline() {
-    let mk = |seed: u64| pinned_cfg(seed, 42, 40.0, 120);
-    let base = World::new(mk(42), StockDriver::new(StockConfig::stock(1)));
-    let forked = base.fork_with_seed(9).run();
-    let cold = World::new(mk(9), StockDriver::new(StockConfig::stock(1))).run();
-    assert_eq!(
-        forked, cold,
-        "stock baseline: seed-rebased fork diverged from cold construction"
-    );
-}
-
-/// Rebasing after the first event is unsound — streams have drawn under
-/// the old seed — and the guard must refuse, not silently corrupt.
-#[test]
-#[should_panic(expected = "already started")]
-fn seed_rebase_after_start_panics() {
-    let mut w = World::new(pinned_cfg(42, 42, 12.0, 60), spider_driver());
-    w.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-    w.rebase_seed(5);
 }
