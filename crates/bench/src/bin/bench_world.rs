@@ -103,7 +103,7 @@ fn main() -> ExitCode {
 
         // Third section: the checkpoint/fork engine — a fork-resumed
         // run vs its cold twin, and a shrink campaign evaluated cold
-        // vs through the checkpoint cache (DESIGN.md §13).
+        // vs through the checkpoint trie (DESIGN.md §13).
         let cp = run_checkpoint_bench(fast);
         println!(
             "  checkpoint       resume {:>7.3}s vs cold {:>7.3}s ({})  shrink {:>7.3}s vs {:>7.3}s, {:.2}x fewer events ({})",

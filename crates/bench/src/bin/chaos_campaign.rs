@@ -36,8 +36,10 @@
 //!   (e.g. `arp-poison`), so the minimized reproducer is guaranteed to
 //!   pin that class — how the corpus artifacts for the adversarial
 //!   classes were harvested,
-//! * `--replay PATH` re-runs a minimized artifact and exits zero only
-//!   if the violation reproduces,
+//! * `--replay PATH` re-runs a minimized artifact, judged by the SLO
+//!   rules it recorded, and exits zero only if its recorded violations
+//!   re-measure exactly (pass the `--duration-secs` it was recorded
+//!   under; the corpus artifacts use 60),
 //! * `--matrix` runs the full campaign matrix instead: all four
 //!   operation modes × {spider, stock, fatvap}, each cell calibrated
 //!   against its own fault-free envelope and hammered by the *same*
@@ -52,7 +54,7 @@ use spider_simcore::{Json, SimDuration};
 use spider_wire::Channel;
 use spider_workloads::campaign::{
     run_campaign, run_campaign_forked, run_matrix_cell, CampaignConfig, ChaosProfile,
-    CheckpointCache, MatrixCell, MatrixReport, MinimizedRepro, SloMargins, SloMetric, SloRule,
+    CheckpointTrie, MatrixCell, MatrixReport, MinimizedRepro, SloMargins, SloMetric, SloRule,
     SloTable,
 };
 use spider_workloads::scenarios::{town_scenario, ScenarioParams};
@@ -79,7 +81,7 @@ fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T
 }
 
 /// Build the per-trial world factory: a pure function of the fault
-/// plan, as both [`run_campaign_forked`] and [`CheckpointCache`] want.
+/// plan, as both [`run_campaign_forked`] and [`CheckpointTrie`] want.
 fn make_factory(
     duration: SimDuration,
 ) -> (usize, impl Fn(&FaultPlan) -> World<SpiderDriver> + Sync) {
@@ -152,24 +154,23 @@ fn tight_class_table(class: &str) -> SloTable {
     }
 }
 
-fn replay(path: &str) -> ExitCode {
+fn replay(args: &[String], path: &str) -> ExitCode {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let doc = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
     let repro = MinimizedRepro::from_json(&doc)
         .unwrap_or_else(|| panic!("{path} is not a spider-chaos-repro artifact"));
-    let duration = SimDuration::from_secs(
-        std::env::args()
-            .nth(3)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(300),
-    );
+    let duration = SimDuration::from_secs(parse_num(args, "--duration-secs", 300u64));
     let (_, make) = make_factory(duration);
     // Both the replay and its no-fault baseline resume from the
-    // fault-free prefix's nearest checkpoint rather than running cold
-    // — same results, one shared prefix.
-    let mut cache = CheckpointCache::new(&make, FaultPlan::none());
-    let result = cache.run_plan(&repro.plan);
-    let table = SloTable::paper_default();
+    // fault-free prefix's checkpoint rather than running cold — same
+    // results, one shared prefix.
+    let mut trie = CheckpointTrie::new(&make);
+    let result = trie.run(&repro.plan);
+    // Judge by the rules the artifact recorded: a reproducer found
+    // under a tight table must not be re-judged by the default one.
+    let table = SloTable {
+        rules: repro.violations.iter().map(|v| v.rule).collect(),
+    };
     let violations = table.evaluate(&result);
     println!(
         "replayed trial {} ({} episodes): {result}",
@@ -179,16 +180,10 @@ fn replay(path: &str) -> ExitCode {
     for v in &violations {
         println!("  violation: {v}");
     }
-    if !repro.violations.is_empty() && violations != repro.violations {
-        println!(
-            "  note: measured violations differ from the artifact's \
-             (recorded under a different duration or SLO table?)"
-        );
-    }
     // Triage aid: the same drive with no faults at all. A "recovery"
     // time close to a natural disruption means the client was simply
     // out of coverage — a mobility bound, not a recovery defect.
-    let baseline = cache.run_plan(&FaultPlan::none());
+    let baseline = trie.run(&FaultPlan::none());
     let natural_max = baseline
         .intervals
         .off_durations
@@ -201,11 +196,18 @@ fn replay(path: &str) -> ExitCode {
         baseline.bytes,
         baseline.connectivity * 100.0
     );
-    if violations.is_empty() {
-        println!("violation did NOT reproduce against the default SLO table");
-        ExitCode::from(1)
-    } else {
+    if !violations.is_empty() && violations == repro.violations {
+        println!("reproduced: every recorded violation re-measured exactly");
         ExitCode::SUCCESS
+    } else {
+        for v in &repro.violations {
+            println!("  recorded: {v}");
+        }
+        println!(
+            "the recorded violations did NOT re-measure exactly \
+             (recorded under a different --duration-secs?)"
+        );
+        ExitCode::from(1)
     }
 }
 
@@ -418,7 +420,7 @@ fn run_matrix(args: &[String]) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(path) = parse_flag(&args, "--replay") {
-        return replay(&path);
+        return replay(&args, &path);
     }
     if args.iter().any(|a| a == "--matrix") {
         return run_matrix(&args);
@@ -467,7 +469,7 @@ fn main() -> ExitCode {
         if no_fork { " (cold, no forking)" } else { "" }
     );
     let (report, fork_stats) = if no_fork {
-        (run_campaign(&cfg, |plan| make(plan).run()), None)
+        (run_campaign(&cfg, &make), None)
     } else {
         let (report, stats) = run_campaign_forked(&cfg, &make);
         (report, Some(stats))

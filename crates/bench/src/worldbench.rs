@@ -25,8 +25,8 @@ use spider_core::{OperationMode, SpiderConfig, SpiderDriver};
 use spider_simcore::{worker_count, Json, SimDuration, SimTime};
 use spider_wire::Channel;
 use spider_workloads::campaign::{
-    run_campaign, run_campaign_forked, shrink_schedule, CampaignConfig, ChaosProfile,
-    CheckpointCache, SloMetric, SloRule, SloTable,
+    run_campaign, run_campaign_forked, CampaignConfig, ChaosProfile, CheckpointTrie, SloMetric,
+    SloRule, SloTable,
 };
 use spider_workloads::scenarios::{town_scenario, ScenarioParams};
 use spider_workloads::{FaultEpisode, FaultKind, FaultPlan, FaultProfile, World};
@@ -299,7 +299,7 @@ pub fn run_suite_bench(fast: bool) -> SuiteResult {
 /// Measured outcome of the checkpoint/fork engine benchmark
 /// (DESIGN.md §13): one cold run vs the same run resumed from a
 /// mid-run checkpoint, and a full shrink campaign evaluated cold vs
-/// through a [`CheckpointCache`].
+/// through a [`CheckpointTrie`].
 #[derive(Debug, Clone)]
 pub struct CheckpointResult {
     /// Deployment size of the benchmark world.
@@ -321,7 +321,7 @@ pub struct CheckpointResult {
     /// evaluation simulated from `t = 0`.
     pub shrink_cold_wall_secs: f64,
     /// Wall-clock seconds for the same campaign through the
-    /// checkpoint cache.
+    /// checkpoint trie.
     pub shrink_forked_wall_secs: f64,
     /// Events a cold evaluation of every candidate would have cost.
     pub shrink_events_cold: u64,
@@ -347,7 +347,7 @@ impl CheckpointResult {
                 "note",
                 Json::str(
                     "checkpoint/fork engine on a late-fault schedule: resume vs cold, \
-                     and the shrink campaign through the checkpoint cache",
+                     and the shrink campaign through the checkpoint trie",
                 ),
             ),
             ("sites", Json::UInt(self.sites as u64)),
@@ -427,10 +427,10 @@ fn checkpoint_bench_plan(duration: SimDuration) -> FaultPlan {
 ///
 /// * **resume** — the failing schedule run cold, then finished from a
 ///   checkpoint taken just before its first episode;
-/// * **shrink campaign** — [`shrink_schedule`] under an unmeetable SLO
-///   table, once evaluating every candidate from `t = 0` and once
-///   through a [`CheckpointCache`], comparing wall-clock, simulated
-///   events, and the minimized artifact.
+/// * **shrink campaign** — [`CheckpointTrie::shrink`] under an
+///   unmeetable SLO table, once through the cold trie (every candidate
+///   from `t = 0`) and once through a sharing one, comparing
+///   wall-clock, simulated events, and the minimized artifact.
 pub fn run_checkpoint_bench(fast: bool) -> CheckpointResult {
     let sim_secs: u64 = if fast { 120 } else { 300 };
     let duration = SimDuration::from_secs(sim_secs);
@@ -484,26 +484,17 @@ pub fn run_checkpoint_bench(fast: bool) -> CheckpointResult {
     let fork_wall_secs = t.elapsed().as_secs_f64();
     let identical = forked == cold;
 
-    // Leg 2: the shrink campaign, cold vs through the checkpoint cache.
+    // Leg 2: the shrink campaign, cold vs through the checkpoint trie.
     let budget = 60;
-    let mut events_cold_total = 0u64;
+    let mut cold = CheckpointTrie::cold(&make);
     let t = Instant::now();
-    let cold_outcome = shrink_schedule(&plan, budget, |p| {
-        let r = make(p).run();
-        events_cold_total += r.events;
-        !slo.evaluate(&r).is_empty()
-    });
+    let cold_outcome = cold.shrink(&plan, budget, &slo);
     let shrink_cold_wall_secs = t.elapsed().as_secs_f64();
 
-    let mut cache = CheckpointCache::new(&make, plan.clone());
+    let mut trie = CheckpointTrie::new(&make);
+    trie.insert(plan.clone());
     let t = Instant::now();
-    let forked_outcome = shrink_schedule(&plan, budget, |p| {
-        let fails = !slo.evaluate(&cache.run_plan(p)).is_empty();
-        if fails {
-            cache.adopt(p.clone());
-        }
-        fails
-    });
+    let forked_outcome = trie.shrink(&plan, budget, &slo);
     let shrink_forked_wall_secs = t.elapsed().as_secs_f64();
 
     CheckpointResult {
@@ -515,8 +506,8 @@ pub fn run_checkpoint_bench(fast: bool) -> CheckpointResult {
         shrink_evals: cold_outcome.evals,
         shrink_cold_wall_secs,
         shrink_forked_wall_secs,
-        shrink_events_cold: events_cold_total,
-        shrink_events_simulated: cache.stats.events_simulated,
+        shrink_events_cold: cold.stats.events_cold,
+        shrink_events_simulated: trie.stats.events_simulated,
         minimized_identical: cold_outcome.plan == forked_outcome.plan
             && cold_outcome.evals == forked_outcome.evals,
     }
@@ -646,7 +637,7 @@ pub fn run_prefix_tree_bench(fast: bool) -> PrefixTreeResult {
         watchdog_ms: None,
     };
     let t = Instant::now();
-    let report_cold = run_campaign(&campaign_cfg, |p| make(p).run());
+    let report_cold = run_campaign(&campaign_cfg, make);
     let campaign_cold_wall_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let (report_forked, stats) = run_campaign_forked(&campaign_cfg, make);

@@ -35,7 +35,7 @@ pub use json::{Json, JsonError};
 pub use rng::SimRng;
 pub use stats::{Cdf, IntervalReport, IntervalTracker, OnlineStats, RateMeter};
 pub use sweep::{
-    grow_tree_with, sweep, sweep_with, try_sweep, try_sweep_with, worker_count, JobFailure,
-    SweepOptions, SweepReport,
+    sweep, sweep_with, try_sweep, try_sweep_with, worker_count, JobFailure, SweepOptions,
+    SweepReport,
 };
 pub use time::{SimDuration, SimTime};

@@ -38,12 +38,6 @@
 //! fully-successful sweeps the result vector is bit-identical to the
 //! serial path at any worker count, exactly like [`sweep`].
 //!
-//! [`grow_tree_with`] materialises a **tree** of states level by
-//! level — siblings in parallel, children only after their parent's
-//! level. A chaos campaign uses it to grow the checkpoints of its
-//! divergence trie, where trial plans share faulty prefixes, not just
-//! the fault-free one (DESIGN.md §13).
-//!
 //! Only `std` is used — scoped threads, no external dependencies.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -169,70 +163,6 @@ pub fn sweep_with<J: Sync, R: Send>(
     slots
         .into_iter()
         .map(|slot| slot.expect("sweep: every job index produced a result"))
-        .collect()
-}
-
-/// Grow a checkpoint *tree* level by level: each node's state is built
-/// by `grow` from its parent's finished state (`None` for a root).
-///
-/// `nodes[i] = (parent, base)` where `parent`, if present, **must be a
-/// smaller index** — parents precede children, so the input order is a
-/// valid topological order and each tree level can run as one parallel
-/// sweep. Nodes at the same depth share nothing and run concurrently;
-/// a node only starts after its parent's level has completed. The
-/// returned states are in node order regardless of worker count.
-///
-/// # Panics
-///
-/// Panics if a node names a parent at an equal or larger index, and
-/// propagates panics from `grow` like [`sweep`] does.
-pub fn grow_tree_with<B, S>(
-    nodes: &[(Option<usize>, B)],
-    grow: impl Fn(Option<&S>, &B) -> S + Sync,
-    workers: usize,
-) -> Vec<S>
-where
-    B: Sync,
-    S: Send + Sync,
-{
-    let mut depth = vec![0usize; nodes.len()];
-    for (i, (parent, _)) in nodes.iter().enumerate() {
-        if let Some(p) = *parent {
-            assert!(
-                p < i,
-                "grow_tree: node {i} names parent {p}; parents must precede children"
-            );
-            depth[i] = depth[p] + 1;
-        }
-    }
-    let max_depth = depth.iter().copied().max().unwrap_or(0);
-
-    let mut states: Vec<Option<S>> = Vec::with_capacity(nodes.len());
-    states.resize_with(nodes.len(), || None);
-    for level in 0..=max_depth {
-        let level_nodes: Vec<usize> = (0..nodes.len()).filter(|&i| depth[i] == level).collect();
-        // The closure reads completed parent states from the previous
-        // levels; the immutable borrow ends before the write-back below.
-        let states_ref = &states;
-        let grown = sweep_with(
-            &level_nodes,
-            |&i| {
-                let parent = nodes[i].0.map(|p| {
-                    states_ref[p]
-                        .as_ref()
-                        .expect("grow_tree: parent level completed before child level")
-                });
-                grow(parent, &nodes[i].1)
-            },
-            workers,
-        );
-        for (i, s) in level_nodes.into_iter().zip(grown) {
-            states[i] = Some(s);
-        }
-    }
-    states
-        .into_iter()
-        .map(|s| s.expect("grow_tree: every node grown"))
         .collect()
 }
 
@@ -518,31 +448,6 @@ mod tests {
         for workers in [2, 3, 4, 7, 16] {
             assert_eq!(serial, sweep_with(&jobs, run, workers));
         }
-    }
-
-    #[test]
-    fn grow_tree_runs_children_after_parents() {
-        // Deep chain: each node adds its own index; any child grown
-        // before its parent would observe a missing (panicking) state.
-        let nodes: Vec<(Option<usize>, usize)> =
-            (0..50usize).map(|i| (i.checked_sub(1), i)).collect();
-        let states = grow_tree_with(
-            &nodes,
-            |parent: Option<&usize>, base| parent.copied().unwrap_or(0) + base,
-            4,
-        );
-        let expected: Vec<usize> = (0..50).map(|i| i * (i + 1) / 2).collect();
-        assert_eq!(states, expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "parents must precede children")]
-    fn grow_tree_rejects_forward_parent_links() {
-        grow_tree_with(
-            &[(Some(1), 0u64), (None, 1u64)],
-            |p: Option<&u64>, b| p.copied().unwrap_or(0) + b,
-            1,
-        );
     }
 
     #[test]

@@ -43,8 +43,7 @@ use crate::metrics::RunResult;
 use crate::world::World;
 use spider_mac80211::ClientSystem;
 use spider_simcore::{
-    grow_tree_with, try_sweep_with, worker_count, JobFailure, Json, SimDuration, SimRng, SimTime,
-    SweepOptions,
+    try_sweep_with, JobFailure, Json, SimDuration, SimRng, SimTime, SweepOptions,
 };
 
 /// Knobs for randomized chaos-schedule generation.
@@ -475,10 +474,9 @@ pub struct ShrinkOutcome {
     /// The minimized plan (still violating, by construction).
     pub plan: FaultPlan,
     /// Candidate evaluations spent. Each evaluation *judges* a full
-    /// world run; since PR 7 the forked runner produces that run by
-    /// resuming a checkpoint shared with the reference schedule rather
-    /// than simulating from `t = 0` (see [`CheckpointCache`]), so an
-    /// evaluation no longer costs a full run's worth of events.
+    /// world run; the forked runner produces that run by resuming a
+    /// shared checkpoint rather than simulating from `t = 0` (see
+    /// [`CheckpointTrie`]), so an evaluation costs only its suffix.
     pub evals: usize,
 }
 
@@ -494,7 +492,7 @@ pub struct ShrinkOutcome {
 ///    that still fails. Chunks are tried **latest-starting first**:
 ///    a candidate that only drops late episodes diverges from the
 ///    reference schedule late, so the checkpoint-forked runner
-///    ([`CheckpointCache`]) resumes a long shared prefix instead of
+///    ([`CheckpointTrie`]) resumes a long shared prefix instead of
 ///    re-simulating it. Candidates remain order-preserving subsets of
 ///    the input plan — episodes are never reordered, so order-sensitive
 ///    fault compositions (overlapping loss bursts) are untouched.
@@ -526,7 +524,7 @@ pub fn shrink_schedule(
     // an `alive` mask, so they can be *tried* in any order; trying the
     // latest-starting chunks first means most candidates differ from
     // the reference only late in simulated time — exactly the shape
-    // the checkpoint cache resumes cheaply.
+    // the checkpoint trie resumes cheaply.
     let mut granularity = 2usize;
     while current.episodes.len() >= 2 && evals < budget {
         let len = current.episodes.len();
@@ -857,94 +855,6 @@ impl CampaignReport {
     }
 }
 
-/// Run a chaos campaign: generate one randomized schedule per trial,
-/// run them through the fault-tolerant sweep, judge each against the
-/// SLO table, and shrink the first `max_shrinks` failing schedules to
-/// minimal reproducers.
-///
-/// `run` executes one world under a candidate fault plan and must be a
-/// pure function of the plan (the world config and driver are baked
-/// into the closure). It is called from worker threads during the
-/// sweep and serially during shrinking.
-pub fn run_campaign<F>(cfg: &CampaignConfig, run: F) -> CampaignReport
-where
-    F: Fn(&FaultPlan) -> RunResult + Sync,
-{
-    let root = SimRng::new(cfg.seed);
-    let jobs: Vec<TrialJob> = (0..cfg.trials)
-        .map(|t| {
-            let plan_seed = root.stream_indexed("campaign-trial", t as u64).seed();
-            TrialJob {
-                trial: t,
-                plan_seed,
-                plan: chaos_plan(plan_seed, cfg.num_aps, cfg.duration, &cfg.profile),
-            }
-        })
-        .collect();
-
-    // lint:allow(wall-clock) — the watchdog deadline is a real-time
-    // hang budget for the host, never simulated time.
-    let watchdog = cfg.watchdog_ms.map(core::time::Duration::from_millis);
-    let sweep = try_sweep_with(
-        &jobs,
-        |j| run(&j.plan),
-        |j| {
-            format!(
-                "trial={} plan_seed={:#018x} episodes={}",
-                j.trial,
-                j.plan_seed,
-                j.plan.episodes.len()
-            )
-        },
-        SweepOptions {
-            workers: cfg.workers,
-            watchdog,
-        },
-    );
-
-    let mut outcomes = Vec::new();
-    let mut minimized = Vec::new();
-    for (job, result) in jobs.iter().zip(&sweep.results) {
-        let Some(result) = result else { continue };
-        let violations = cfg.slo.evaluate(result);
-        if !violations.is_empty() && minimized.len() < cfg.max_shrinks {
-            let outcome = shrink_schedule(&job.plan, cfg.shrink_budget, |p| {
-                !cfg.slo.evaluate(&run(p)).is_empty()
-            });
-            let final_violations = cfg.slo.evaluate(&run(&outcome.plan));
-            debug_assert!(
-                !final_violations.is_empty(),
-                "shrinker must preserve the violation"
-            );
-            minimized.push(MinimizedRepro {
-                trial: job.trial,
-                plan_seed: job.plan_seed,
-                original_episodes: job.plan.episodes.len(),
-                plan: outcome.plan,
-                violations: final_violations,
-                evals: outcome.evals,
-            });
-        }
-        outcomes.push(TrialRecord {
-            trial: job.trial,
-            plan_seed: job.plan_seed,
-            episodes: job.plan.episodes.len(),
-            violations,
-            bytes: result.bytes,
-            connectivity: result.connectivity,
-        });
-    }
-
-    CampaignReport {
-        seed: cfg.seed,
-        trials: cfg.trials,
-        outcomes,
-        job_failures: sweep.failures,
-        hung: sweep.hung,
-        minimized,
-    }
-}
-
 /// One fork edge of the campaign's divergence trie (DESIGN.md §13):
 /// trial `trial` resumed from `parent`'s checkpoint (`None` = the
 /// fault-free root), inheriting `shared_events` already-simulated
@@ -1038,6 +948,14 @@ impl ForkStats {
         ])
     }
 
+    /// Account one finished run, of which `simulated` events were
+    /// executed and the rest inherited from a checkpoint.
+    fn count_run(&mut self, forked: bool, result: &RunResult, simulated: u64) {
+        self.forks += usize::from(forked);
+        self.events_simulated += simulated;
+        self.events_cold += result.events;
+    }
+
     /// Total events inherited through trie edges (the trial phase's
     /// saved work; the shrink phase accounts separately).
     pub fn events_shared(&self) -> u64 {
@@ -1045,264 +963,248 @@ impl ForkStats {
     }
 }
 
-/// Cap on live snapshots per [`CheckpointCache`]. Past it, eviction
-/// drops the snapshot closest in time to its predecessor, keeping the
-/// chain spread over the run.
-const MAX_CHECKPOINTS: usize = 16;
+/// A world checkpoint held by a [`CheckpointTrie`]: advanced under
+/// key `key` through every event at or before `limit`.
+struct Checkpoint<C: ClientSystem> {
+    key: usize,
+    limit: SimTime,
+    world: World<C>,
+}
 
-/// Prefix-sharing run cache for schedule shrinking (DESIGN.md §13).
+/// Prefix-sharing run engine for both campaign phases (DESIGN.md §13).
 ///
-/// Holds a chain of world snapshots advanced under a *reference* plan.
-/// To evaluate a candidate, it computes
-/// [`FaultPlan::first_divergence`] against the reference, resumes the
-/// latest snapshot strictly before that point with the candidate
-/// swapped in ([`World::fork_with_plan`]) — bit-identical to a cold
-/// run of the candidate (`tests/snapshot_determinism.rs`) for the cost
-/// of the divergent suffix. When the shrinker adopts a candidate,
-/// [`adopt`](CheckpointCache::adopt) rebases the cache: snapshots
-/// taken before the old/new divergence have plan-independent histories
-/// and survive with the new plan swapped in.
-pub struct CheckpointCache<C: ClientSystem + Clone, F: Fn(&FaultPlan) -> World<C>> {
+/// The trie holds *keys* — the fault-free plan, then every plan
+/// [`insert`](CheckpointTrie::insert)ed — and the world checkpoints it
+/// has built, each tagged with the key it was advanced under. To run a
+/// plan `q` it
+///
+/// 1. picks the key with the greatest [`FaultPlan::divergence_rank`]
+///    against `q` (ties go to the key inserted first); call that rank `d`,
+/// 2. takes the deepest checkpoint valid for both that key and `q`
+///    whose [`World::plan_horizon`] is before `d`,
+/// 3. if advancing gains ground, advances it under the key to just
+///    before `d` ([`World::advance_shared`]) and stores the result as a
+///    new checkpoint. A checkpoint grown under another plan first grows
+///    under that plan to where it leaves the key, then takes the key's
+///    plan, so the branch point is stored too; a fresh world counts as
+///    grown under the fault-free plan,
+/// 4. forks `q` from that checkpoint and finishes the run.
+///
+/// Every run is bit-identical to `make(q).run()`. Nothing is ever
+/// evicted. [`CheckpointTrie::cold`] stores nothing, so every run starts
+/// at `t = 0`: the oracle runs this same code with sharing off.
+pub struct CheckpointTrie<C: ClientSystem, F> {
     make: F,
-    reference: FaultPlan,
-    /// `(advanced-to, snapshot)`, ascending; each snapshot has consumed
-    /// exactly the events at or before its key, under `reference`.
-    chain: Vec<(SimTime, World<C>)>,
-    /// Work accounting, accumulated across every `run_plan` call.
+    keys: Vec<FaultPlan>,
+    checkpoints: Vec<Checkpoint<C>>,
+    /// Work ledger of every run served so far.
     pub stats: ForkStats,
 }
 
-impl<C, F> CheckpointCache<C, F>
+impl<C, F> CheckpointTrie<C, F>
 where
     C: ClientSystem + Clone,
     F: Fn(&FaultPlan) -> World<C>,
 {
-    /// A cache over worlds built by `make` (a pure function of the
-    /// plan), shrinking away from `reference`.
-    pub fn new(make: F, reference: FaultPlan) -> CheckpointCache<C, F> {
-        CheckpointCache {
+    /// A sharing trie over worlds built by `make` (a pure function of
+    /// the plan); its first key is the fault-free plan.
+    pub fn new(make: F) -> CheckpointTrie<C, F> {
+        CheckpointTrie {
             make,
-            reference,
-            chain: Vec::new(),
+            keys: vec![FaultPlan::none()],
+            checkpoints: Vec::new(),
             stats: ForkStats::default(),
         }
     }
 
-    /// The schedule the chain is currently advanced under.
-    pub fn reference(&self) -> &FaultPlan {
-        &self.reference
-    }
-
-    /// Run `plan` to completion, resuming from the last safe point
-    /// before it first diverges from the reference. Bit-identical to
-    /// `make(plan).run()`.
-    pub fn run_plan(&mut self, plan: &FaultPlan) -> RunResult {
-        let fork = match self.reference.first_divergence(plan) {
-            // Diverges at t=0: nothing to share.
-            Some(d) if d == SimTime::ZERO => return self.run_cold(plan),
-            Some(d) => {
-                let Some(i) = self.base_at(d) else {
-                    return self.run_cold(plan);
-                };
-                self.chain[i].1.fork_with_plan(plan.clone())
-            }
-            // Behaviorally identical: any snapshot resumes it.
-            None => match self.chain.last() {
-                Some((_, w)) => w.fork_with_plan(plan.clone()),
-                None => return self.run_cold(plan),
-            },
-        };
-        let resumed_from = fork.events_processed();
-        let (result, _) = fork.finish();
-        self.stats.forks += 1;
-        self.stats.events_simulated += result.events - resumed_from;
-        self.stats.events_cold += result.events;
-        result
-    }
-
-    /// Rebase onto an adopted candidate (the shrinker just proved
-    /// `new_ref` still fails). Snapshots whose look-ahead stayed
-    /// strictly before the old/new divergence have plan-independent
-    /// histories and are kept, with the new plan swapped in; the rest
-    /// are dropped.
-    pub fn adopt(&mut self, new_ref: FaultPlan) {
-        let d = self.reference.first_divergence(&new_ref);
-        self.chain
-            .retain(|(_, w)| d.is_none_or(|d| w.plan_horizon() < d));
-        for (_, w) in &mut self.chain {
-            w.rebase_plan(new_ref.clone());
+    /// A trie with no keys: it never builds a checkpoint, and every run
+    /// is `make(plan).run_with()`.
+    pub fn cold(make: F) -> CheckpointTrie<C, F> {
+        CheckpointTrie {
+            keys: Vec::new(),
+            ..CheckpointTrie::new(make)
         }
-        self.reference = new_ref;
     }
 
-    fn run_cold(&mut self, plan: &FaultPlan) -> RunResult {
-        let (result, _) = (self.make)(plan).run_with();
-        self.stats.events_simulated += result.events;
-        self.stats.events_cold += result.events;
+    /// Make `plan` a key later runs may share a prefix with (a no-op on
+    /// a cold trie).
+    pub fn insert(&mut self, plan: FaultPlan) {
+        if !self.keys.is_empty() {
+            self.keys.push(plan);
+        }
+    }
+
+    /// Run `plan` to completion from the deepest checkpoint it shares.
+    pub fn run(&mut self, plan: &FaultPlan) -> RunResult {
+        let base = self.base(plan);
+        let (result, simulated) = self.resume(base, plan);
+        self.stats.count_run(base.is_some(), &result, simulated);
         result
     }
 
-    /// Index of a snapshot safe to rebase onto a plan diverging at
-    /// `divergence`, advanced as close to it as the look-ahead allows —
-    /// built from the nearest usable earlier snapshot (or from scratch)
-    /// on a miss. A fresh world is always usable, so this only returns
-    /// `None` when nothing precedes the divergence at all.
-    fn base_at(&mut self, divergence: SimTime) -> Option<usize> {
-        let target = SimTime::from_micros(divergence.as_micros() - 1);
-        // Latest snapshot at or before the target whose look-ahead
-        // stayed strictly before the divergence.
-        let base = self
-            .chain
+    /// [`shrink_schedule`] with every candidate run through this trie
+    /// and judged by `slo`. A candidate that still fails becomes a key,
+    /// as the shrinker's next reference; `plan` itself should already
+    /// be one.
+    pub fn shrink(&mut self, plan: &FaultPlan, budget: usize, slo: &SloTable) -> ShrinkOutcome {
+        shrink_schedule(plan, budget, |p| {
+            let fails = !slo.evaluate(&self.run(p)).is_empty();
+            if fails {
+                self.insert(p.clone());
+            }
+            fails
+        })
+    }
+
+    /// Steps 1–3: the checkpoint `plan` forks from, or `None` when it
+    /// shares no prefix and runs cold. A checkpoint is stored only once
+    /// it is built, so a panicking prefix leaves the trie consistent.
+    fn base(&mut self, plan: &FaultPlan) -> Option<usize> {
+        let (key, d) = self
+            .keys
             .iter()
-            .rposition(|(t, w)| *t <= target && w.plan_horizon() < divergence);
-        if let Some(i) = base {
-            if self.chain[i].0 == target {
-                return Some(i);
-            }
+            .map(|k| k.divergence_rank(plan))
+            .enumerate()
+            .fold(None, |best, (i, d)| match best {
+                Some((_, best_d)) if best_d >= d => best,
+                _ => Some((i, d)),
+            })?;
+        if d == SimTime::ZERO {
+            return None;
         }
-        let (w, achieved, executed) = match base {
-            Some(i) => self.chain[i].1.advance_shared(target, divergence),
-            None => (self.make)(&self.reference).advance_shared(target, divergence),
+        let key_plan = &self.keys[key];
+        let valid = |cp: &Checkpoint<C>| {
+            let horizon = cp.world.plan_horizon();
+            let tag = &self.keys[cp.key];
+            horizon < d
+                && (cp.key == key
+                    || tag.divergence_rank(key_plan) > horizon
+                        && tag.divergence_rank(plan) > horizon)
+        };
+        let found = self
+            .checkpoints
+            .iter()
+            .enumerate()
+            .filter(|(_, cp)| valid(cp))
+            .max_by_key(|&(i, cp)| (cp.limit, std::cmp::Reverse(i)))
+            .map(|(i, _)| i);
+
+        // A behaviourally identical key has nothing past the checkpoint
+        // worth keeping: the fork itself is the rest of the run.
+        if d == SimTime::MAX {
+            return found;
+        }
+        // A checkpoint grown under another plan first grows under that
+        // plan to where it leaves the key, so the branch point becomes a
+        // checkpoint of its own. A fresh world is the fault-free root.
+        let tag = found.map_or(0, |i| self.checkpoints[i].key);
+        let branch = self.keys[tag].divergence_rank(key_plan).min(d);
+        let found = if branch < d {
+            self.grow(found, tag, branch)
+        } else {
+            found
+        };
+        self.grow(found, key, d)
+    }
+
+    /// Advance checkpoint `from` (a fresh world when `None`) under key
+    /// `key` to just before `d`, swapping the key's plan in first when
+    /// `from` was grown under another, and store the result if that
+    /// gained ground. Returns the checkpoint to fork from.
+    fn grow(&mut self, from: Option<usize>, key: usize, d: SimTime) -> Option<usize> {
+        let floor = from.map_or(SimTime::ZERO, |i| self.checkpoints[i].limit);
+        let target = SimTime::from_micros(d.as_micros().saturating_sub(1));
+        if floor >= target {
+            return from;
+        }
+        let plan = &self.keys[key];
+        let (world, achieved, executed) = match from {
+            Some(i) if self.checkpoints[i].key == key => {
+                self.checkpoints[i].world.advance_shared(target, d)
+            }
+            Some(i) => self.checkpoints[i]
+                .world
+                .fork_with_plan(plan.clone())
+                .advance_shared(target, d),
+            None => (self.make)(plan).advance_shared(target, d),
         };
         self.stats.events_simulated += executed;
-        if let Some(i) = base {
-            if achieved <= self.chain[i].0 {
-                // The advance gained nothing; fork the base itself.
-                return Some(i);
-            }
+        if achieved <= floor {
+            return from;
         }
         self.stats.checkpoints += 1;
-        let pos = base.map_or(0, |i| i + 1);
-        self.chain.insert(pos, (achieved, w));
-        Some(self.evict_over_cap(pos))
+        self.checkpoints.push(Checkpoint {
+            key,
+            limit: achieved,
+            world,
+        });
+        Some(self.checkpoints.len() - 1)
     }
 
-    /// Enforce [`MAX_CHECKPOINTS`], never evicting `keep` (the entry
-    /// just built) or the earliest snapshot; returns `keep`'s index
-    /// after any removal.
-    fn evict_over_cap(&mut self, keep: usize) -> usize {
-        if self.chain.len() <= MAX_CHECKPOINTS {
-            return keep;
-        }
-        let victim = (1..self.chain.len())
-            .filter(|&i| i != keep)
-            .min_by_key(|&i| self.chain[i].0.saturating_since(self.chain[i - 1].0))
-            .expect("cap exceeds 2, so a victim exists");
-        self.chain.remove(victim);
-        if victim < keep {
-            keep - 1
-        } else {
-            keep
-        }
-    }
-}
-
-/// Who a trial forks from in the divergence trie.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TrieParent {
-    /// No shareable prefix at all (divergence at `t = 0` against every
-    /// candidate): the trial runs cold.
-    Cold,
-    /// The fault-free root world.
-    Root,
-    /// A previous trial's checkpoint chain.
-    Trial(usize),
-}
-
-/// One node of the grow tree the trial-phase checkpoints are built
-/// through ([`spider_simcore::grow_tree_with`]).
-enum GrowBase {
-    /// A trie root: construct a fresh world under `plan` — the
-    /// fault-free plan, or the plan of a cold trial other trials
-    /// share a faulty prefix with.
-    Construct(FaultPlan),
-    /// A checkpoint serving one trial: advance the grow-parent's world
-    /// under `plan` (the plan-parent's plan) to `target`, keeping the
-    /// plan horizon strictly before `divergence`. `swap` re-plans the
-    /// parent world onto `plan` first — needed exactly when the
-    /// grow-parent is a sharing trial's own checkpoint, which is still
-    /// advanced under *its* parent's plan.
-    Advance {
-        plan: FaultPlan,
-        swap: bool,
-        target: SimTime,
-        divergence: SimTime,
-    },
-}
-
-/// Checkpoint state per grow-tree node: the world (or `None` when the
-/// node could not be built — a panicking or unusable prefix degrades
-/// its subtree to cold runs, never to wrong results) plus the events
-/// executed building it.
-type NodeState<C> = (Option<World<C>>, u64);
-
-/// Arrange trial plans into a divergence trie: each trial's parent is
-/// the candidate (fault-free root, or any earlier trial) whose plan
-/// shares the deepest prefix with it, measured by
-/// [`FaultPlan::divergence_rank`]. Strict improvement over earlier
-/// candidates is required, which both makes the choice deterministic
-/// and guarantees chain validity: if a deeper candidate `c` (with
-/// parent `p`) is chosen over `p`, then `d(c, k) > d(p, k) >=
-/// min(d(p, c), d(c, k))` forces `d(c, k) > d(p, c)` — so `c`'s
-/// checkpoint, advanced to just before `d(p, c)`, can always serve the
-/// child's share point.
-///
-/// Returns per-trial parents, divergences from the chosen parent, and
-/// trie depths (roots at 0).
-fn plan_trie(plans: &[FaultPlan]) -> (Vec<TrieParent>, Vec<SimTime>, Vec<usize>) {
-    let none_plan = FaultPlan::none();
-    let mut parents: Vec<TrieParent> = Vec::with_capacity(plans.len());
-    let mut divergences: Vec<SimTime> = Vec::with_capacity(plans.len());
-    let mut depths: Vec<usize> = Vec::with_capacity(plans.len());
-    for (i, plan) in plans.iter().enumerate() {
-        let mut best_d = none_plan.divergence_rank(plan);
-        let mut best = TrieParent::Root;
-        for (j, candidate) in plans.iter().enumerate().take(i) {
-            let d = candidate.divergence_rank(plan);
-            if d > best_d {
-                best_d = d;
-                best = TrieParent::Trial(j);
+    /// Step 4: run `plan` from checkpoint `base` (cold when `None`).
+    /// Returns the result and the events actually simulated.
+    fn resume(&self, base: Option<usize>, plan: &FaultPlan) -> (RunResult, u64) {
+        match base {
+            Some(i) => {
+                let fork = self.checkpoints[i].world.fork_with_plan(plan.clone());
+                let from = fork.events_processed();
+                let (result, _) = fork.finish();
+                let simulated = result.events - from;
+                (result, simulated)
+            }
+            None => {
+                let (result, _) = (self.make)(plan).run_with();
+                let simulated = result.events;
+                (result, simulated)
             }
         }
-        if best_d == SimTime::ZERO {
-            parents.push(TrieParent::Cold);
-            divergences.push(SimTime::ZERO);
-            depths.push(0);
-        } else {
-            depths.push(match best {
-                TrieParent::Trial(j) => depths[j] + 1,
-                _ => 1,
-            });
-            parents.push(best);
-            divergences.push(best_d);
-        }
     }
-    (parents, divergences, depths)
 }
 
-/// Run a chaos campaign through the checkpoint/fork engine.
+/// Run a chaos campaign: generate one randomized schedule per trial,
+/// run them through the fault-tolerant sweep, judge each against the
+/// SLO table, and shrink the first `max_shrinks` failing schedules to
+/// minimal reproducers.
 ///
-/// Semantically identical to [`run_campaign`] — the [`CampaignReport`]
-/// is byte-for-byte the same (CI diffs the two JSON forms) — but the
-/// work is shared:
-///
-/// * **trial phase** — trial plans are arranged into a divergence
-///   **trie** ([`plan_trie`]): each trial forks from the deepest
-///   checkpoint whose plan shares a prefix with it — the fault-free
-///   root, or an earlier trial's checkpoint when the two schedules
-///   share a *faulty* prefix. Checkpoints are grown level by level
-///   through [`spider_simcore::grow_tree_with`] (siblings in
-///   parallel), each advanced under its plan-parent's plan to just
-///   before the child's divergence, and [`ForkStats::edges`] accounts
-///   the events inherited per tree edge,
-/// * **shrink phase** — each failing trial gets a [`CheckpointCache`];
-///   every ddmin / window-narrowing candidate resumes from the last
-///   event before it diverges from the current reference schedule, and
-///   adopted candidates rebase the cache in place.
-///
-/// `make` builds a cold world under a plan and must be a pure function
-/// of it. Returns the report plus the [`ForkStats`] work ledger.
+/// `make` builds a world under a candidate fault plan and must be a
+/// pure function of it (the world config and driver are baked into the
+/// closure). Every world runs cold from `t = 0`
+/// ([`CheckpointTrie::cold`]): this is the oracle
+/// [`run_campaign_forked`] must match byte for byte.
+pub fn run_campaign<C, F>(cfg: &CampaignConfig, make: F) -> CampaignReport
+where
+    C: ClientSystem + Clone + Send + Sync,
+    F: Fn(&FaultPlan) -> World<C> + Sync,
+{
+    campaign(cfg, CheckpointTrie::cold(make)).0
+}
+
+/// [`run_campaign`] with prefix sharing: trials and shrink candidates
+/// resume from the checkpoints of one [`CheckpointTrie`] instead of
+/// simulating from `t = 0`. The [`CampaignReport`] is byte-for-byte
+/// the cold one (CI diffs the two JSON forms); the [`ForkStats`] ledger
+/// says how much simulation it saved.
 pub fn run_campaign_forked<C, F>(cfg: &CampaignConfig, make: F) -> (CampaignReport, ForkStats)
+where
+    C: ClientSystem + Clone + Send + Sync,
+    F: Fn(&FaultPlan) -> World<C> + Sync,
+{
+    campaign(cfg, CheckpointTrie::new(make))
+}
+
+/// The campaign body both entries share; `trie` serves every run.
+///
+/// * **Trial phase**: each trial's base is built serially in ascending
+///   order of its fault-free share point, so the fault-free chain
+///   advances once, and the trial's plan becomes a key only after its
+///   own base is built. The trials then fork in parallel, reading the
+///   trie immutably.
+/// * **Shrink phase**: every candidate is a plain query; a candidate
+///   that still fails becomes a key, as the shrinker's next reference.
+fn campaign<C, F>(
+    cfg: &CampaignConfig,
+    mut trie: CheckpointTrie<C, F>,
+) -> (CampaignReport, ForkStats)
 where
     C: ClientSystem + Clone + Send + Sync,
     F: Fn(&FaultPlan) -> World<C> + Sync,
@@ -1319,169 +1221,44 @@ where
         })
         .collect();
 
-    // Trial-phase checkpoints: arrange the plans into the divergence
-    // trie, then grow one checkpoint chain per plan-parent — each
-    // child's checkpoint is its parent's world advanced (under the
-    // parent's plan) to just before the child's divergence. Shared
-    // prefixes — fault-free *and* faulty — are simulated exactly once.
-    // A checkpoint may stop short of its share point when the medium's
-    // look-ahead would peek past the divergence — the fork then
-    // consumes the remainder under the trial's own plan, which agrees
-    // up to that point.
-    let mut stats = ForkStats::default();
-    let plans: Vec<FaultPlan> = jobs.iter().map(|j| j.plan.clone()).collect();
-    let (parents, divergences, depths) = plan_trie(&plans);
-
-    // Children per plan-parent, sorted by share point (ascending, tie
-    // by trial index) so each chain advances monotonically.
-    let mut root_children: Vec<usize> = Vec::new();
-    let mut trial_children: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
-    for (i, parent) in parents.iter().enumerate() {
-        match parent {
-            TrieParent::Root => root_children.push(i),
-            TrieParent::Trial(j) => trial_children[*j].push(i),
-            TrieParent::Cold => {}
-        }
-    }
-    let share_key = |i: usize| (divergences[i], i);
-    root_children.sort_unstable_by_key(|&i| share_key(i));
-    for children in &mut trial_children {
-        children.sort_unstable_by_key(|&i| share_key(i));
+    // A panicking prefix leaves its trial cold, where try_sweep
+    // quarantines the panic with the trial's fingerprint.
+    let none = FaultPlan::none();
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_cached_key(|&i| (none.divergence_rank(&jobs[i].plan), i));
+    let mut bases: Vec<Option<usize>> = vec![None; jobs.len()];
+    for &i in &order {
+        bases[i] =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| trie.base(&jobs[i].plan)))
+                .unwrap_or(None);
+        trie.insert(jobs[i].plan.clone());
     }
 
-    // Lay the grow-tree nodes out breadth-first (parents strictly
-    // before children, as grow_tree_with requires): one Construct node
-    // per trie root, then per plan-parent a sibling chain where each
-    // checkpoint's grow-parent is the previous sibling's.
-    let mut nodes: Vec<(Option<usize>, GrowBase)> = Vec::new();
-    let mut node_of_trial: Vec<Option<usize>> = vec![None; jobs.len()];
-    let mut queue: std::collections::VecDeque<(TrieParent, usize)> =
-        std::collections::VecDeque::new();
-    nodes.push((None, GrowBase::Construct(FaultPlan::none())));
-    queue.push_back((TrieParent::Root, 0));
-    for (i, parent) in parents.iter().enumerate() {
-        if *parent == TrieParent::Cold && !trial_children[i].is_empty() {
-            nodes.push((None, GrowBase::Construct(jobs[i].plan.clone())));
-            queue.push_back((TrieParent::Trial(i), nodes.len() - 1));
-        }
-    }
-    while let Some((plan_parent, entry_node)) = queue.pop_front() {
-        let (children, chain_plan, entry_is_checkpoint) = match plan_parent {
-            TrieParent::Root => (&root_children, FaultPlan::none(), false),
-            TrieParent::Trial(q) => (
-                &trial_children[q],
-                jobs[q].plan.clone(),
-                parents[q] != TrieParent::Cold,
-            ),
-            TrieParent::Cold => unreachable!("cold trials are never enqueued as parents"),
-        };
-        let mut grow_parent = entry_node;
-        for (k, &child) in children.iter().enumerate() {
-            let divergence = divergences[child];
-            let target = SimTime::from_micros(divergence.as_micros().saturating_sub(1));
-            nodes.push((
-                Some(grow_parent),
-                GrowBase::Advance {
-                    plan: chain_plan.clone(),
-                    // Only the first fork off a sharing trial's own
-                    // checkpoint must re-plan; later siblings extend a
-                    // chain already under the plan-parent's plan.
-                    swap: k == 0 && entry_is_checkpoint,
-                    target,
-                    divergence,
-                },
-            ));
-            grow_parent = nodes.len() - 1;
-            node_of_trial[child] = Some(grow_parent);
-            if !trial_children[child].is_empty() {
-                queue.push_back((TrieParent::Trial(child), grow_parent));
-            }
-        }
-    }
-
-    let workers = if cfg.workers == 0 {
-        worker_count()
-    } else {
-        cfg.workers
-    };
-    let states: Vec<NodeState<C>> = grow_tree_with(
-        &nodes,
-        |parent: Option<&NodeState<C>>, base: &GrowBase| {
-            // A panicking prefix degrades its subtree to cold runs
-            // (where try_sweep quarantines the panic with a proper
-            // fingerprint) instead of sinking the whole campaign.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match base {
-                GrowBase::Construct(plan) => (Some(make(plan)), 0),
-                GrowBase::Advance {
-                    plan,
-                    swap,
-                    target,
-                    divergence,
-                } => {
-                    let Some(pw) = parent.and_then(|p| p.0.as_ref()) else {
-                        return (None, 0);
-                    };
-                    if pw.plan_horizon() >= *divergence {
-                        // Defensive: the trie construction keeps chain
-                        // horizons below every child divergence, but a
-                        // stale chain must degrade, never mis-share.
-                        return (None, 0);
-                    }
-                    let (w, _, executed) = if *swap {
-                        pw.fork_with_plan(plan.clone())
-                            .advance_shared(*target, *divergence)
-                    } else {
-                        pw.advance_shared(*target, *divergence)
-                    };
-                    (Some(w), executed)
-                }
-            }))
-            .unwrap_or((None, 0))
-        },
-        workers,
-    );
-
-    for ((_, base), (world, executed)) in nodes.iter().zip(&states) {
-        stats.events_simulated += *executed;
-        if matches!(base, GrowBase::Advance { .. }) && world.is_some() {
-            stats.checkpoints += 1;
-        }
-    }
-    for (i, node) in node_of_trial.iter().enumerate() {
-        let Some(world) = node.and_then(|n| states[n].0.as_ref()) else {
-            continue;
-        };
-        stats.edges.push(ForkEdge {
-            parent: match parents[i] {
-                TrieParent::Trial(j) => Some(j),
-                _ => None,
-            },
+    // Fork edges: key 0 is the fault-free root and key k + 1 is trial
+    // order[k], so a checkpoint's key names the trial whose chain
+    // served the fork.
+    let mut depths = vec![0usize; jobs.len()];
+    for &i in &order {
+        let Some(b) = bases[i] else { continue };
+        let checkpoint = &trie.checkpoints[b];
+        let parent = checkpoint.key.checked_sub(1).map(|k| order[k]);
+        depths[i] = parent.map_or(1, |p| depths[p] + 1);
+        trie.stats.edges.push(ForkEdge {
+            parent,
             trial: i,
-            shared_events: world.events_processed(),
+            shared_events: checkpoint.world.events_processed(),
         });
-        stats.tree_depth = stats.tree_depth.max(depths[i]);
     }
+    trie.stats.edges.sort_unstable_by_key(|e| e.trial);
+    trie.stats.tree_depth = depths.iter().copied().max().unwrap_or(0);
 
     // lint:allow(wall-clock) — the watchdog deadline is a real-time
     // hang budget for the host, never simulated time.
     let watchdog = cfg.watchdog_ms.map(core::time::Duration::from_millis);
+    let shared = &trie;
     let sweep = try_sweep_with(
         &jobs,
-        |j| {
-            let base = node_of_trial[j.trial].and_then(|n| states[n].0.as_ref());
-            match base {
-                Some(base) => {
-                    let fork = base.fork_with_plan(j.plan.clone());
-                    let resumed_from = fork.events_processed();
-                    let (r, _) = fork.finish();
-                    (r.events - resumed_from, r)
-                }
-                None => {
-                    let (r, _) = make(&j.plan).run_with();
-                    (r.events, r)
-                }
-            }
-        },
+        |j| shared.resume(bases[j.trial], &j.plan),
         |j| {
             format!(
                 "trial={} plan_seed={:#018x} episodes={}",
@@ -1495,37 +1272,26 @@ where
             watchdog,
         },
     );
-    stats.forks += stats.edges.len();
+    for (job, slot) in jobs.iter().zip(&sweep.results) {
+        if let Some((result, simulated)) = slot {
+            trie.stats
+                .count_run(bases[job.trial].is_some(), result, *simulated);
+        }
+    }
+    let trial_events = (trie.stats.events_simulated, trie.stats.events_cold);
 
     let mut outcomes = Vec::new();
     let mut minimized = Vec::new();
     for (job, slot) in jobs.iter().zip(&sweep.results) {
-        let Some((simulated, result)) = slot else {
-            continue;
-        };
-        stats.events_simulated += simulated;
-        stats.events_cold += result.events;
+        let Some((result, _)) = slot else { continue };
         let violations = cfg.slo.evaluate(result);
         if !violations.is_empty() && minimized.len() < cfg.max_shrinks {
-            let mut cache = CheckpointCache::new(&make, job.plan.clone());
-            let outcome = shrink_schedule(&job.plan, cfg.shrink_budget, |p| {
-                let fails = !cfg.slo.evaluate(&cache.run_plan(p)).is_empty();
-                if fails {
-                    // Mirror the shrinker's adoption so the next
-                    // candidate diffs against the right reference.
-                    cache.adopt(p.clone());
-                }
-                fails
-            });
-            let final_violations = cfg.slo.evaluate(&cache.run_plan(&outcome.plan));
+            let outcome = trie.shrink(&job.plan, cfg.shrink_budget, &cfg.slo);
+            let final_violations = cfg.slo.evaluate(&trie.run(&outcome.plan));
             debug_assert!(
                 !final_violations.is_empty(),
                 "shrinker must preserve the violation"
             );
-            stats.shrink_events_simulated += cache.stats.events_simulated;
-            stats.shrink_events_cold += cache.stats.events_cold;
-            stats.checkpoints += cache.stats.checkpoints;
-            stats.forks += cache.stats.forks;
             minimized.push(MinimizedRepro {
                 trial: job.trial,
                 plan_seed: job.plan_seed,
@@ -1544,8 +1310,9 @@ where
             connectivity: result.connectivity,
         });
     }
-    stats.events_simulated += stats.shrink_events_simulated;
-    stats.events_cold += stats.shrink_events_cold;
+    let mut stats = trie.stats;
+    stats.shrink_events_simulated = stats.events_simulated - trial_events.0;
+    stats.shrink_events_cold = stats.events_cold - trial_events.1;
 
     (
         CampaignReport {
@@ -1807,10 +1574,7 @@ where
     let (report, stats) = if forked {
         run_campaign_forked(&cell_cfg, &make)
     } else {
-        (
-            run_campaign(&cell_cfg, |p| make(p).run_with().0),
-            ForkStats::default(),
-        )
+        (run_campaign(&cell_cfg, &make), ForkStats::default())
     };
     (
         MatrixCell {

@@ -36,7 +36,7 @@ pub mod world;
 
 pub use campaign::{
     calibrated_slo, chaos_plan, run_campaign, run_campaign_forked, run_matrix_cell,
-    shrink_schedule, CampaignConfig, CampaignReport, ChaosProfile, CheckpointCache, Envelope,
+    shrink_schedule, CampaignConfig, CampaignReport, ChaosProfile, CheckpointTrie, Envelope,
     ForkEdge, ForkStats, MatrixCell, MatrixReport, MinimizedRepro, ShrinkOutcome, SloMargins,
     SloMetric, SloRule, SloTable, SloViolation, TrialRecord,
 };

@@ -11,7 +11,7 @@ use spider_repro::simcore::{SimDuration, SimTime};
 use spider_repro::wire::Channel;
 use spider_repro::workloads::campaign::{
     run_campaign, run_campaign_forked, run_matrix_cell, shrink_schedule, CampaignConfig,
-    ChaosProfile, CheckpointCache, MatrixReport, MinimizedRepro, SloMargins, SloMetric, SloRule,
+    ChaosProfile, CheckpointTrie, MatrixReport, MinimizedRepro, SloMargins, SloMetric, SloRule,
     SloTable,
 };
 use spider_repro::workloads::scenarios::lab_scenario;
@@ -73,7 +73,7 @@ fn campaign_config(workers: usize) -> CampaignConfig {
 
 #[test]
 fn tightened_slo_yields_minimized_reproducers_that_replay() {
-    let report = run_campaign(&campaign_config(1), run_lab);
+    let report = run_campaign(&campaign_config(1), make_lab);
 
     assert!(
         report.violating_trials() > 0,
@@ -123,8 +123,8 @@ fn campaign_reports_are_byte_identical_across_worker_counts() {
     // The whole report — trial outcomes, measured SLO values, minimized
     // plans, shrink eval counts — rendered to canonical JSON, must not
     // depend on how the sweep was scheduled.
-    let serial = run_campaign(&campaign_config(1), run_lab);
-    let parallel = run_campaign(&campaign_config(4), run_lab);
+    let serial = run_campaign(&campaign_config(1), make_lab);
+    let parallel = run_campaign(&campaign_config(4), make_lab);
     assert_eq!(
         serial.to_json().pretty(),
         parallel.to_json().pretty(),
@@ -141,7 +141,11 @@ fn forked_campaign_report_matches_cold_byte_for_byte() {
     // The checkpoint/fork engine is a pure optimization: its report —
     // every outcome, measured SLO value, minimized plan, eval count —
     // must render to exactly the cold path's JSON, at any worker count.
-    let cold = run_campaign(&campaign_config(1), run_lab);
+    // Its work ledger is scheduling-independent too: checkpoints are
+    // built serially, so the sidecar is byte-identical at 1 and 4
+    // workers.
+    let cold = run_campaign(&campaign_config(1), make_lab);
+    let mut sidecars = Vec::new();
     for workers in [1, 4] {
         let (forked, stats) = run_campaign_forked(&campaign_config(workers), make_lab);
         assert_eq!(
@@ -161,7 +165,12 @@ fn forked_campaign_report_matches_cold_byte_for_byte() {
             stats.shrink_events_simulated < stats.shrink_events_cold,
             "shrink phase shared no prefixes"
         );
+        sidecars.push(stats.to_json().pretty());
     }
+    assert_eq!(
+        sidecars[0], sidecars[1],
+        "fork-stats sidecar depends on worker count"
+    );
 }
 
 #[test]
@@ -263,12 +272,10 @@ fn matrix_cells_are_byte_identical_across_workers_and_forking() {
 }
 
 #[test]
-fn checkpoint_cache_runs_are_bit_identical_to_cold() {
-    // The shrinker's exact access pattern, by hand: evaluate ddmin-style
-    // candidates against a reference, adopt one, evaluate more. Every
-    // result must equal the candidate's cold run bit for bit. Episode
-    // starts are fixed mid-run so the divergence boundaries land past
-    // t=0 and the fork paths actually engage.
+fn checkpoint_trie_runs_are_bit_identical_to_cold() {
+    // Every path through the trie must equal the candidate's cold run
+    // bit for bit. Episode starts are fixed mid-run so the divergence
+    // boundaries land past t=0 and the fork paths actually engage.
     let ep = |ap: Option<usize>, kind: FaultKind, start: f64, end: f64| FaultEpisode {
         ap,
         kind,
@@ -281,32 +288,51 @@ fn checkpoint_cache_runs_are_bit_identical_to_cold() {
         ep(None, FaultKind::LossBurst { extra: 0.4 }, 18.0, 30.0),
         ep(Some(0), FaultKind::DhcpSilence, 22.0, 34.0),
     ]);
-    let mut cache = CheckpointCache::new(make_lab, plan.clone());
+    let front = FaultPlan::scripted(plan.episodes[..3].to_vec());
+    let mut trie = CheckpointTrie::new(make_lab);
 
-    let back_half = FaultPlan::scripted(plan.episodes[plan.episodes.len() / 2..].to_vec());
-    let mut trimmed = plan.clone();
-    trimmed.episodes[0].end = SimTime::from_micros(
-        (trimmed.episodes[0].start.as_micros() + trimmed.episodes[0].end.as_micros()) / 2,
+    // The first run forks off a checkpoint grown under the fault-free
+    // key, just before the plan's first episode.
+    assert_eq!(
+        trie.run(&plan),
+        run_lab(&plan),
+        "first run diverged from cold"
     );
-    for (i, candidate) in [&plan, &back_half, &trimmed].into_iter().enumerate() {
-        assert_eq!(
-            cache.run_plan(candidate),
-            run_lab(candidate),
-            "cached run of candidate {i} diverged from cold"
-        );
-    }
+    assert_eq!((trie.stats.checkpoints, trie.stats.forks), (1, 1));
 
-    // Adopt a candidate (the shrinker does this after every successful
-    // check) and keep evaluating against the new reference.
-    cache.adopt(back_half.clone());
-    let rump = FaultPlan::scripted(vec![*back_half.episodes.last().unwrap()]);
-    for candidate in [&back_half, &rump] {
+    // (a) With the plan a key, a candidate dropping its last episode
+    // shares the plan up to 22 s: the fault-free checkpoint is swapped
+    // onto the plan and advanced under it.
+    trie.insert(plan.clone());
+    assert_eq!(
+        trie.run(&front),
+        run_lab(&front),
+        "plan-swap path diverged from cold"
+    );
+    assert_eq!((trie.stats.checkpoints, trie.stats.forks), (2, 2));
+
+    // (b) A behaviourally identical plan needs no new checkpoint: it
+    // forks from the deepest one its key already has.
+    let same = FaultPlan::scripted(plan.episodes.clone());
+    assert_eq!(plan.first_divergence(&same), None);
+    assert_eq!(
+        trie.run(&same),
+        run_lab(&same),
+        "identical plan diverged from cold"
+    );
+    assert_eq!((trie.stats.checkpoints, trie.stats.forks), (2, 3));
+    assert!(trie.stats.events_simulated < trie.stats.events_cold);
+
+    // (c) The cold trie builds nothing and forks nothing.
+    let mut cold = CheckpointTrie::cold(make_lab);
+    cold.insert(plan.clone());
+    for candidate in [&plan, &front, &same] {
         assert_eq!(
-            cache.run_plan(candidate),
+            cold.run(candidate),
             run_lab(candidate),
-            "cached run diverged from cold after adopt"
+            "cold trie diverged"
         );
     }
-    assert!(cache.stats.forks > 0);
-    assert!(cache.stats.events_simulated < cache.stats.events_cold);
+    assert_eq!((cold.stats.checkpoints, cold.stats.forks), (0, 0));
+    assert_eq!(cold.stats.events_simulated, cold.stats.events_cold);
 }

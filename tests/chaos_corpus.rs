@@ -14,7 +14,7 @@ use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
 use spider_repro::simcore::{Json, SimDuration};
 use spider_repro::wire::Channel;
 use spider_repro::workloads::campaign::{
-    CheckpointCache, MinimizedRepro, SloMetric, SloRule, SloTable,
+    CheckpointTrie, MinimizedRepro, SloMetric, SloRule, SloTable,
 };
 use spider_repro::workloads::scenarios::{town_scenario, ScenarioParams};
 use spider_repro::workloads::{FaultPlan, World};
@@ -111,9 +111,9 @@ fn corpus_artifacts_replay_identically_from_checkpoints() {
         "corpus/ holds at least one artifact (see corpus/README.md)"
     );
 
-    // One cache for the whole corpus: the fault-free reference means
-    // every artifact forks at its own first episode, and artifacts
-    // share whatever prefix checkpoints earlier ones already paid for.
+    // One trie for the whole corpus: its fault-free key means every
+    // artifact forks at its own first episode, and artifacts share
+    // whatever prefix checkpoints earlier ones already paid for.
     // Replaying in divergence order keeps the chain advancing
     // incrementally — an early-diverging artifact after a late one
     // would find no usable earlier snapshot and rebuild from scratch.
@@ -127,13 +127,13 @@ fn corpus_artifacts_replay_identically_from_checkpoints() {
             .expect("minimized plans keep at least one episode")
     });
     let table = tight_table();
-    let mut cache = CheckpointCache::new(corpus_world, FaultPlan::none());
+    let mut trie = CheckpointTrie::new(corpus_world);
     for (name, repro) in &artifacts {
         assert!(
             repro.plan.episodes.len() <= repro.original_episodes,
             "{name}: minimized plan grew past its original schedule"
         );
-        let result = cache.run_plan(&repro.plan);
+        let result = trie.run(&repro.plan);
         let measured = table.evaluate(&result);
         assert_eq!(
             measured, repro.violations,
@@ -144,14 +144,14 @@ fn corpus_artifacts_replay_identically_from_checkpoints() {
 
     // The engine must actually have shared prefixes, not just agreed.
     assert!(
-        cache.stats.forks >= artifacts.len(),
+        trie.stats.forks >= artifacts.len(),
         "every artifact replays via a fork"
     );
     assert!(
-        cache.stats.events_simulated < cache.stats.events_cold,
+        trie.stats.events_simulated < trie.stats.events_cold,
         "checkpoint replay simulated {} events but cold runs would cost {} — \
          no prefix was shared",
-        cache.stats.events_simulated,
-        cache.stats.events_cold
+        trie.stats.events_simulated,
+        trie.stats.events_cold
     );
 }
