@@ -12,8 +12,8 @@
 //! * `--fast`  — shorten simulated durations for CI smoke runs
 //!   (identical deployments, so events/sec stays comparable).
 //! * `--check` — before overwriting the JSON, compare fresh events/sec
-//!   against the checked-in copy and exit non-zero if any scenario
-//!   regressed by more than 2x.
+//!   (each scenario's median of three runs) against the checked-in
+//!   copy and exit non-zero if any scenario regressed by more than 2x.
 //! * `--out PATH` — write the JSON somewhere else.
 //! * `--engine-only` — skip the (slow) suite-sweep section; useful for
 //!   checking the engine scenarios at full simulated durations without
@@ -21,8 +21,8 @@
 //!   checked-in baseline is never clobbered by a partial run.
 
 use spider_bench::worldbench::{
-    check_regressions, document, run_checkpoint_bench, run_prefix_tree_bench, run_scenario,
-    run_suite_bench, scenarios,
+    check_regressions, document, median_run, run_checkpoint_bench, run_prefix_tree_bench,
+    run_scenario, run_suite_bench, scenarios, CHECK_RUNS,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -68,9 +68,12 @@ fn main() -> ExitCode {
     }
 
     println!("world benchmark ({mode} mode)");
+    // The gate judges each scenario by the median of several fresh
+    // runs, so one run slowed by host load cannot fail it alone.
+    let runs = if check { CHECK_RUNS } else { 1 };
     let mut results = Vec::new();
     for spec in scenarios(fast) {
-        let r = run_scenario(&spec);
+        let r = median_run((0..runs).map(|_| run_scenario(&spec)).collect());
         println!(
             "  {:<16} {:>5} sites  {:>4}s sim  {:>8.3}s wall  {:>9} events  {:>12.0} events/sec",
             r.name, r.sites, r.sim_secs, r.wall_secs, r.events, r.events_per_sec,
@@ -133,12 +136,12 @@ fn main() -> ExitCode {
         // whose trials share checkpoints through the divergence trie.
         let pt = run_prefix_tree_bench(fast);
         println!(
-            "  prefix tree      campaign {:>2} trials: {:>7.3}s cold vs {:>7.3}s forked, {:.2}x fewer events, depth {} ({})",
+            "  prefix tree      campaign {:>2} trials: {:>7.3}s cold vs {:>7.3}s forked, {:.2}x fewer events, {} checkpoints ({})",
             pt.campaign_trials,
             pt.campaign_cold_wall_secs,
             pt.campaign_forked_wall_secs,
             pt.campaign_events_ratio(),
-            pt.tree_depth,
+            pt.checkpoints,
             if pt.campaign_identical { "report identical" } else { "REPORT DIVERGED" },
         );
         if !pt.campaign_identical {

@@ -21,8 +21,8 @@
 //! * default mode exits non-zero when any trial violates an SLO or
 //!   panics the simulator (CI runs this); trials and shrink candidates
 //!   run through the checkpoint prefix-tree (DESIGN.md §13) and the
-//!   work saved is reported — trie depth, checkpoints reused, and
-//!   events served from shared checkpoints included,
+//!   work saved is reported (events simulated versus cold,
+//!   checkpoints built, forks),
 //! * `--adversarial` arms the generator's adversarial tail (ARP
 //!   poisoning, captive portals, asymmetric loss) alongside the
 //!   standard classes,
@@ -36,10 +36,10 @@
 //!   (e.g. `arp-poison`), so the minimized reproducer is guaranteed to
 //!   pin that class — how the corpus artifacts for the adversarial
 //!   classes were harvested,
-//! * `--replay PATH` re-runs a minimized artifact, judged by the SLO
-//!   rules it recorded, and exits zero only if its recorded violations
-//!   re-measure exactly (pass the `--duration-secs` it was recorded
-//!   under; the corpus artifacts use 60),
+//! * `--replay PATH` re-runs a minimized artifact over the drive length
+//!   it records, judged by the SLO rules it recorded, and exits zero
+//!   only if its recorded violations re-measure exactly
+//!   (`--duration-secs` is refused here),
 //! * `--matrix` runs the full campaign matrix instead: all four
 //!   operation modes × {spider, stock, fatvap}, each cell calibrated
 //!   against its own fault-free envelope and hammered by the *same*
@@ -155,12 +155,16 @@ fn tight_class_table(class: &str) -> SloTable {
 }
 
 fn replay(args: &[String], path: &str) -> ExitCode {
+    if parse_flag(args, "--duration-secs").is_some() {
+        eprintln!("--replay runs the drive length the artifact records; drop --duration-secs");
+        return ExitCode::from(2);
+    }
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let doc = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
-    let repro = MinimizedRepro::from_json(&doc)
-        .unwrap_or_else(|| panic!("{path} is not a spider-chaos-repro artifact"));
-    let duration = SimDuration::from_secs(parse_num(args, "--duration-secs", 300u64));
-    let (_, make) = make_factory(duration);
+    let repro = MinimizedRepro::from_json(&doc).unwrap_or_else(|| {
+        panic!("{path} is not a spider-chaos-repro artifact (or lacks its duration_us)")
+    });
+    let (_, make) = make_factory(repro.duration);
     // Both the replay and its no-fault baseline resume from the
     // fault-free prefix's checkpoint rather than running cold — same
     // results, one shared prefix.
@@ -173,9 +177,10 @@ fn replay(args: &[String], path: &str) -> ExitCode {
     };
     let violations = table.evaluate(&result);
     println!(
-        "replayed trial {} ({} episodes): {result}",
+        "replayed trial {} ({} episodes, {}s drive): {result}",
         repro.trial,
-        repro.plan.episodes.len()
+        repro.plan.episodes.len(),
+        repro.duration.as_secs_f64()
     );
     for v in &violations {
         println!("  violation: {v}");
@@ -203,10 +208,7 @@ fn replay(args: &[String], path: &str) -> ExitCode {
         for v in &repro.violations {
             println!("  recorded: {v}");
         }
-        println!(
-            "the recorded violations did NOT re-measure exactly \
-             (recorded under a different --duration-secs?)"
-        );
+        println!("the recorded violations did NOT re-measure exactly");
         ExitCode::from(1)
     }
 }
@@ -527,13 +529,6 @@ fn main() -> ExitCode {
             stats.shrink_speedup(),
             stats.checkpoints,
             stats.forks
-        );
-        println!(
-            "  divergence trie: depth {}, {} trials forked off shared checkpoints, \
-             {} events served from shared prefixes",
-            stats.tree_depth,
-            stats.edges.len(),
-            stats.events_shared()
         );
     }
     for m in &report.minimized {

@@ -35,7 +35,6 @@ pub use json::{Json, JsonError};
 pub use rng::SimRng;
 pub use stats::{Cdf, IntervalReport, IntervalTracker, OnlineStats, RateMeter};
 pub use sweep::{
-    sweep, sweep_with, try_sweep, try_sweep_with, worker_count, JobFailure, SweepOptions,
-    SweepReport,
+    sweep, sweep_with, try_sweep_with, worker_count, JobFailure, SweepOptions, SweepReport,
 };
 pub use time::{SimDuration, SimTime};

@@ -22,21 +22,23 @@
 //! selects the exact serial path (no threads spawned at all), which is
 //! what the determinism tests compare against.
 //!
-//! [`sweep`] is all-or-nothing: one panicking job aborts the batch.
-//! That is the right contract for the paper's experiment binaries (a
-//! half-generated figure is worse than no figure), but a chaos campaign
-//! deliberately runs schedules that might crash the simulator, and
-//! losing a thousand finished trials to one bad one is unacceptable.
-//! [`try_sweep`] is the degrade-gracefully variant: each job runs under
-//! its own `catch_unwind` quarantine, a panic becomes a structured
+//! There is one pool, [`try_sweep_with`]. Each job runs under its own
+//! `catch_unwind` quarantine: a panic becomes a structured
 //! [`JobFailure`] (job index, panic message, caller-supplied
 //! config/seed fingerprint) in the returned [`SweepReport`], and every
-//! other job still produces its result. An optional watchdog deadline
-//! flags jobs that are still running past a wall-clock budget — it
-//! cannot kill a wedged thread (std offers no safe way), but it names
-//! the hung job instead of letting the sweep look merely slow. For
-//! fully-successful sweeps the result vector is bit-identical to the
-//! serial path at any worker count, exactly like [`sweep`].
+//! other job still produces its result. A chaos campaign needs that:
+//! it deliberately runs schedules that might crash the simulator, and
+//! losing a thousand finished trials to one bad one is unacceptable.
+//! An optional watchdog deadline flags jobs that are still running past
+//! a wall-clock budget — it cannot kill a wedged thread (std offers no
+//! safe way), but it names the hung job instead of letting the sweep
+//! look merely slow.
+//!
+//! [`sweep`]/[`sweep_with`] are the strict front end for the paper's
+//! experiment binaries, where a half-generated figure is worse than no
+//! figure: they run the same pool, let the batch finish, and then panic
+//! with the first failed job's own message
+//! ([`SweepReport::expect_complete`]).
 //!
 //! Only `std` is used — scoped threads, no external dependencies.
 
@@ -91,82 +93,35 @@ fn parse_spider_jobs(v: &str) -> usize {
 /// order — but spread over [`worker_count`] threads. See the module docs
 /// for the determinism contract.
 ///
-/// Panics in `run` are propagated to the caller (first one observed wins;
-/// remaining jobs may be skipped once a worker has panicked).
+/// # Panics
+///
+/// If any job panics, the rest of the batch still runs, then this
+/// panics with a message that names the first failed job and carries
+/// that job's own panic message.
 pub fn sweep<J: Sync, R: Send>(jobs: &[J], run: impl Fn(&J) -> R + Sync) -> Vec<R> {
     sweep_with(jobs, run, worker_count())
 }
 
 /// [`sweep`] with an explicit worker count (used by tests so they don't
-/// have to mutate the process environment).
+/// have to mutate the process environment). `0` is treated as `1`.
 pub fn sweep_with<J: Sync, R: Send>(
     jobs: &[J],
     run: impl Fn(&J) -> R + Sync,
     workers: usize,
 ) -> Vec<R> {
-    if workers <= 1 || jobs.len() <= 1 {
-        // Exact serial path: no threads, no atomics.
-        return jobs.iter().map(run).collect();
-    }
-    let workers = workers.min(jobs.len());
-
-    // Pre-sized slots: worker i writes result k into slots[k], so the
-    // final order depends only on the job list.
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(jobs.len());
-    slots.resize_with(jobs.len(), || None);
-    let next = AtomicUsize::new(0);
-    let run = &run;
-
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            // Each worker collects (index, result) pairs and the merge
-            // below writes them into their slots; job granularity is
-            // whole-World runs, so the extra Vec is noise.
-            handles.push(scope.spawn(|| {
-                let mut out: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| run(&jobs[i]))) {
-                        Ok(r) => out.push((i, r)),
-                        Err(payload) => {
-                            // Park the counter past the end so siblings
-                            // stop picking up new work, then re-raise.
-                            next.store(usize::MAX, Ordering::Relaxed);
-                            return Err(payload);
-                        }
-                    }
-                }
-                Ok(out)
-            }));
-        }
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(out)) => {
-                    for (i, r) in out {
-                        slots[i] = Some(r);
-                    }
-                }
-                Ok(Err(payload)) => panic = panic.or(Some(payload)),
-                Err(payload) => panic = panic.or(Some(payload)),
-            }
-        }
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("sweep: every job index produced a result"))
-        .collect()
+    try_sweep_with(
+        jobs,
+        run,
+        |_| String::from("-"),
+        SweepOptions {
+            workers: workers.max(1),
+            watchdog: None,
+        },
+    )
+    .expect_complete("sweep")
 }
 
-/// One quarantined job failure inside a [`try_sweep`] batch.
+/// One quarantined job failure inside a [`try_sweep_with`] batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobFailure {
     /// Index of the failed job in the input job list.
@@ -191,7 +146,7 @@ impl std::fmt::Display for JobFailure {
     }
 }
 
-/// The outcome of a [`try_sweep`] batch: per-slot results plus the
+/// The outcome of a [`try_sweep_with`] batch: per-slot results plus the
 /// quarantined failures.
 ///
 /// `results[i]` is `Some` exactly when job `i` completed; every `None`
@@ -256,22 +211,14 @@ pub struct SweepOptions {
     pub watchdog: Option<Duration>,
 }
 
-/// Degrade-gracefully sweep: like [`sweep`], but a panicking job is
-/// quarantined as a [`JobFailure`] instead of aborting the batch.
+/// Degrade-gracefully sweep: run `run` over every job, quarantining a
+/// panicking job as a [`JobFailure`] instead of aborting the batch.
 ///
 /// `fingerprint` renders a job into a short stable identifier (seed,
 /// config digest) recorded on its failure. See [`SweepReport`] for the
-/// complete-vs-degraded contract.
-pub fn try_sweep<J: Sync, R: Send>(
-    jobs: &[J],
-    run: impl Fn(&J) -> R + Sync,
-    fingerprint: impl Fn(&J) -> String + Sync,
-) -> SweepReport<R> {
-    try_sweep_with(jobs, run, fingerprint, SweepOptions::default())
-}
-
-/// [`try_sweep`] with explicit [`SweepOptions`] (worker count and
-/// watchdog deadline).
+/// complete-vs-degraded contract. With at most one worker (or job) and
+/// no watchdog, the jobs run in order on the calling thread and no
+/// thread is started.
 pub fn try_sweep_with<J: Sync, R: Send>(
     jobs: &[J],
     run: impl Fn(&J) -> R + Sync,
@@ -479,19 +426,26 @@ mod tests {
     #[test]
     fn panic_in_job_propagates() {
         let jobs: Vec<u32> = (0..100).collect();
-        let caught = std::panic::catch_unwind(|| {
-            sweep_with(
-                &jobs,
-                |j| {
-                    if *j == 37 {
-                        panic!("job 37 failed");
-                    }
-                    *j
-                },
-                4,
-            )
-        });
-        assert!(caught.is_err());
+        for workers in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                sweep_with(
+                    &jobs,
+                    |j| {
+                        if *j == 37 {
+                            panic!("job 37 failed");
+                        }
+                        *j
+                    },
+                    workers,
+                )
+            });
+            let payload = caught.expect_err("a panicking job must fail the sweep");
+            let message = panic_message(payload);
+            assert!(
+                message.contains("job 37 failed"),
+                "workers={workers}: {message}"
+            );
+        }
     }
 
     #[test]
@@ -530,7 +484,7 @@ mod tests {
         parse_spider_jobs("-2");
     }
 
-    /// The quarantine run used by the try_sweep tests: job 37 panics
+    /// The quarantine run used by the try_sweep_with tests: job 37 panics
     /// with a formatted message, everything else squares.
     fn flaky(j: &u32) -> u64 {
         if *j == 37 {
@@ -619,7 +573,7 @@ mod tests {
     #[should_panic(expected = "sweep degraded")]
     fn expect_complete_panics_on_degraded_sweep() {
         let jobs: Vec<u32> = (0..4).collect();
-        let report = try_sweep(
+        let report = try_sweep_with(
             &jobs,
             |j| {
                 if *j == 2 {
@@ -628,6 +582,10 @@ mod tests {
                 *j
             },
             |j| j.to_string(),
+            SweepOptions {
+                workers: 2,
+                watchdog: None,
+            },
         );
         report.expect_complete("degraded batch");
     }

@@ -720,6 +720,9 @@ pub struct MinimizedRepro {
     /// The trial's schedule seed (provenance; the artifact's plan is
     /// what replays, not the seed).
     pub plan_seed: u64,
+    /// Simulated drive length the schedule was shrunk under; a replay
+    /// must run the same drive for the violations to re-measure.
+    pub duration: SimDuration,
     /// Episode count of the original failing schedule.
     pub original_episodes: usize,
     /// The minimized schedule.
@@ -733,12 +736,14 @@ pub struct MinimizedRepro {
 impl MinimizedRepro {
     /// Serialize the artifact. Contains everything a replay needs: the
     /// minimized plan (exact microsecond windows, exact float
-    /// parameters) plus provenance and the violations it reproduces.
+    /// parameters), the drive length, provenance and the violations it
+    /// reproduces.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("artifact", Json::str("spider-chaos-repro")),
             ("trial", Json::UInt(self.trial as u64)),
             ("plan_seed", Json::UInt(self.plan_seed)),
+            ("duration_us", Json::UInt(self.duration.as_micros())),
             (
                 "original_episodes",
                 Json::UInt(self.original_episodes as u64),
@@ -755,6 +760,7 @@ impl MinimizedRepro {
     /// Parse an artifact back, including the recorded violations —
     /// replay re-measures them and asserts exact agreement rather than
     /// trusting them (the corpus test in `tests/chaos_corpus.rs`).
+    /// `None` when any field, the drive length included, is missing.
     pub fn from_json(v: &Json) -> Option<MinimizedRepro> {
         if v.get("artifact")?.as_str()? != "spider-chaos-repro" {
             return None;
@@ -762,6 +768,7 @@ impl MinimizedRepro {
         Some(MinimizedRepro {
             trial: v.get("trial")?.as_u64()? as usize,
             plan_seed: v.get("plan_seed")?.as_u64()?,
+            duration: SimDuration::from_micros(v.get("duration_us")?.as_u64()?),
             original_episodes: v.get("original_episodes")?.as_u64()? as usize,
             plan: FaultPlan::from_json(v.get("plan")?)?,
             violations: v
@@ -855,39 +862,6 @@ impl CampaignReport {
     }
 }
 
-/// One fork edge of the campaign's divergence trie (DESIGN.md §13):
-/// trial `trial` resumed from `parent`'s checkpoint (`None` = the
-/// fault-free root), inheriting `shared_events` already-simulated
-/// events instead of re-simulating them from `t = 0`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ForkEdge {
-    /// The trial whose checkpoint chain served the fork; `None` means
-    /// the fault-free root world.
-    pub parent: Option<usize>,
-    /// The trial that forked.
-    pub trial: usize,
-    /// Events inherited through this edge (the checkpoint's event
-    /// count at fork time).
-    pub shared_events: u64,
-}
-
-impl ForkEdge {
-    /// Report form (sidecar only, never in [`CampaignReport`]).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "parent",
-                match self.parent {
-                    Some(p) => Json::UInt(p as u64),
-                    None => Json::Null,
-                },
-            ),
-            ("trial", Json::UInt(self.trial as u64)),
-            ("shared_events", Json::UInt(self.shared_events)),
-        ])
-    }
-}
-
 /// Work ledger of the forked campaign path: how much simulation the
 /// checkpoint engine actually executed versus what the cold path pays
 /// for the same bit-identical results.
@@ -907,11 +881,6 @@ pub struct ForkStats {
     pub shrink_events_simulated: u64,
     /// The shrink phase's share of `events_cold`.
     pub shrink_events_cold: u64,
-    /// Deepest trial in the divergence trie (0 = every trial forked
-    /// straight off the fault-free root or ran cold).
-    pub tree_depth: usize,
-    /// Per-trial fork edges of the divergence trie, in trial order.
-    pub edges: Vec<ForkEdge>,
 }
 
 impl ForkStats {
@@ -940,11 +909,6 @@ impl ForkStats {
             ("shrink_events_cold", Json::UInt(self.shrink_events_cold)),
             ("speedup", Json::Num(self.speedup())),
             ("shrink_speedup", Json::Num(self.shrink_speedup())),
-            ("tree_depth", Json::UInt(self.tree_depth as u64)),
-            (
-                "edges",
-                Json::Arr(self.edges.iter().map(ForkEdge::to_json).collect()),
-            ),
         ])
     }
 
@@ -954,12 +918,6 @@ impl ForkStats {
         self.forks += usize::from(forked);
         self.events_simulated += simulated;
         self.events_cold += result.events;
-    }
-
-    /// Total events inherited through trie edges (the trial phase's
-    /// saved work; the shrink phase accounts separately).
-    pub fn events_shared(&self) -> u64 {
-        self.edges.iter().map(|e| e.shared_events).sum()
     }
 }
 
@@ -1194,13 +1152,14 @@ where
 
 /// The campaign body both entries share; `trie` serves every run.
 ///
-/// * **Trial phase**: each trial's base is built serially in ascending
-///   order of its fault-free share point, so the fault-free chain
-///   advances once, and the trial's plan becomes a key only after its
-///   own base is built. The trials then fork in parallel, reading the
-///   trie immutably.
-/// * **Shrink phase**: every candidate is a plain query; a candidate
-///   that still fails becomes a key, as the shrinker's next reference.
+/// * **Trial phase**: the only key is the fault-free plan. Each trial's
+///   base is built serially in ascending order of its fault-free share
+///   point, so the fault-free chain advances once. The trials then fork
+///   in parallel, reading the trie immutably. Trials never fork off
+///   each other: no two generated schedules share a faulty episode.
+/// * **Shrink phase**: a failing trial's plan becomes a key, then every
+///   candidate is a plain query; a candidate that still fails becomes a
+///   key too, as the shrinker's next reference.
 fn campaign<C, F>(
     cfg: &CampaignConfig,
     mut trie: CheckpointTrie<C, F>,
@@ -1221,7 +1180,7 @@ where
         })
         .collect();
 
-    // A panicking prefix leaves its trial cold, where try_sweep
+    // A panicking prefix leaves its trial cold, where the sweep
     // quarantines the panic with the trial's fingerprint.
     let none = FaultPlan::none();
     let mut order: Vec<usize> = (0..jobs.len()).collect();
@@ -1231,26 +1190,7 @@ where
         bases[i] =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| trie.base(&jobs[i].plan)))
                 .unwrap_or(None);
-        trie.insert(jobs[i].plan.clone());
     }
-
-    // Fork edges: key 0 is the fault-free root and key k + 1 is trial
-    // order[k], so a checkpoint's key names the trial whose chain
-    // served the fork.
-    let mut depths = vec![0usize; jobs.len()];
-    for &i in &order {
-        let Some(b) = bases[i] else { continue };
-        let checkpoint = &trie.checkpoints[b];
-        let parent = checkpoint.key.checked_sub(1).map(|k| order[k]);
-        depths[i] = parent.map_or(1, |p| depths[p] + 1);
-        trie.stats.edges.push(ForkEdge {
-            parent,
-            trial: i,
-            shared_events: checkpoint.world.events_processed(),
-        });
-    }
-    trie.stats.edges.sort_unstable_by_key(|e| e.trial);
-    trie.stats.tree_depth = depths.iter().copied().max().unwrap_or(0);
 
     // lint:allow(wall-clock) — the watchdog deadline is a real-time
     // hang budget for the host, never simulated time.
@@ -1286,6 +1226,7 @@ where
         let Some((result, _)) = slot else { continue };
         let violations = cfg.slo.evaluate(result);
         if !violations.is_empty() && minimized.len() < cfg.max_shrinks {
+            trie.insert(job.plan.clone());
             let outcome = trie.shrink(&job.plan, cfg.shrink_budget, &cfg.slo);
             let final_violations = cfg.slo.evaluate(&trie.run(&outcome.plan));
             debug_assert!(
@@ -1295,6 +1236,7 @@ where
             minimized.push(MinimizedRepro {
                 trial: job.trial,
                 plan_seed: job.plan_seed,
+                duration: cfg.duration,
                 original_episodes: job.plan.episodes.len(),
                 plan: outcome.plan,
                 violations: final_violations,
@@ -1591,6 +1533,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultIndex;
 
     fn t(s: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(s)
@@ -1749,7 +1692,7 @@ mod tests {
     /// A synthetic failure oracle for the shrinker: the plan "fails"
     /// iff it still contains a blackout episode covering t=50 on AP 0.
     fn synthetic_fails(plan: &FaultPlan) -> bool {
-        plan.blackout(t(50.0), 0)
+        FaultIndex::build(plan, 5).blackout(t(50.0), 0)
     }
 
     fn noisy_plan() -> FaultPlan {
@@ -1820,6 +1763,7 @@ mod tests {
         let repro = MinimizedRepro {
             trial: 3,
             plan_seed: 0xdead_beef,
+            duration: dur(60),
             original_episodes: 9,
             plan: noisy_plan(),
             violations: vec![SloViolation {
@@ -1835,8 +1779,16 @@ mod tests {
         let back = MinimizedRepro::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.trial, 3);
         assert_eq!(back.plan_seed, 0xdead_beef);
+        assert_eq!(back.duration, dur(60));
         assert_eq!(back.original_episodes, 9);
         assert_eq!(back.plan, repro.plan, "plans must replay identically");
+        assert_eq!(back.to_json().pretty(), text, "byte-stable round trip");
+        // An artifact without its drive length cannot be replayed.
+        let Json::Obj(mut pairs) = repro.to_json() else {
+            unreachable!("artifacts are JSON objects")
+        };
+        pairs.retain(|(k, _)| k != "duration_us");
+        assert!(MinimizedRepro::from_json(&Json::Obj(pairs)).is_none());
         // Wrong magic is rejected.
         assert!(
             MinimizedRepro::from_json(&Json::obj([("artifact", Json::str("something-else"))]))

@@ -12,9 +12,9 @@
 //! either scripted (tests, examples) or generated stochastically from a
 //! seed and a [`FaultProfile`] ([`FaultPlan::seeded`]), so a faulty run
 //! remains a pure function of `(WorldConfig, FaultPlan)` like everything
-//! else in the simulator. The world consults the plan on every AP,
-//! DHCP, and medium interaction and attributes the damage in
-//! [`FaultStats`].
+//! else in the simulator. The world consults the plan, through a
+//! per-AP [`FaultIndex`], on every AP, DHCP, and medium interaction and
+//! attributes the damage in [`FaultStats`].
 
 use spider_simcore::{Json, SimDuration, SimRng, SimTime};
 
@@ -372,89 +372,6 @@ impl FaultPlan {
         self.episodes.is_empty()
     }
 
-    fn active(&self, now: SimTime, ap: usize, pred: impl Fn(FaultKind) -> bool) -> bool {
-        self.episodes
-            .iter()
-            .any(|e| pred(e.kind) && e.applies(now, ap))
-    }
-
-    /// Is `ap` fully blacked out at `now`?
-    pub fn blackout(&self, now: SimTime, ap: usize) -> bool {
-        self.active(now, ap, |k| k == FaultKind::Blackout)
-    }
-
-    /// Is `ap` a zombie (associates but forwards nothing) at `now`?
-    pub fn zombie(&self, now: SimTime, ap: usize) -> bool {
-        self.active(now, ap, |k| k == FaultKind::Zombie)
-    }
-
-    /// Is `ap`'s DHCP server silent at `now`?
-    pub fn dhcp_silent(&self, now: SimTime, ap: usize) -> bool {
-        self.active(now, ap, |k| k == FaultKind::DhcpSilence)
-    }
-
-    /// Is `ap`'s DHCP pool exhausted at `now`?
-    pub fn dhcp_exhausted(&self, now: SimTime, ap: usize) -> bool {
-        self.active(now, ap, |k| k == FaultKind::DhcpExhausted)
-    }
-
-    /// Does `ap`'s gateway filter end-to-end ICMP at `now`?
-    pub fn icmp_filtered(&self, now: SimTime, ap: usize) -> bool {
-        self.active(now, ap, |k| k == FaultKind::IcmpBlackhole)
-    }
-
-    /// Is `ap`'s gateway ARP mapping hijacked at `now`?
-    pub fn arp_poisoned(&self, now: SimTime, ap: usize) -> bool {
-        self.active(now, ap, |k| k == FaultKind::ArpPoison)
-    }
-
-    /// Is `ap` fronted by a captive portal at `now`?
-    pub fn captive_portal(&self, now: SimTime, ap: usize) -> bool {
-        self.active(now, ap, |k| k == FaultKind::CaptivePortal)
-    }
-
-    /// Is any directional-loss episode active on `ap` at `now`? The
-    /// attribution gate for the directional drop counters.
-    pub fn asym_active(&self, now: SimTime, ap: usize) -> bool {
-        self.active(now, ap, |k| matches!(k, FaultKind::AsymmetricLoss { .. }))
-    }
-
-    /// Combined extra loss probability on `ap`'s link at `now`
-    /// (independent bursts compose: `1 - Π(1 - extra_i)`). Symmetric
-    /// classes only; the world's transmit paths use the directional
-    /// [`FaultPlan::extra_loss_up`]/[`FaultPlan::extra_loss_down`],
-    /// which fold [`FaultKind::AsymmetricLoss`] in as well.
-    pub fn extra_loss(&self, now: SimTime, ap: usize) -> f64 {
-        extra_loss_dir(&self.episodes, now, ap, None)
-    }
-
-    /// Combined extra loss on client → AP frames at `now` (symmetric
-    /// bursts plus the `up` leg of directional episodes).
-    pub fn extra_loss_up(&self, now: SimTime, ap: usize) -> f64 {
-        extra_loss_dir(&self.episodes, now, ap, Some(Direction::Up))
-    }
-
-    /// Combined extra loss on AP → client frames at `now` (symmetric
-    /// bursts plus the `down` leg of directional episodes).
-    pub fn extra_loss_down(&self, now: SimTime, ap: usize) -> f64 {
-        extra_loss_dir(&self.episodes, now, ap, Some(Direction::Down))
-    }
-
-    /// If a connectivity-killing (data-plane) fault is active on `ap`
-    /// at `now`, the start time of the earliest covering episode —
-    /// the reference point for time-to-detect measurement.
-    pub fn data_fault_onset(&self, now: SimTime, ap: usize) -> Option<SimTime> {
-        self.data_fault_at(now, ap).map(|(start, _)| start)
-    }
-
-    /// Like [`FaultPlan::data_fault_onset`], but also naming the fault
-    /// class of the earliest covering episode — the attribution key for
-    /// per-class SLO budgets. Ties on `start` break toward the earlier
-    /// episode in plan order, which is stable for a given plan.
-    pub fn data_fault_at(&self, now: SimTime, ap: usize) -> Option<(SimTime, FaultKind)> {
-        data_fault_at(&self.episodes, now, ap)
-    }
-
     /// Earliest instant at which this plan's observable behaviour can
     /// differ from `other`'s, or `None` if the plans are identical.
     ///
@@ -565,65 +482,6 @@ enum Direction {
     Down,
 }
 
-/// Shared loss composition: independent episodes compose as
-/// `1 - Π(1 - extra_i)` in episode order. `dir: None` folds symmetric
-/// bursts only (the legacy [`FaultPlan::extra_loss`] contract);
-/// `Some(_)` folds the matching leg of directional episodes in as
-/// well. When no directional episode covers `(now, ap)` the factor
-/// sequence — and so the float result, bit for bit — is identical for
-/// all three variants.
-fn extra_loss_dir(
-    episodes: &[FaultEpisode],
-    now: SimTime,
-    ap: usize,
-    dir: Option<Direction>,
-) -> f64 {
-    let mut pass = 1.0f64;
-    for e in episodes {
-        let extra = match e.kind {
-            FaultKind::LossBurst { extra } => extra,
-            FaultKind::AsymmetricLoss { up, down } => match dir {
-                Some(Direction::Up) => up,
-                Some(Direction::Down) => down,
-                None => continue,
-            },
-            _ => continue,
-        };
-        if e.applies(now, ap) {
-            pass *= 1.0 - extra.clamp(0.0, 1.0);
-        }
-    }
-    1.0 - pass
-}
-
-/// Shared onset query: earliest-starting data-plane episode covering
-/// `(now, ap)` in `episodes`. Data-plane means the payload path is
-/// degraded while (for most classes) the control plane still looks
-/// fine: blackouts and zombies, plus the adversarial classes — ARP
-/// poison, captive portals, and directional loss. Control-plane DHCP
-/// faults and [`FaultKind::IcmpBlackhole`] (survivable via the gateway
-/// fallback) never arm a detection measurement.
-fn data_fault_at(
-    episodes: &[FaultEpisode],
-    now: SimTime,
-    ap: usize,
-) -> Option<(SimTime, FaultKind)> {
-    episodes
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                FaultKind::Blackout
-                    | FaultKind::Zombie
-                    | FaultKind::ArpPoison
-                    | FaultKind::CaptivePortal
-                    | FaultKind::AsymmetricLoss { .. }
-            ) && e.applies(now, ap)
-        })
-        .map(|e| (e.start, e.kind))
-        .min_by_key(|(start, _)| *start)
-}
-
 /// A per-AP query index over a [`FaultPlan`].
 ///
 /// The plan keeps every episode in one flat list, so each
@@ -633,8 +491,8 @@ fn data_fault_at(
 /// once at world construction so a query touches only that AP's own
 /// handful; global (`ap: None`) episodes are replicated into every
 /// bucket, preserving the flat list's relative episode order so
-/// floating-point compositions ([`FaultIndex::extra_loss`]) stay
-/// bit-identical to the unindexed queries.
+/// floating-point loss compositions and onset tie-breaks are the same
+/// as a scan of the flat list. This is the only fault query path.
 #[derive(Debug, Clone, Default)]
 pub struct FaultIndex {
     per_ap: Vec<Vec<FaultEpisode>>,
@@ -730,39 +588,64 @@ impl FaultIndex {
         self.active(now, ap, |k| matches!(k, FaultKind::AsymmetricLoss { .. }))
     }
 
-    /// Combined extra loss probability on `ap`'s link at `now`
-    /// (symmetric classes only; see [`FaultPlan::extra_loss`]).
-    pub fn extra_loss(&self, now: SimTime, ap: usize) -> f64 {
-        extra_loss_dir(self.episodes_for(ap), now, ap, None)
-    }
-
-    /// Combined extra loss on client → AP frames at `now`.
+    /// Combined extra loss on client → AP frames at `now` (symmetric
+    /// bursts plus the `up` leg of directional episodes).
     pub fn extra_loss_up(&self, now: SimTime, ap: usize) -> f64 {
-        extra_loss_dir(self.episodes_for(ap), now, ap, Some(Direction::Up))
+        self.extra_loss(now, ap, Direction::Up)
     }
 
-    /// Combined extra loss on AP → client frames at `now`.
+    /// Combined extra loss on AP → client frames at `now` (symmetric
+    /// bursts plus the `down` leg of directional episodes).
     pub fn extra_loss_down(&self, now: SimTime, ap: usize) -> f64 {
-        extra_loss_dir(self.episodes_for(ap), now, ap, Some(Direction::Down))
+        self.extra_loss(now, ap, Direction::Down)
     }
 
-    /// Start of the earliest data-plane fault covering `(now, ap)`.
-    pub fn data_fault_onset(&self, now: SimTime, ap: usize) -> Option<SimTime> {
-        self.data_fault_at(now, ap).map(|(start, _)| start)
+    /// Independent loss episodes compose as `1 - Π(1 - extra_i)`, in
+    /// plan order: [`FaultKind::LossBurst`] on both legs, and the
+    /// matching leg of [`FaultKind::AsymmetricLoss`].
+    fn extra_loss(&self, now: SimTime, ap: usize, dir: Direction) -> f64 {
+        let mut pass = 1.0f64;
+        for e in self.episodes_for(ap) {
+            let extra = match (e.kind, dir) {
+                (FaultKind::LossBurst { extra }, _) => extra,
+                (FaultKind::AsymmetricLoss { up, .. }, Direction::Up) => up,
+                (FaultKind::AsymmetricLoss { down, .. }, Direction::Down) => down,
+                _ => continue,
+            };
+            if e.applies(now, ap) {
+                pass *= 1.0 - extra.clamp(0.0, 1.0);
+            }
+        }
+        1.0 - pass
     }
 
-    /// Earliest covering data-plane fault with its class (see
-    /// [`FaultPlan::data_fault_at`]). The per-AP buckets preserve plan
-    /// order, so tie-breaking matches the flat plan exactly.
+    /// If a data-plane fault covers `(now, ap)`, the start and class of
+    /// the earliest-starting covering episode — the reference point for
+    /// time-to-detect measurement and the attribution key for per-class
+    /// SLO budgets. Ties on `start` break toward the earlier episode in
+    /// plan order (the buckets preserve it).
+    ///
+    /// Data-plane means the payload path is degraded while (for most
+    /// classes) the control plane still looks fine: blackouts and
+    /// zombies, plus the adversarial classes — ARP poison, captive
+    /// portals, and directional loss. Control-plane DHCP faults and
+    /// [`FaultKind::IcmpBlackhole`] (survivable via the gateway
+    /// fallback) never arm a detection measurement.
     pub fn data_fault_at(&self, now: SimTime, ap: usize) -> Option<(SimTime, FaultKind)> {
-        data_fault_at(self.episodes_for(ap), now, ap)
-    }
-
-    /// Is any data-plane fault active anywhere at `now`?
-    pub fn any_data_fault(&self, now: SimTime) -> bool {
-        self.faulty
+        self.episodes_for(ap)
             .iter()
-            .any(|&i| self.data_fault_onset(now, i).is_some())
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    FaultKind::Blackout
+                        | FaultKind::Zombie
+                        | FaultKind::ArpPoison
+                        | FaultKind::CaptivePortal
+                        | FaultKind::AsymmetricLoss { .. }
+                ) && e.applies(now, ap)
+            })
+            .map(|e| (e.start, e.kind))
+            .min_by_key(|(start, _)| *start)
     }
 }
 
@@ -926,6 +809,93 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs_f64(s)
     }
 
+    // Brute-force references over the flat episode list: the index must
+    // answer exactly what a scan of every episode answers.
+
+    fn scan(plan: &FaultPlan, now: SimTime, ap: usize, pred: impl Fn(FaultKind) -> bool) -> bool {
+        plan.episodes
+            .iter()
+            .any(|e| pred(e.kind) && e.applies(now, ap))
+    }
+
+    fn scan_loss(plan: &FaultPlan, now: SimTime, ap: usize, up: bool) -> f64 {
+        let mut pass = 1.0f64;
+        for e in plan.episodes.iter().filter(|e| e.applies(now, ap)) {
+            let extra = match e.kind {
+                FaultKind::LossBurst { extra } => extra,
+                FaultKind::AsymmetricLoss { up: u, down: d } => {
+                    if up {
+                        u
+                    } else {
+                        d
+                    }
+                }
+                _ => continue,
+            };
+            pass *= 1.0 - extra.clamp(0.0, 1.0);
+        }
+        1.0 - pass
+    }
+
+    fn scan_onset(plan: &FaultPlan, now: SimTime, ap: usize) -> Option<(SimTime, FaultKind)> {
+        plan.episodes
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    FaultKind::Blackout
+                        | FaultKind::Zombie
+                        | FaultKind::ArpPoison
+                        | FaultKind::CaptivePortal
+                        | FaultKind::AsymmetricLoss { .. }
+                ) && e.applies(now, ap)
+            })
+            .map(|e| (e.start, e.kind))
+            .min_by_key(|(start, _)| *start)
+    }
+
+    /// Every index query at `(now, ap)` against its brute-force scan.
+    fn assert_index_matches_scan(index: &FaultIndex, plan: &FaultPlan, now: SimTime, ap: usize) {
+        let scan = |pred: fn(FaultKind) -> bool| scan(plan, now, ap, pred);
+        assert_eq!(index.blackout(now, ap), scan(|k| k == FaultKind::Blackout));
+        assert_eq!(index.zombie(now, ap), scan(|k| k == FaultKind::Zombie));
+        assert_eq!(
+            index.dhcp_silent(now, ap),
+            scan(|k| k == FaultKind::DhcpSilence)
+        );
+        assert_eq!(
+            index.dhcp_exhausted(now, ap),
+            scan(|k| k == FaultKind::DhcpExhausted)
+        );
+        assert_eq!(
+            index.icmp_filtered(now, ap),
+            scan(|k| k == FaultKind::IcmpBlackhole)
+        );
+        assert_eq!(
+            index.arp_poisoned(now, ap),
+            scan(|k| k == FaultKind::ArpPoison)
+        );
+        assert_eq!(
+            index.captive_portal(now, ap),
+            scan(|k| k == FaultKind::CaptivePortal)
+        );
+        assert_eq!(
+            index.asym_active(now, ap),
+            scan(|k| matches!(k, FaultKind::AsymmetricLoss { .. }))
+        );
+        assert_eq!(
+            index.extra_loss_up(now, ap).to_bits(),
+            scan_loss(plan, now, ap, true).to_bits(),
+            "uplink loss must compose bit-identically"
+        );
+        assert_eq!(
+            index.extra_loss_down(now, ap).to_bits(),
+            scan_loss(plan, now, ap, false).to_bits(),
+            "downlink loss must compose bit-identically"
+        );
+        assert_eq!(index.data_fault_at(now, ap), scan_onset(plan, now, ap));
+    }
+
     #[test]
     fn scripted_windows_apply_half_open() {
         let plan = FaultPlan::scripted(vec![FaultEpisode {
@@ -934,11 +904,12 @@ mod tests {
             start: t(10.0),
             end: t(20.0),
         }]);
-        assert!(!plan.blackout(t(9.999), 2));
-        assert!(plan.blackout(t(10.0), 2));
-        assert!(plan.blackout(t(19.999), 2));
-        assert!(!plan.blackout(t(20.0), 2));
-        assert!(!plan.blackout(t(15.0), 1), "wrong AP untouched");
+        let index = FaultIndex::build(&plan, 3);
+        assert!(!index.blackout(t(9.999), 2));
+        assert!(index.blackout(t(10.0), 2));
+        assert!(index.blackout(t(19.999), 2));
+        assert!(!index.blackout(t(20.0), 2));
+        assert!(!index.blackout(t(15.0), 1), "wrong AP untouched");
     }
 
     #[test]
@@ -949,8 +920,9 @@ mod tests {
             start: t(0.0),
             end: t(5.0),
         }]);
+        let index = FaultIndex::build(&plan, 10);
         for ap in 0..10 {
-            assert!(plan.dhcp_silent(t(1.0), ap));
+            assert!(index.dhcp_silent(t(1.0), ap));
         }
     }
 
@@ -970,9 +942,13 @@ mod tests {
                 end: t(10.0),
             },
         ]);
-        assert!((plan.extra_loss(t(1.0), 0) - 0.75).abs() < 1e-12);
-        assert!((plan.extra_loss(t(1.0), 3) - 0.5).abs() < 1e-12);
-        assert_eq!(plan.extra_loss(t(11.0), 0), 0.0);
+        // Symmetric bursts hit both legs alike.
+        let index = FaultIndex::build(&plan, 4);
+        for loss in [FaultIndex::extra_loss_up, FaultIndex::extra_loss_down] {
+            assert!((loss(&index, t(1.0), 0) - 0.75).abs() < 1e-12);
+            assert!((loss(&index, t(1.0), 3) - 0.5).abs() < 1e-12);
+            assert_eq!(loss(&index, t(11.0), 0), 0.0);
+        }
     }
 
     fn ep(ap: Option<usize>, kind: FaultKind, start: f64, end: f64) -> FaultEpisode {
@@ -1073,8 +1049,8 @@ mod tests {
     #[test]
     fn index_agrees_with_flat_plan_queries() {
         // The index is a pure accelerator: every query must return
-        // exactly what the flat plan returns, bit-for-bit, including
-        // the float composition of overlapping loss bursts.
+        // exactly what a scan of the flat plan returns, bit-for-bit,
+        // including the float composition of overlapping loss bursts.
         let num_aps = 30;
         let dur = SimDuration::from_secs(900);
         let mut plan = FaultPlan::seeded(13, num_aps, dur, &FaultProfile::stormy());
@@ -1089,25 +1065,8 @@ mod tests {
         for step in 0..90 {
             let now = t(step as f64 * 10.0);
             for ap in 0..num_aps {
-                assert_eq!(index.blackout(now, ap), plan.blackout(now, ap));
-                assert_eq!(index.zombie(now, ap), plan.zombie(now, ap));
-                assert_eq!(index.dhcp_silent(now, ap), plan.dhcp_silent(now, ap));
-                assert_eq!(index.dhcp_exhausted(now, ap), plan.dhcp_exhausted(now, ap));
-                assert_eq!(index.icmp_filtered(now, ap), plan.icmp_filtered(now, ap));
-                assert_eq!(
-                    index.extra_loss(now, ap).to_bits(),
-                    plan.extra_loss(now, ap).to_bits(),
-                    "extra_loss must compose bit-identically"
-                );
-                assert_eq!(
-                    index.data_fault_onset(now, ap),
-                    plan.data_fault_onset(now, ap)
-                );
+                assert_index_matches_scan(&index, &plan, now, ap);
             }
-            assert_eq!(
-                index.any_data_fault(now),
-                (0..num_aps).any(|ap| plan.data_fault_onset(now, ap).is_some())
-            );
         }
         // Every AP outside `faulty_aps()` is quiet for the whole run.
         for ap in 0..num_aps {
@@ -1238,36 +1197,36 @@ mod tests {
             ),
             ep(Some(0), FaultKind::LossBurst { extra: 0.5 }, 50.0, 60.0),
         ]);
-        assert!(plan.arp_poisoned(t(15.0), 0));
-        assert!(!plan.arp_poisoned(t(25.0), 0));
-        assert!(!plan.arp_poisoned(t(15.0), 1), "wrong AP untouched");
-        assert!(plan.captive_portal(t(35.0), 0));
-        assert!(!plan.captive_portal(t(15.0), 0));
-        assert!(plan.asym_active(t(55.0), 0));
-        assert!(!plan.asym_active(t(45.0), 0));
+        let index = FaultIndex::build(&plan, 2);
+        assert!(index.arp_poisoned(t(15.0), 0));
+        assert!(!index.arp_poisoned(t(25.0), 0));
+        assert!(!index.arp_poisoned(t(15.0), 1), "wrong AP untouched");
+        assert!(index.captive_portal(t(35.0), 0));
+        assert!(!index.captive_portal(t(15.0), 0));
+        assert!(index.asym_active(t(55.0), 0));
+        assert!(!index.asym_active(t(45.0), 0));
         // Directional composition folds the matching leg with the
-        // symmetric burst; the legacy query sees only the burst.
-        assert!((plan.extra_loss_up(t(55.0), 0) - 0.75).abs() < 1e-12);
-        assert!((plan.extra_loss_down(t(55.0), 0) - 0.625).abs() < 1e-12);
-        assert!((plan.extra_loss(t(55.0), 0) - 0.5).abs() < 1e-12);
-        // With no directional episode active all three agree bit-wise.
-        assert_eq!(plan.extra_loss(t(49.9), 0), 0.0);
+        // symmetric burst.
+        assert!((index.extra_loss_up(t(55.0), 0) - 0.75).abs() < 1e-12);
+        assert!((index.extra_loss_down(t(55.0), 0) - 0.625).abs() < 1e-12);
+        // With no directional episode active both legs agree bit-wise.
+        assert_eq!(index.extra_loss_up(t(49.9), 0), 0.0);
         assert_eq!(
-            plan.extra_loss_up(t(55.0), 1).to_bits(),
-            plan.extra_loss(t(55.0), 1).to_bits()
+            index.extra_loss_up(t(55.0), 1).to_bits(),
+            index.extra_loss_down(t(55.0), 1).to_bits()
         );
         // All three adversarial classes are data-plane: they arm the
         // detect-attribution query with the right onset and class.
         assert_eq!(
-            plan.data_fault_at(t(15.0), 0),
+            index.data_fault_at(t(15.0), 0),
             Some((t(10.0), FaultKind::ArpPoison))
         );
         assert_eq!(
-            plan.data_fault_at(t(35.0), 0),
+            index.data_fault_at(t(35.0), 0),
             Some((t(30.0), FaultKind::CaptivePortal))
         );
         assert_eq!(
-            plan.data_fault_at(t(55.0), 0),
+            index.data_fault_at(t(55.0), 0),
             Some((
                 t(50.0),
                 FaultKind::AsymmetricLoss {
@@ -1276,23 +1235,11 @@ mod tests {
                 }
             ))
         );
-        // Index parity on every new query.
-        let index = FaultIndex::build(&plan, 2);
+        // Index parity on every query.
         for step in 0..130 {
             let now = t(step as f64 * 0.5);
             for ap in 0..2 {
-                assert_eq!(index.arp_poisoned(now, ap), plan.arp_poisoned(now, ap));
-                assert_eq!(index.captive_portal(now, ap), plan.captive_portal(now, ap));
-                assert_eq!(index.asym_active(now, ap), plan.asym_active(now, ap));
-                assert_eq!(
-                    index.extra_loss_up(now, ap).to_bits(),
-                    plan.extra_loss_up(now, ap).to_bits()
-                );
-                assert_eq!(
-                    index.extra_loss_down(now, ap).to_bits(),
-                    plan.extra_loss_down(now, ap).to_bits()
-                );
-                assert_eq!(index.data_fault_at(now, ap), plan.data_fault_at(now, ap));
+                assert_index_matches_scan(&index, &plan, now, ap);
             }
         }
     }
@@ -1336,14 +1283,10 @@ mod tests {
         ]);
         let index = FaultIndex::build(&plan, 1);
         assert_eq!(
-            plan.data_fault_at(t(15.0), 0),
+            index.data_fault_at(t(15.0), 0),
             Some((t(5.0), FaultKind::Zombie))
         );
-        assert_eq!(
-            index.data_fault_at(t(15.0), 0),
-            plan.data_fault_at(t(15.0), 0)
-        );
-        assert_eq!(plan.data_fault_at(t(1.0), 0), None);
+        assert_eq!(index.data_fault_at(t(1.0), 0), None);
     }
 
     #[test]
@@ -1369,8 +1312,10 @@ mod tests {
                 end: t(100.0),
             },
         ]);
-        assert_eq!(plan.data_fault_onset(t(1.0), 0), None);
-        assert_eq!(plan.data_fault_onset(t(15.0), 0), Some(t(5.0)));
-        assert_eq!(plan.data_fault_onset(t(60.0), 0), None);
+        let index = FaultIndex::build(&plan, 1);
+        let onset = |now| index.data_fault_at(now, 0).map(|(start, _)| start);
+        assert_eq!(onset(t(1.0)), None);
+        assert_eq!(onset(t(15.0)), Some(t(5.0)));
+        assert_eq!(onset(t(60.0)), None);
     }
 }

@@ -37,8 +37,8 @@ pub mod world;
 pub use campaign::{
     calibrated_slo, chaos_plan, run_campaign, run_campaign_forked, run_matrix_cell,
     shrink_schedule, CampaignConfig, CampaignReport, ChaosProfile, CheckpointTrie, Envelope,
-    ForkEdge, ForkStats, MatrixCell, MatrixReport, MinimizedRepro, ShrinkOutcome, SloMargins,
-    SloMetric, SloRule, SloTable, SloViolation, TrialRecord,
+    ForkStats, MatrixCell, MatrixReport, MinimizedRepro, ShrinkOutcome, SloMargins, SloMetric,
+    SloRule, SloTable, SloViolation, TrialRecord,
 };
 pub use capture::{read_capture, CaptureRecord, CaptureWriter, Direction};
 pub use faults::{FaultEpisode, FaultIndex, FaultKind, FaultPlan, FaultProfile, FaultStats};

@@ -8,7 +8,7 @@
 //!
 //! The world and SLO table here mirror the generating command recorded
 //! in `corpus/README.md`: the tight-table campaign on the town drive,
-//! world seed 7, 60 s duration.
+//! world seed 7, over the drive length each artifact records.
 
 use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
 use spider_repro::simcore::{Json, SimDuration};
@@ -18,19 +18,18 @@ use spider_repro::workloads::campaign::{
 };
 use spider_repro::workloads::scenarios::{town_scenario, ScenarioParams};
 use spider_repro::workloads::{FaultPlan, World};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// The campaign's fixed world seed (`chaos_campaign`'s `WORLD_SEED`).
 const WORLD_SEED: u64 = 7;
 
-/// Drive length every corpus artifact was recorded under.
-const DURATION_SECS: u64 = 60;
-
 /// The same world `chaos_campaign` builds per trial: the town drive
-/// with Spider in single-channel multi-AP mode on channel 6.
-fn corpus_world(plan: &FaultPlan) -> World<SpiderDriver> {
+/// with Spider in single-channel multi-AP mode on channel 6, run for
+/// `duration`.
+fn corpus_world(plan: &FaultPlan, duration: SimDuration) -> World<SpiderDriver> {
     let params = ScenarioParams {
-        duration: SimDuration::from_secs(DURATION_SECS),
+        duration,
         seed: WORLD_SEED,
         ..Default::default()
     };
@@ -111,7 +110,7 @@ fn corpus_artifacts_replay_identically_from_checkpoints() {
         "corpus/ holds at least one artifact (see corpus/README.md)"
     );
 
-    // One trie for the whole corpus: its fault-free key means every
+    // One trie per recorded drive length: its fault-free key means every
     // artifact forks at its own first episode, and artifacts share
     // whatever prefix checkpoints earlier ones already paid for.
     // Replaying in divergence order keeps the chain advancing
@@ -127,12 +126,16 @@ fn corpus_artifacts_replay_identically_from_checkpoints() {
             .expect("minimized plans keep at least one episode")
     });
     let table = tight_table();
-    let mut trie = CheckpointTrie::new(corpus_world);
+    let world_for = |duration| move |plan: &FaultPlan| corpus_world(plan, duration);
+    let mut tries = BTreeMap::new();
     for (name, repro) in &artifacts {
         assert!(
             repro.plan.episodes.len() <= repro.original_episodes,
             "{name}: minimized plan grew past its original schedule"
         );
+        let trie = tries
+            .entry(repro.duration)
+            .or_insert_with(|| CheckpointTrie::new(world_for(repro.duration)));
         let result = trie.run(&repro.plan);
         let measured = table.evaluate(&result);
         assert_eq!(
@@ -143,15 +146,16 @@ fn corpus_artifacts_replay_identically_from_checkpoints() {
     }
 
     // The engine must actually have shared prefixes, not just agreed.
+    let forks: usize = tries.values().map(|t| t.stats.forks).sum();
+    let simulated: u64 = tries.values().map(|t| t.stats.events_simulated).sum();
+    let cold: u64 = tries.values().map(|t| t.stats.events_cold).sum();
     assert!(
-        trie.stats.forks >= artifacts.len(),
+        forks >= artifacts.len(),
         "every artifact replays via a fork"
     );
     assert!(
-        trie.stats.events_simulated < trie.stats.events_cold,
-        "checkpoint replay simulated {} events but cold runs would cost {} — \
-         no prefix was shared",
-        trie.stats.events_simulated,
-        trie.stats.events_cold
+        simulated < cold,
+        "checkpoint replay simulated {simulated} events but cold runs would cost {cold} — \
+         no prefix was shared"
     );
 }
