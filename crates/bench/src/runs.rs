@@ -174,20 +174,6 @@ impl StdConfigs {
             .collect()
     }
 
-    /// A Spider run on the town drive with an arbitrary channel schedule
-    /// (used by the figure-5/6/7/8 style schedule sweeps).
-    pub fn scheduled_town(seed: u64, schedule: ChannelSchedule) -> RunResult {
-        let world = town_scenario(&town_params(seed));
-        let cfg = SpiderConfig::for_mode(
-            OperationMode::MultiChannelMultiAp {
-                period: schedule.period(),
-            },
-            1,
-        )
-        .with_schedule(schedule);
-        spider_run(world, cfg)
-    }
-
     /// The §2.2 schedule family: fraction `x` of the period on channel 6,
     /// the remainder split between channels 1 and 11 (`D = 400 ms`).
     pub fn f6_schedule(x: f64) -> ChannelSchedule {

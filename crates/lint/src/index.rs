@@ -7,11 +7,8 @@
 //!   parameters, `#[derive(..)]` list, named fields (name + type text +
 //!   the identifiers inside the type, for reachability edges), and the
 //!   type identifiers inside tuple-struct / enum-variant payloads.
-//! * **Impl blocks** — `impl [Trait for] Type`, with the identifier set
-//!   of the whole body and of each top-level `fn` inside it. The
-//!   `snapshot-completeness` rule uses these to decide whether a
-//!   hand-written `Clone` (possibly delegating to a named method like
-//!   `World::snapshot`) covers every field.
+//! * **Impl blocks** — `impl [Trait for] Type`, so `clone-nondet` can
+//!   find a hand-written `Clone`.
 //! * **Stream derivations** — every `.stream(..)` / `.stream_indexed(..)`
 //!   call site with its label (when literal), receiver expression text,
 //!   and enclosing function, for the `stream-label` aliasing rule.
@@ -23,14 +20,14 @@
 //! extracts from a known fixture tree so silent weakening fails loudly.
 
 use crate::tokens::{tokenize, Tok, TokKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// A named field of a struct (or struct-variant).
 #[derive(Debug, Clone)]
 pub struct FieldInfo {
     pub name: String,
-    /// Compact render of the field's type, e.g. `Option<CaptureWriter>`.
+    /// Compact render of the field's type, e.g. `Option<Capture>`.
     pub ty: String,
     /// Identifiers appearing in the type (excluding those after `dyn`),
     /// the raw material for reachability edges.
@@ -77,11 +74,6 @@ pub struct ImplInfo {
     pub file: PathBuf,
     /// 0-based line of the `impl` keyword.
     pub line: usize,
-    /// Every identifier in the impl body.
-    pub idents: BTreeSet<String>,
-    /// Top-level functions in the body: name → identifier set of the
-    /// function's own body.
-    pub fns: Vec<(String, BTreeSet<String>)>,
 }
 
 /// One `.stream("…")` / `.stream_indexed("…", _)` derivation call site.
@@ -173,29 +165,6 @@ impl ItemIndex {
         } else {
             local
         }
-    }
-
-    /// Is `name` Clone-covered: `#[derive(.., Clone, ..)]` on the
-    /// definition, or an `impl Clone for name` anywhere in the
-    /// workspace?
-    pub fn clone_covered(&self, t: &TypeInfo) -> bool {
-        t.derives.iter().any(|d| d == "Clone") || self.clone_impl_of(t).is_some()
-    }
-
-    /// The `impl Clone for T` block, if hand-written.
-    pub fn clone_impl_of(&self, t: &TypeInfo) -> Option<&ImplInfo> {
-        self.impls
-            .iter()
-            .find(|im| im.trait_name.as_deref() == Some("Clone") && im.type_name == t.name)
-    }
-
-    /// Inherent impl blocks of `t` (same base name; same crate wins the
-    /// tie the same way `resolve` does).
-    pub fn inherent_impls_of(&self, t: &TypeInfo) -> Vec<&ImplInfo> {
-        self.impls
-            .iter()
-            .filter(|im| im.trait_name.is_none() && im.type_name == t.name)
-            .collect()
     }
 }
 
@@ -776,61 +745,6 @@ fn parse_impl_header(
     if j >= toks.len() {
         return None;
     }
-    let body_open = j;
-    let end = consume_group(toks, body_open, "{", "}");
-    let body = &toks[body_open + 1..end.saturating_sub(1)];
-    let idents: BTreeSet<String> = body
-        .iter()
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.clone())
-        .collect();
-    // Top-level fns of the body.
-    let mut fns = Vec::new();
-    let mut depth = 0i64;
-    let mut k = 0;
-    while k < body.len() {
-        let t = &body[k];
-        if is_punct(t, "{") {
-            depth += 1;
-        } else if is_punct(t, "}") {
-            depth -= 1;
-        } else if depth == 0 && is_kw(t, "fn") {
-            if let Some(name_tok) = body.get(k + 1).filter(|u| u.kind == TokKind::Ident) {
-                // Find the fn body's brace group (or `;` for decls).
-                let mut m = k + 2;
-                let mut sig_depth = 0i64;
-                while m < body.len() {
-                    let u = &body[m];
-                    match u.text.as_str() {
-                        "(" | "[" => sig_depth += 1,
-                        ")" | "]" => sig_depth -= 1,
-                        "<" if u.kind == TokKind::Punct => sig_depth += 1,
-                        ">" if u.kind == TokKind::Punct
-                            && !(m > 0 && is_punct(&body[m - 1], "-")) =>
-                        {
-                            sig_depth -= 1
-                        }
-                        "{" if sig_depth == 0 => break,
-                        ";" if sig_depth == 0 => break,
-                        _ => {}
-                    }
-                    m += 1;
-                }
-                if body.get(m).is_some_and(|u| is_punct(u, "{")) {
-                    let fend = consume_group(body, m, "{", "}");
-                    let fidents: BTreeSet<String> = body[m + 1..fend.saturating_sub(1)]
-                        .iter()
-                        .filter(|t| t.kind == TokKind::Ident)
-                        .map(|t| t.text.clone())
-                        .collect();
-                    fns.push((name_tok.text.clone(), fidents));
-                    k = fend;
-                    continue;
-                }
-            }
-        }
-        k += 1;
-    }
     Some((
         ImplInfo {
             trait_name,
@@ -838,10 +752,8 @@ fn parse_impl_header(
             crate_name: crate_name.to_string(),
             file: rel.to_path_buf(),
             line: toks[kw].line,
-            idents,
-            fns,
         },
-        body_open,
+        j,
     ))
 }
 

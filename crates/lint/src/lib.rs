@@ -5,8 +5,8 @@
 //! run is a pure function of `(config, seed)`, and a *forked* world is
 //! bit-identical to a cold one (DESIGN.md §13). One stray
 //! `SystemTime::now()`, one `std::collections::HashMap` iterated with
-//! its per-process `RandomState`, one field added to the cloned state
-//! tree but missed by `World::snapshot`, and reproducibility silently
+//! its per-process `RandomState`, one hand-written `Clone` that drops
+//! a field of the forked state tree, and reproducibility silently
 //! dies. rustc and clippy cannot express these project rules, so this
 //! crate enforces them — with no external dependencies (the workspace
 //! builds offline: no `syn`, no registry access).
@@ -20,8 +20,8 @@
 //!   false-positive class where rule tokens inside multi-line strings
 //!   fired as code.
 //! * [`index`] — a workspace item index built from the token streams:
-//!   structs with fields and derives, impl blocks with per-fn
-//!   identifier sets, and `stream(..)` derivation call-sites.
+//!   structs with fields and derives, impl blocks, and `stream(..)`
+//!   derivation call-sites.
 //! * `semantic` — three cross-file rules over the index:
 //!   `snapshot-completeness`, `stream-label`, `float-ord`.
 //!
@@ -38,7 +38,7 @@
 //! | `forbid-unsafe`| every crate root must carry `#![forbid(unsafe_code)]` |
 //! | `clone-nondet` | no `Clone` (derived or hand-written) on a type whose body carries a `lint:allow`-escaped determinism violation — the checkpoint engine (DESIGN.md §13) deep-clones worlds, and forking escaped nondeterministic state silently breaks fork/resume bit-identity |
 //! | `rng-derivation` | no hand-cooked `SimRng::new(..)` seeds (XOR/splitmix/FNV arithmetic) outside `simcore::rng` — a cooked seed can collide with a labelled `stream`/`stream_indexed` derivation and silently alias two streams meant to be independent |
-//! | `snapshot-completeness` | every struct/enum reachable from `World` state must be Clone-covered, and a hand-written Clone/snapshot path must mention every field — the static guard for fork/resume bit-identity |
+//! | `snapshot-completeness` | every struct/enum reachable from `World` state must `#[derive(Clone)]` — a hand-written Clone can drop a field, a derived one cannot — so the compiler proves fork/resume bit-identity |
 //! | `stream-label` | no duplicate `stream("…")` labels per (function, receiver) — identical labels alias the same RNG stream — and no computed labels outside `simcore::rng` |
 //! | `float-ord`    | no `partial_cmp(..).unwrap()` comparators or `f32`/`f64` container keys; NaN-capable ordering panics or silently reorders — use `total_cmp` |
 //!
@@ -51,8 +51,8 @@
 //!   whole statement that follows (all continuation lines of a
 //!   multi-line expression, until the statement terminates);
 //! * `// lint:allow-file(rule)` anywhere in a file silences the rule
-//!   for the whole file (used e.g. by the capture subsystem, whose
-//!   entire purpose is file I/O).
+//!   for the whole file (used e.g. by the hashing shim, whose entire
+//!   purpose is to wrap the std hash maps).
 //!
 //! Every escape should carry a justification in the surrounding
 //! comment; reviewers treat a bare allow as a bug.
@@ -92,9 +92,9 @@ pub enum Rule {
     /// Hand-cooked `SimRng` seeds outside `simcore::rng` (a cooked seed
     /// can collide with a labelled stream's derived seed).
     RngDerivation,
-    /// A type reachable from `World` state without Clone coverage, or a
-    /// field missed by a hand-written Clone/snapshot path
-    /// (checkpoint-engine hazard: forks silently diverge).
+    /// A type reachable from `World` state that does not derive `Clone`
+    /// (checkpoint-engine hazard: a hand-written Clone can silently
+    /// drop state on fork).
     SnapshotCompleteness,
     /// Duplicate or computed RNG stream labels (stream aliasing
     /// silently couples draws).
@@ -988,7 +988,7 @@ let other = std::env::var(\"X\");
 
     #[test]
     fn allow_file_covers_everything() {
-        let src = "// capture subsystem: lint:allow-file(sans-io)\nuse std::fs::File;\nfn f() { let _ = File::open(\"x\"); }\n";
+        let src = "// file-I/O shim: lint:allow-file(sans-io)\nuse std::fs::File;\nfn f() { let _ = File::open(\"x\"); }\n";
         assert!(scan_one("crates/workloads/src/cap.rs", src).is_empty());
     }
 

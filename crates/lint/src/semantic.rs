@@ -4,12 +4,12 @@
 //!
 //! * `snapshot-completeness` — walks the type graph reachable from
 //!   `World` (crate `workloads`) and flags any reachable struct/enum
-//!   that is not Clone-covered, plus — for types whose `Clone` is
-//!   hand-written — any field the clone path never mentions. This is
-//!   the static guard for the checkpoint engine's core invariant
-//!   (DESIGN.md §13): a forked world is bit-identical to a cold one,
-//!   which dies silently the day someone adds a field the snapshot
-//!   misses.
+//!   that does not `#[derive(Clone)]`. `World` derives `Clone`, so
+//!   rustc already rejects a reachable type with no `Clone` at all;
+//!   what it cannot see is a hand-written `Clone` that drops or resets
+//!   a field. Requiring the derive closes that hole, and with it the
+//!   checkpoint engine's core invariant (DESIGN.md §13) — a forked
+//!   world is bit-identical to a cold one — is proved by the compiler.
 //! * `stream-label` — two `.stream("x")` derivations with the same
 //!   receiver, method and label inside one function alias the same RNG
 //!   stream (the derivation is a pure function of `(root, label)`), and
@@ -20,7 +20,7 @@
 //!   and `f32`/`f64` hash/tree keys: NaN-capable ordering panics on the
 //!   hot path (or worse, silently reorders); steer to `total_cmp`.
 
-use crate::index::{FileItems, ItemIndex, TypeInfo, TypeKind};
+use crate::index::{FileItems, ItemIndex, TypeInfo};
 use crate::tokens::{Tok, TokKind};
 use crate::{Rule, Violation};
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,33 +46,24 @@ const KEYED_CONTAINERS: [&str; 6] = [
     "BTreeSet",
 ];
 
-/// snapshot-completeness: see module docs. Reports
-/// * at a field/payload line when the referenced type is reachable from
-///   `World` but not Clone-covered;
-/// * at the root's definition line if the root itself is not cloneable;
-/// * at a field line when the type's hand-written `Clone` (directly or
-///   one delegation hop away, e.g. `Clone → snapshot`) never mentions
-///   the field.
+/// snapshot-completeness: see module docs. Reports at the root's
+/// definition line if `World` itself does not derive `Clone`, and at
+/// each field/payload line that references a reachable type that does
+/// not.
 pub(crate) fn snapshot_completeness(
     index: &ItemIndex,
     allows: &dyn AllowLookup,
     out: &mut Vec<Violation>,
 ) {
+    let derives_clone = |t: &TypeInfo| t.derives.iter().any(|d| d == "Clone");
     let roots: Vec<&TypeInfo> = index
         .types
         .iter()
         .filter(|t| !t.in_test && t.name == SNAPSHOT_ROOT.1 && t.crate_name == SNAPSHOT_ROOT.0)
         .collect();
-    if roots.is_empty() {
-        return;
-    }
-
-    let mut reported: BTreeSet<(PathBuf, usize, String)> = BTreeSet::new();
-    let mut visited: BTreeSet<(PathBuf, usize)> = BTreeSet::new();
-    let mut queue: Vec<&TypeInfo> = roots.clone();
 
     for root in &roots {
-        if !index.clone_covered(root)
+        if !derives_clone(root)
             && !allows.allowed(&root.file, Rule::SnapshotCompleteness, root.line)
         {
             out.push(Violation {
@@ -80,51 +71,20 @@ pub(crate) fn snapshot_completeness(
                 line: root.line + 1,
                 rule: Rule::SnapshotCompleteness,
                 message: format!(
-                    "`{}` is the checkpoint root but has no Clone/snapshot coverage",
+                    "`{}` is the checkpoint root but does not derive Clone",
                     root.name
                 ),
             });
         }
     }
 
+    let mut reported: BTreeSet<(PathBuf, usize, String)> = BTreeSet::new();
+    let mut visited: BTreeSet<(PathBuf, usize)> = BTreeSet::new();
+    let mut queue: Vec<&TypeInfo> = roots;
     while let Some(t) = queue.pop() {
         if !visited.insert((t.file.clone(), t.line)) {
             continue;
         }
-
-        // Hand-written Clone: every named field must be mentioned by the
-        // clone path (the impl body, or any inherent method the impl
-        // body names — `Clone for World` delegates to `snapshot`).
-        if t.kind == TypeKind::Struct && !t.derives.iter().any(|d| d == "Clone") {
-            if let Some(clone_impl) = index.clone_impl_of(t) {
-                let mut covered: BTreeSet<&str> =
-                    clone_impl.idents.iter().map(|s| s.as_str()).collect();
-                for im in index.inherent_impls_of(t) {
-                    for (fname, fidents) in &im.fns {
-                        if clone_impl.idents.contains(fname) {
-                            covered.extend(fidents.iter().map(|s| s.as_str()));
-                        }
-                    }
-                }
-                for f in &t.fields {
-                    if !covered.contains(f.name.as_str())
-                        && !allows.allowed(&t.file, Rule::SnapshotCompleteness, f.line)
-                    {
-                        out.push(Violation {
-                            file: t.file.clone(),
-                            line: f.line + 1,
-                            rule: Rule::SnapshotCompleteness,
-                            message: format!(
-                                "field `{}` of `{}` is never mentioned by its hand-written \
-                                 Clone/snapshot path; forks would silently lose or reset it",
-                                f.name, t.name
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-
         // Edges: every type identifier in field/payload position.
         let mut edges: Vec<(&str, usize)> = Vec::new();
         for f in &t.fields {
@@ -137,7 +97,7 @@ pub(crate) fn snapshot_completeness(
         }
         for (ident, line) in edges {
             for cand in index.resolve(ident, &t.crate_name) {
-                if !index.clone_covered(cand) {
+                if !derives_clone(cand) {
                     let key = (t.file.clone(), line, cand.name.clone());
                     if !reported.contains(&key)
                         && !allows.allowed(&t.file, Rule::SnapshotCompleteness, line)
@@ -148,9 +108,10 @@ pub(crate) fn snapshot_completeness(
                             line: line + 1,
                             rule: Rule::SnapshotCompleteness,
                             message: format!(
-                                "`{}` is reachable from `World` state here but `{}` has no \
-                                 Clone coverage; the checkpoint engine cannot fork it",
-                                cand.name, cand.name
+                                "`{}` is reachable from `World` state here but does not \
+                                 derive Clone; a missing or hand-written Clone can lose \
+                                 state on fork",
+                                cand.name
                             ),
                         });
                     }

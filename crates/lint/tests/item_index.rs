@@ -98,36 +98,19 @@ fn tuple_and_enum_payloads() {
 }
 
 #[test]
-fn impl_attribution_and_fn_bodies() {
+fn impl_attribution() {
     let ix = fixture_index();
-    assert_eq!(ix.impls.len(), 2);
-
-    let inherent = ix
+    let impls: Vec<(Option<&str>, &str, usize)> = ix
         .impls
         .iter()
-        .find(|im| im.trait_name.is_none())
-        .expect("inherent impl");
-    assert_eq!(inherent.type_name, "Station");
-    let fn_names: Vec<&str> = inherent.fns.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(fn_names, vec!["new", "drop_links"]);
-    let new_idents = &inherent.fns[0].1;
-    for ident in ["id", "radio", "links", "last_seen"] {
-        assert!(new_idents.contains(ident), "`new` mentions `{ident}`");
-    }
-    assert!(
-        !new_idents.contains("clear"),
-        "`clear` is in drop_links only"
-    );
-
-    let clone_impl = ix
-        .impls
-        .iter()
-        .find(|im| im.trait_name.as_deref() == Some("Clone"))
-        .expect("Clone impl");
-    assert_eq!(clone_impl.type_name, "Phase");
-    assert!(
-        clone_impl.idents.contains("replay"),
-        "delegation target is visible for one-hop coverage"
+        .map(|im| (im.trait_name.as_deref(), im.type_name.as_str(), im.line + 1))
+        .collect();
+    // Generic parameters are stripped from the self type, and a trait
+    // impl names its trait — what `clone-nondet` keys a hand-written
+    // `Clone` on.
+    assert_eq!(
+        impls,
+        vec![(None, "Station", 32), (Some("Clone"), "Phase", 47)]
     );
 }
 

@@ -1,26 +1,21 @@
 //! Negative tests for `snapshot-completeness`: deliberately grow a
 //! `World`-reachable type in ways the checkpoint engine cannot fork and
 //! prove the rule catches each one — exactly once, at the field's line.
+//! The rule's contract: every type reachable from `World` derives
+//! `Clone`, so the compiler proves a fork carries every field.
 
 use spider_lint::{scan_sources, Rule};
 use std::path::PathBuf;
 
 fn world_sources(world_body: &str, extra: &str) -> Vec<(PathBuf, String)> {
-    // Mirrors the real shape: manual `Clone for World` delegating to an
-    // inherent `snapshot`, plus a small reachable type tree.
+    // Mirrors the real shape: a derived `Clone` on World over a small
+    // reachable type tree.
     let world = format!(
         "\
+#[derive(Clone)]
 pub struct World {{
 {world_body}
 }}
-
-impl Clone for World {{
-    fn clone(&self) -> Self {{
-        self.snapshot()
-    }}
-}}
-
-{extra}
 
 #[derive(Clone)]
 pub struct MiniQueue {{
@@ -29,76 +24,77 @@ pub struct MiniQueue {{
 
 pub struct Recorder {{
     pub frames: u64,
+    pub last: u64,
 }}
-"
+{extra}"
     );
     vec![(PathBuf::from("crates/workloads/src/world.rs"), world)]
 }
 
 #[test]
 fn added_uncloned_field_is_caught_at_its_line() {
-    // The scenario the rule exists for: someone adds a field holding
-    // non-Clone state to World and wires it into snapshot() — but the
-    // type itself still cannot be forked.
+    // Someone adds a field holding non-Clone state to World. rustc
+    // rejects the derive too; the rule names the field.
     let v = scan_sources(&world_sources(
         "    pub queue: MiniQueue,\n    pub probe: Recorder,",
-        "\
-impl World {
-    pub fn snapshot(&self) -> Self {
-        World {
-            queue: self.queue.clone(),
-            probe: Recorder { frames: self.probe.frames },
-        }
-    }
-}",
+        "",
     ));
     assert_eq!(v.len(), 1, "exactly one violation: {v:?}");
     assert_eq!(v[0].rule, Rule::SnapshotCompleteness);
-    assert_eq!(v[0].line, 3, "at the `probe` field's line");
+    assert_eq!(v[0].line, 4, "at the `probe` field's line");
     assert!(v[0].message.contains("Recorder"));
 }
 
 #[test]
-fn field_missing_from_snapshot_is_caught_at_its_line() {
-    // Second failure mode: the field's type is forkable, but snapshot()
-    // was never taught about it — forks would silently lose it.
+fn hand_written_clone_on_a_reachable_type_is_caught() {
+    // The hole rustc cannot see: a hand-written Clone compiles even when
+    // it drops a field, so forks would silently reset `last`.
     let v = scan_sources(&world_sources(
-        "    pub queue: MiniQueue,\n    pub horizon: u64,",
-        "\
-impl World {
-    pub fn snapshot(&self) -> Self {
-        World {
-            queue: self.queue.clone(),
-            ..unreachable!()
-        }
+        "    pub queue: MiniQueue,\n    pub probe: Recorder,",
+        "
+impl Clone for Recorder {
+    fn clone(&self) -> Self {
+        Recorder { frames: self.frames, last: 0 }
     }
-}",
+}
+",
     ));
-    // `horizon` is never mentioned by the Clone/snapshot path.
-    let misses: Vec<_> = v
-        .iter()
-        .filter(|v| v.rule == Rule::SnapshotCompleteness)
-        .collect();
-    assert_eq!(misses.len(), 1, "exactly one violation: {v:?}");
-    assert_eq!(misses[0].line, 3, "at the `horizon` field's line");
-    assert!(misses[0].message.contains("horizon"));
+    assert_eq!(v.len(), 1, "exactly one violation: {v:?}");
+    assert_eq!(v[0].rule, Rule::SnapshotCompleteness);
+    assert_eq!(v[0].line, 4, "at the `probe` field's line");
+    assert!(v[0].message.contains("does not derive Clone"));
 }
 
 #[test]
-fn covered_world_is_clean() {
+fn hand_written_clone_on_the_root_is_caught() {
+    let files = vec![(
+        PathBuf::from("crates/workloads/src/world.rs"),
+        "\
+pub struct World {
+    pub horizon: u64,
+}
+
+impl Clone for World {
+    fn clone(&self) -> Self {
+        self.snapshot()
+    }
+}
+"
+        .to_string(),
+    )];
+    let v = scan_sources(&files);
+    assert_eq!(v.len(), 1, "exactly one violation: {v:?}");
+    assert_eq!(v[0].rule, Rule::SnapshotCompleteness);
+    assert_eq!(v[0].line, 1, "at the root's definition");
+}
+
+#[test]
+fn derived_world_is_clean() {
     let v = scan_sources(&world_sources(
         "    pub queue: MiniQueue,\n    pub horizon: u64,",
-        "\
-impl World {
-    pub fn snapshot(&self) -> Self {
-        World {
-            queue: self.queue.clone(),
-            horizon: self.horizon,
-        }
-    }
-}",
+        "",
     ));
-    assert!(v.is_empty(), "covered world must scan clean: {v:?}");
+    assert!(v.is_empty(), "derived world must scan clean: {v:?}");
 }
 
 #[test]
@@ -145,16 +141,8 @@ pub struct Recorder {
 #[test]
 fn allow_escape_silences_the_field() {
     let v = scan_sources(&world_sources(
-        "    pub queue: MiniQueue,\n    // dropped on fork by design: lint:allow(snapshot-completeness)\n    pub probe: Recorder,",
-        "\
-impl World {
-    pub fn snapshot(&self) -> Self {
-        World {
-            queue: self.queue.clone(),
-            probe: Recorder { frames: 0 },
-        }
-    }
-}",
+        "    pub queue: MiniQueue,\n    // never forked in this fixture: lint:allow(snapshot-completeness)\n    pub probe: Recorder,",
+        "",
     ));
     assert!(v.is_empty(), "escaped field must not fire: {v:?}");
 }

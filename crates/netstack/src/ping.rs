@@ -127,11 +127,6 @@ impl PingEngine {
         self.alive
     }
 
-    /// Whether the engine is probing.
-    pub fn is_running(&self) -> bool {
-        self.running
-    }
-
     /// Timer processing. Probes are sent only while `on_channel`; loss
     /// deadlines expire regardless (a probe that got no answer is a
     /// failure no matter where the radio is).

@@ -39,7 +39,7 @@ impl LossModel {
     /// Loss probability for a frame crossing `distance_m` of a cell with
     /// range `range_m`.
     pub fn loss_probability(&self, distance_m: f64, range_m: f64) -> f64 {
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         assert!(
             distance_m.is_finite() && range_m.is_finite() && range_m > 0.0,
             "loss_probability: bad inputs d={distance_m} range={range_m}"
@@ -61,7 +61,7 @@ impl LossModel {
                 }
             }
         };
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         assert!(
             (0.0..=1.0).contains(&p),
             "loss_probability({distance_m}, {range_m}) produced invalid probability {p}"
@@ -78,7 +78,7 @@ impl LossModel {
     /// everywhere except possible 1-ulp boundary flips from comparing
     /// `d² ≤ start²` instead of `d ≤ start`.
     pub fn loss_probability_sq(&self, distance_sq_m2: f64, range_m: f64) -> f64 {
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         assert!(
             distance_sq_m2.is_finite() && distance_sq_m2 >= 0.0 && range_m > 0.0,
             "loss_probability_sq: bad inputs d²={distance_sq_m2} range={range_m}"

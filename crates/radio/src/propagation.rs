@@ -79,14 +79,14 @@ impl Propagation {
     /// Received signal strength in dBm at `distance_m` (log-distance
     /// model, deterministic component).
     pub fn rssi_dbm(&self, distance_m: f64) -> f64 {
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         assert!(
             distance_m.is_finite() && distance_m >= 0.0,
             "rssi_dbm: bad distance {distance_m}"
         );
         let d = distance_m.max(1.0);
         let rssi = self.rssi_at_1m_dbm - 10.0 * self.path_loss_exponent * fast_log10(d);
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         assert!(
             rssi.is_finite(),
             "rssi_dbm({distance_m}) produced non-finite {rssi} \

@@ -117,7 +117,7 @@ pub struct EventQueue<E> {
     /// Key of the most recently popped event. The pop sequence must be
     /// strictly increasing in `(at, seq)`; anything else means bucket
     /// bookkeeping has corrupted the total order (DESIGN.md §11).
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     last_popped_key: Option<(SimTime, u64)>,
 }
 
@@ -136,7 +136,7 @@ impl<E> EventQueue<E> {
             len: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
-            #[cfg(feature = "validate")]
+            #[cfg(debug_assertions)]
             last_popped_key: None,
         }
     }
@@ -155,7 +155,7 @@ impl<E> EventQueue<E> {
             len: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
-            #[cfg(feature = "validate")]
+            #[cfg(debug_assertions)]
             last_popped_key: None,
         }
     }
@@ -203,7 +203,7 @@ impl<E> EventQueue<E> {
                 let ev = bucket.swap_remove(i);
                 self.len -= 1;
                 self.last_popped = ev.at;
-                #[cfg(feature = "validate")]
+                #[cfg(debug_assertions)]
                 {
                     let key = (ev.at, ev.seq);
                     assert!(
@@ -261,7 +261,7 @@ impl<E> EventQueue<E> {
                 let ev = bucket.swap_remove(i);
                 self.len -= 1;
                 self.last_popped = ev.at;
-                #[cfg(feature = "validate")]
+                #[cfg(debug_assertions)]
                 {
                     let key = (ev.at, ev.seq);
                     assert!(
@@ -322,7 +322,7 @@ impl<E> EventQueue<E> {
         self.len = 0;
         self.next_seq = 0;
         self.last_popped = SimTime::ZERO;
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         {
             self.last_popped_key = None;
         }
@@ -515,10 +515,10 @@ mod tests {
         assert!(reference.is_empty());
     }
 
-    /// The validate-build pop-order guard must demonstrably fire. The
+    /// The debug-build pop-order guard must demonstrably fire. The
     /// only way to violate the total order from safe code is to corrupt
     /// internal state, which only this module can do.
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "popped out of order")]
     fn validate_guard_catches_out_of_order_pops() {

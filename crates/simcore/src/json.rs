@@ -135,7 +135,7 @@ impl Json {
                     }
                 } else {
                     // JSON has no NaN/inf; artifacts never contain them
-                    // (the validate layer guards simulation outputs).
+                    // (the debug-build invariant layer guards simulation outputs).
                     out.push_str("null");
                 }
             }

@@ -299,11 +299,6 @@ impl IntervalTracker {
             on_fraction: fraction,
         }
     }
-
-    /// Current state of the tracked condition.
-    pub fn is_on(&self) -> bool {
-        self.on
-    }
 }
 
 /// Result of an [`IntervalTracker`] run.

@@ -227,11 +227,6 @@ impl SpiderDriver {
         self.ifaces.iter().filter(|i| i.is_associated()).count()
     }
 
-    /// Interfaces with verified connectivity.
-    pub fn connected_count(&self) -> usize {
-        self.ifaces.iter().filter(|i| i.is_connected()).count()
-    }
-
     /// Replace the channel schedule at runtime ("the link management
     /// module provides support for dynamically changing the schedule",
     /// §3.2.2). Used by the adaptive extension.

@@ -60,11 +60,6 @@ impl TcpReceiver {
         }
     }
 
-    /// Set the advertised receive window.
-    pub fn set_window(&mut self, window: u32) {
-        self.window = window;
-    }
-
     /// Whether the handshake completed.
     pub fn is_established(&self) -> bool {
         self.state == State::Established

@@ -10,20 +10,16 @@
 //! * [`tcp`] — TCP segments for the Reno model in `spider-tcpsim`,
 //! * [`ip`] — a minimal IPv4 packet wrapper tying L4 payloads to
 //!   addresses,
-//! * [`addr`] / [`channel`] — MAC addresses, SSIDs and 2.4 GHz channels,
-//! * [`codec`] — byte-level encode/decode for every frame type, used by
-//!   the pcap-style dump tooling and exercised by round-trip property
-//!   tests.
+//! * [`addr`] / [`channel`] — MAC addresses, SSIDs and 2.4 GHz channels.
 //!
-//! Inside the simulator frames travel as typed values (no serialisation on
-//! the hot path), but every type has a faithful wire size so airtime and
-//! backhaul occupancy are computed from realistic byte counts.
+//! Frames travel as typed values and are never serialised, but every
+//! type has a faithful wire size so airtime and backhaul occupancy are
+//! computed from realistic byte counts.
 
 #![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod channel;
-pub mod codec;
 pub mod dhcp;
 pub mod frame;
 pub mod icmp;

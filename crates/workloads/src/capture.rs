@@ -1,24 +1,14 @@
-//! Frame capture — the simulator's pcap.
+//! Frame capture — the simulator's pcap, kept in memory.
 //!
 //! When enabled on a [`WorldConfig`](crate::world::WorldConfig), every
-//! frame that actually reaches an antenna is appended to a capture file:
-//! a small header, then length-prefixed records of
-//! `(timestamp, direction, encoded frame)` using the `spider-wire`
-//! codec. [`read_capture`] loads one back for offline analysis — the
-//! smoltcp `--pcap` idiom adapted to the simulated world.
+//! frame that actually reaches an antenna is appended to the world's
+//! [`Capture`] as a typed, sim-time-stamped [`CaptureRecord`], up to a
+//! frame cap. [`World::captured`](crate::world::World::captured) reads
+//! the records back. The capture is ordinary world state: it is cloned
+//! with snapshots, so a forked run's capture equals the cold run's.
 
-// Capture *is* the file-I/O subsystem: writing frames to disk is its
-// purpose, it only runs when explicitly enabled on a config, and it
-// never feeds back into simulation state. lint:allow-file(sans-io)
 use spider_simcore::SimTime;
-use spider_wire::codec::{decode, encode_into, CodecError};
 use spider_wire::Frame;
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
-
-/// File magic: `SPDR` + format version.
-const MAGIC: &[u8; 5] = b"SPDR\x01";
 
 /// Which antenna received the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,125 +30,38 @@ pub struct CaptureRecord {
     pub frame: Frame,
 }
 
-/// Streaming capture writer.
-pub struct CaptureWriter {
-    out: BufWriter<File>,
-    /// Frames written so far.
-    pub written: u64,
-    limit: u64,
-    /// Reused encode buffer — one capture records every frame on the
-    /// air, so per-record allocations add up.
-    scratch: Vec<u8>,
+/// The records of one run, bounded by a frame cap that guards memory
+/// against a long drive's TCP stream.
+#[derive(Debug, Clone)]
+pub(crate) struct Capture {
+    records: Vec<CaptureRecord>,
+    cap: usize,
 }
 
-impl CaptureWriter {
-    /// Create a capture file, keeping at most `limit` frames (0 = no
-    /// limit). The cap guards against filling a disk with a long drive's
-    /// TCP stream.
-    pub fn create(path: &Path, limit: u64) -> io::Result<CaptureWriter> {
-        let mut out = BufWriter::new(File::create(path)?);
-        out.write_all(MAGIC)?;
-        Ok(CaptureWriter {
-            out,
-            written: 0,
-            limit: if limit == 0 { u64::MAX } else { limit },
-            scratch: Vec::with_capacity(64),
-        })
-    }
-
-    /// Append a frame (silently ignored past the limit).
-    pub fn record(&mut self, at: SimTime, direction: Direction, frame: &Frame) -> io::Result<()> {
-        if self.written >= self.limit {
-            return Ok(());
-        }
-        let body = &mut self.scratch;
-        encode_into(frame, body);
-        self.out.write_all(&at.as_micros().to_be_bytes())?;
-        self.out.write_all(&[match direction {
-            Direction::ToClient => 0u8,
-            Direction::ToAp => 1u8,
-        }])?;
-        self.out
-            .write_all(&u32::try_from(body.len()).unwrap().to_be_bytes())?;
-        self.out.write_all(body)?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Flush and close.
-    pub fn finish(mut self) -> io::Result<u64> {
-        self.out.flush()?;
-        Ok(self.written)
-    }
-}
-
-/// Errors reading a capture file.
-#[derive(Debug)]
-pub enum CaptureError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Not a capture file / wrong version.
-    BadMagic,
-    /// A record failed to decode.
-    Codec(CodecError),
-    /// A record had an invalid direction byte.
-    BadDirection(u8),
-}
-
-impl From<io::Error> for CaptureError {
-    fn from(e: io::Error) -> Self {
-        CaptureError::Io(e)
-    }
-}
-
-impl std::fmt::Display for CaptureError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CaptureError::Io(e) => write!(f, "io: {e}"),
-            CaptureError::BadMagic => write!(f, "not a spider capture file"),
-            CaptureError::Codec(e) => write!(f, "frame decode: {e}"),
-            CaptureError::BadDirection(d) => write!(f, "bad direction byte {d}"),
+impl Capture {
+    /// An empty capture keeping at most `cap` frames.
+    pub fn new(cap: u64) -> Capture {
+        Capture {
+            records: Vec::new(),
+            cap: usize::try_from(cap).unwrap_or(usize::MAX),
         }
     }
-}
 
-impl std::error::Error for CaptureError {}
-
-/// Read an entire capture file.
-pub fn read_capture(path: &Path) -> Result<Vec<CaptureRecord>, CaptureError> {
-    let mut input = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 5];
-    input.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(CaptureError::BadMagic);
-    }
-    let mut records = Vec::new();
-    loop {
-        let mut ts = [0u8; 8];
-        match input.read_exact(&mut ts) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e.into()),
+    /// Append a frame (silently ignored past the cap).
+    pub fn record(&mut self, at: SimTime, direction: Direction, frame: &Frame) {
+        if self.records.len() < self.cap {
+            self.records.push(CaptureRecord {
+                at,
+                direction,
+                frame: frame.clone(),
+            });
         }
-        let mut dir = [0u8; 1];
-        input.read_exact(&mut dir)?;
-        let direction = match dir[0] {
-            0 => Direction::ToClient,
-            1 => Direction::ToAp,
-            d => return Err(CaptureError::BadDirection(d)),
-        };
-        let mut len = [0u8; 4];
-        input.read_exact(&mut len)?;
-        let mut body = vec![0u8; u32::from_be_bytes(len) as usize];
-        input.read_exact(&mut body)?;
-        let frame = decode(&body).map_err(CaptureError::Codec)?;
-        records.push(CaptureRecord {
-            at: SimTime::from_micros(u64::from_be_bytes(ts)),
-            direction,
-            frame,
-        });
     }
-    Ok(records)
+
+    /// The records so far, in delivery order.
+    pub fn records(&self) -> &[CaptureRecord] {
+        &self.records
+    }
 }
 
 #[cfg(test)]
@@ -176,57 +79,14 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let path = std::env::temp_dir().join("spider-capture-test.spdr");
-        let mut w = CaptureWriter::create(&path, 0).unwrap();
+    fn records_in_order_up_to_the_cap() {
+        let mut c = Capture::new(3);
         for i in 0..10u64 {
-            let d = if i % 2 == 0 {
-                Direction::ToClient
-            } else {
-                Direction::ToAp
-            };
-            w.record(SimTime::from_millis(i), d, &frame(i)).unwrap();
+            c.record(SimTime::from_millis(i), Direction::ToAp, &frame(i));
         }
-        assert_eq!(w.finish().unwrap(), 10);
-        let records = read_capture(&path).unwrap();
-        assert_eq!(records.len(), 10);
-        assert_eq!(records[3].at, SimTime::from_millis(3));
-        assert_eq!(records[3].direction, Direction::ToAp);
-        assert_eq!(records[3].frame, frame(3));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn limit_caps_frames() {
-        let path = std::env::temp_dir().join("spider-capture-limit.spdr");
-        let mut w = CaptureWriter::create(&path, 3).unwrap();
-        for i in 0..10u64 {
-            w.record(SimTime::from_millis(i), Direction::ToAp, &frame(i))
-                .unwrap();
-        }
-        assert_eq!(w.finish().unwrap(), 3);
-        assert_eq!(read_capture(&path).unwrap().len(), 3);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let path = std::env::temp_dir().join("spider-capture-bad.spdr");
-        std::fs::write(&path, b"NOPE\x01rest").unwrap();
-        assert!(matches!(read_capture(&path), Err(CaptureError::BadMagic)));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn truncated_record_is_an_io_error() {
-        let path = std::env::temp_dir().join("spider-capture-trunc.spdr");
-        let mut w = CaptureWriter::create(&path, 0).unwrap();
-        w.record(SimTime::ZERO, Direction::ToAp, &frame(1)).unwrap();
-        w.finish().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 3);
-        std::fs::write(&path, bytes).unwrap();
-        assert!(matches!(read_capture(&path), Err(CaptureError::Io(_))));
-        std::fs::remove_file(&path).ok();
+        assert_eq!(c.records().len(), 3);
+        assert_eq!(c.records()[2].at, SimTime::from_millis(2));
+        assert_eq!(c.records()[2].direction, Direction::ToAp);
+        assert_eq!(c.records()[2].frame, frame(2));
     }
 }

@@ -8,6 +8,9 @@
 //!   fraction, connection/disruption CDFs, instantaneous bandwidth,
 //!   join logs — the exact quantities the paper's tables and figures
 //!   report.
+//! * [`capture`] — the in-memory frame capture: every delivered frame,
+//!   sim-time-stamped and bounded, read back with
+//!   [`World::captured`](world::World::captured).
 //! * [`faults`] — fault injection: scripted or seeded per-AP outage
 //!   episodes (blackout/reboot, zombie forwarding, DHCP silence and
 //!   pool exhaustion, ICMP-filtered gateways, loss bursts) that the
@@ -40,7 +43,7 @@ pub use campaign::{
     ForkStats, MatrixCell, MatrixReport, MinimizedRepro, ShrinkOutcome, SloMargins, SloMetric,
     SloRule, SloTable, SloViolation, TrialRecord,
 };
-pub use capture::{read_capture, CaptureRecord, CaptureWriter, Direction};
+pub use capture::{CaptureRecord, Direction};
 pub use faults::{FaultEpisode, FaultIndex, FaultKind, FaultPlan, FaultProfile, FaultStats};
 pub use metrics::RunResult;
 pub use scenarios::{lab_scenario, town_scenario, ScenarioParams};

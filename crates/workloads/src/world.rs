@@ -11,7 +11,7 @@
 //!
 //! Every run is a pure function of the seed in [`WorldConfig`].
 
-use crate::capture::{CaptureWriter, Direction};
+use crate::capture::{Capture, CaptureRecord, Direction};
 use crate::faults::{FaultIndex, FaultPlan, FaultStats};
 use crate::metrics::RunResult;
 use spider_mac80211::{ApConfig, ApEvent, ApMac, ClientSystem, DriverAction, RxFrame};
@@ -63,9 +63,9 @@ pub struct WorldConfig {
     /// Maximum backhaul queueing delay before drop-tail (bufferbloat
     /// guard that keeps TCP honest).
     pub backhaul_queue_cap: SimDuration,
-    /// Write every delivered frame to this capture file (see
-    /// [`crate::capture`]); `(path, frame limit)` with 0 = unlimited.
-    pub capture: Option<(std::path::PathBuf, u64)>,
+    /// Record every delivered frame in memory (see [`crate::capture`]),
+    /// keeping at most this many; read back with [`World::captured`].
+    pub capture: Option<u64>,
     /// Counterfactual knob: let APs PSM-buffer DHCP responses for
     /// sleeping clients. Real 802.11 does **not** behave this way — the
     /// paper's whole multi-channel join penalty rests on join traffic
@@ -228,7 +228,7 @@ struct ApNode {
     iss_rng: SimRng,
 }
 
-/// Air-frame conservation ledger (validate builds only, DESIGN.md §11).
+/// Air-frame conservation ledger (debug builds only, DESIGN.md §11).
 ///
 /// Every frame that wins its loss draw is *created* when its `Air*`
 /// delivery event is scheduled. Each such event, once popped, is either
@@ -239,7 +239,7 @@ struct ApNode {
 // Clone: the ledger is part of the world snapshot, so a forked run's
 // audit spans the checkpoint boundary — frames created before the fork
 // must still balance against deliveries after it (DESIGN.md §13).
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 #[derive(Debug, Default, Clone)]
 struct AirLedger {
     created: u64,
@@ -248,7 +248,9 @@ struct AirLedger {
     in_flight: u64,
 }
 
-/// The world.
+/// The world. `Clone` is the checkpoint: a clone resumes
+/// bit-identically (see [`World::snapshot`]).
+#[derive(Clone)]
 pub struct World<C: ClientSystem> {
     cfg: WorldConfig,
     queue: EventQueue<Ev>,
@@ -292,14 +294,12 @@ pub struct World<C: ClientSystem> {
     encountered: FxHashSet<usize>,
     /// The client system's live `ClientWake`.
     client_wake: WakeSlot,
-    // Deliberately NOT forked: `snapshot()` sets this to `None` so a
-    // fork never inherits the parent's open trace file. The capture
-    // sink is observability, not simulation state — dropping it cannot
-    // affect the event stream. lint:allow(snapshot-completeness)
-    capture: Option<CaptureWriter>,
+    /// Delivered-frame capture, when [`WorldConfig::capture`] arms it.
+    /// Observability only: it never feeds back into the event stream.
+    capture: Option<Capture>,
     // Fault-injection state.
     fstats: FaultStats,
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     air: AirLedger,
     /// Per-AP "was blacked out at the last sweep" (reboot edge detector).
     in_blackout: Vec<bool>,
@@ -325,74 +325,26 @@ pub struct World<C: ClientSystem> {
     started: bool,
 }
 
-// `Clone` routes through [`World::snapshot`] so generic checkpoint
-// plumbing can clone worlds; the named methods below are the
-// intent-bearing API.
-impl<C: ClientSystem + Clone> Clone for World<C> {
-    fn clone(&self) -> Self {
-        self.snapshot()
-    }
-}
-
 impl<C: ClientSystem + Clone> World<C> {
     /// Deep-clone the entire live simulation state — calendar queue
     /// (with `(at, seq)` ordering and the seq counter intact), RNG
     /// streams, every AP stack, the client system, fault engine state,
-    /// metrics accumulators, and (in validate builds) the air-frame
-    /// ledger, so the audit spans the snapshot boundary.
+    /// metrics accumulators, the frame capture, and (in debug builds)
+    /// the air-frame ledger, so the audit spans the snapshot boundary.
     ///
     /// The returned world resumes **bit-identically**: advancing the
-    /// original and the snapshot produces the same events, metrics and
-    /// `RunResult`. The one exception is the capture handle — an open
-    /// file cannot be cloned, so snapshots come up captureless (see
-    /// [`World::arm_capture`]).
+    /// original and the snapshot produces the same events, metrics,
+    /// capture and `RunResult`. `World` derives `Clone`, so the
+    /// compiler proves no field is left behind.
     pub fn snapshot(&self) -> World<C> {
-        let mut cfg = self.cfg.clone();
-        cfg.capture = None;
-        World {
-            cfg,
-            queue: self.queue.clone(),
-            client: self.client.clone(),
-            radio: self.radio.clone(),
-            medium: self.medium.clone(),
-            aps: self.aps.clone(),
-            bssid_index: self.bssid_index.clone(),
-            grid: self.grid.clone(),
-            path: self.path.clone(),
-            findex: self.findex.clone(),
-            active_ids: self.active_ids.clone(),
-            nearby_scratch: Vec::new(),
-            targets_scratch: Vec::new(),
-            ap_ev_scratch: Vec::new(),
-            ports_scratch: Vec::new(),
-            segs_scratch: Vec::with_capacity(64),
-            actions_scratch: Vec::with_capacity(16),
-            events: self.events,
-            rng_loss: self.rng_loss.clone(),
-            rate: self.rate.clone(),
-            conn: self.conn.clone(),
-            delivered_prev: self.delivered_prev,
-            encountered: self.encountered.clone(),
-            client_wake: self.client_wake,
-            capture: None,
-            fstats: self.fstats.clone(),
-            #[cfg(feature = "validate")]
-            air: self.air.clone(),
-            in_blackout: self.in_blackout.clone(),
-            pending_detect: self.pending_detect.clone(),
-            detect_done: self.detect_done.clone(),
-            fault_outage: self.fault_outage,
-            client_covered: self.client_covered,
-            prev_connected: self.prev_connected,
-            started: self.started,
-        }
+        self.clone()
     }
 
     /// Fork this world: a snapshot intended to be resumed (the name is
     /// the intent; the mechanics are [`World::snapshot`]). Typical use:
     /// `run_until(t)` once, then fork per variant and `finish()` each.
     pub fn fork(&self) -> World<C> {
-        self.snapshot()
+        self.clone()
     }
 
     /// Fork under a different fault plan: the prefix-sharing primitive
@@ -405,7 +357,7 @@ impl<C: ClientSystem + Clone> World<C> {
     /// episode index yields exactly the world a cold run under `faults`
     /// would have reached.
     pub fn fork_with_plan(&self, faults: FaultPlan) -> World<C> {
-        let mut w = self.snapshot();
+        let mut w = self.clone();
         w.rebase_plan(faults);
         w
     }
@@ -550,10 +502,7 @@ impl<C: ClientSystem> World<C> {
         }
         // The radio starts wherever the driver believes it is.
         let radio = Radio::new(client.initial_channel());
-        let capture = cfg
-            .capture
-            .as_ref()
-            .map(|(path, limit)| CaptureWriter::create(path, *limit).expect("create capture file"));
+        let capture = cfg.capture.map(Capture::new);
         let num_aps = aps.len();
         // Cell size near the query radius keeps lookups to a 3×3 cell
         // neighbourhood; both sweep (horizon) and fan-out (range) radii
@@ -591,7 +540,7 @@ impl<C: ClientSystem> World<C> {
             client_wake: WakeSlot::IDLE,
             capture,
             fstats: FaultStats::default(),
-            #[cfg(feature = "validate")]
+            #[cfg(debug_assertions)]
             air: AirLedger::default(),
             in_blackout: vec![false; num_aps],
             pending_detect: FxHashMap::default(),
@@ -626,21 +575,11 @@ impl<C: ClientSystem> World<C> {
         self.events
     }
 
-    /// The fault plan this world is running under.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.cfg.faults
-    }
-
-    /// Start writing delivered frames to a capture file from this point
-    /// on (`limit` 0 = unlimited). Capture handles are the one piece of
-    /// world state a snapshot cannot carry (an open file is not
-    /// cloneable), so forks come up captureless and tests that compare
-    /// capture timelines arm a fresh writer on the fork — its records
-    /// must match the cold run's suffix exactly.
-    pub fn arm_capture(&mut self, path: &std::path::Path, limit: u64) -> std::io::Result<()> {
-        self.capture = Some(CaptureWriter::create(path, limit)?);
-        self.cfg.capture = Some((path.to_path_buf(), limit));
-        Ok(())
+    /// The frames captured so far, in delivery order (empty unless
+    /// [`WorldConfig::capture`] is set). A fork carries its parent's
+    /// records, so a forked run captures exactly what the cold run does.
+    pub fn captured(&self) -> &[CaptureRecord] {
+        self.capture.as_ref().map_or(&[], Capture::records)
     }
 
     fn client_pos(&self, now: SimTime) -> Position {
@@ -708,7 +647,7 @@ impl<C: ClientSystem> World<C> {
             if now > end {
                 // Popped but never dispatched: for the ledger this frame
                 // is still in flight, like everything left in the queue.
-                #[cfg(feature = "validate")]
+                #[cfg(debug_assertions)]
                 self.air_note_in_flight(&ev.event);
                 break;
             }
@@ -738,10 +677,7 @@ impl<C: ClientSystem> World<C> {
                 tcp_retransmits += s.retransmits;
             }
         }
-        if let Some(cap) = self.capture.take() {
-            cap.finish().expect("flush capture file");
-        }
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         self.audit_invariants();
         let result = RunResult {
             label: self.client.label(),
@@ -763,22 +699,22 @@ impl<C: ClientSystem> World<C> {
     }
 
     /// Count an undispatched event against the air ledger's in-flight
-    /// column (validate builds only).
-    #[cfg(feature = "validate")]
+    /// column (debug builds only).
+    #[cfg(debug_assertions)]
     fn air_note_in_flight(&mut self, ev: &Ev) {
         if matches!(ev, Ev::AirToClient { .. } | Ev::AirToAp { .. }) {
             self.air.in_flight += 1;
         }
     }
 
-    /// Run-end invariant audit (validate builds only, DESIGN.md §11):
+    /// Run-end invariant audit (debug builds only, DESIGN.md §11):
     /// frame conservation and fault-counter consistency.
     ///
     /// # Panics
     ///
-    /// Panics if any invariant fails — a validate-build failure here is
+    /// Panics if any invariant fails — a debug-build failure here is
     /// a simulator bug, never a workload property.
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     fn audit_invariants(&mut self) {
         // Frame conservation. Everything still queued is in flight.
         while let Some(ev) = self.queue.pop() {
@@ -908,18 +844,18 @@ impl<C: ClientSystem> World<C> {
                 // reaches the driver, so it cannot have changed any
                 // client state for after_event to observe.
                 if self.radio.listening_on(now) != Some(channel) {
-                    #[cfg(feature = "validate")]
+                    #[cfg(debug_assertions)]
                     {
                         self.air.dropped += 1;
                     }
                     return false;
                 }
-                #[cfg(feature = "validate")]
+                #[cfg(debug_assertions)]
                 {
                     self.air.delivered += 1;
                 }
                 if let Some(cap) = &mut self.capture {
-                    cap.record(now, Direction::ToClient, &frame).ok();
+                    cap.record(now, Direction::ToClient, &frame);
                 }
                 // RSSI only rides on scanning frames (see `RxFrame`);
                 // computing the log-distance model per TCP segment would
@@ -956,18 +892,18 @@ impl<C: ClientSystem> World<C> {
                     // A powered-off AP hears nothing.
                     self.fstats.frames_dropped_blackout += 1;
                     self.note_fault_bite(now, ap);
-                    #[cfg(feature = "validate")]
+                    #[cfg(debug_assertions)]
                     {
                         self.air.dropped += 1;
                     }
                     return false;
                 }
-                #[cfg(feature = "validate")]
+                #[cfg(debug_assertions)]
                 {
                     self.air.delivered += 1;
                 }
                 if let Some(cap) = &mut self.capture {
-                    cap.record(now, Direction::ToAp, &frame).ok();
+                    cap.record(now, Direction::ToAp, &frame);
                 }
                 let mut evs = std::mem::take(&mut self.ap_ev_scratch);
                 evs.clear();
@@ -1370,7 +1306,7 @@ impl<C: ClientSystem> World<C> {
                 Some(s) => AirFrame::Shared(Arc::clone(s)),
                 None => AirFrame::owned(frame.take().expect("unicast delivers at most once")),
             };
-            #[cfg(feature = "validate")]
+            #[cfg(debug_assertions)]
             {
                 self.air.created += 1;
             }
@@ -1427,7 +1363,7 @@ impl<C: ClientSystem> World<C> {
             }
             return;
         }
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         {
             self.air.created += 1;
         }
@@ -1913,24 +1849,28 @@ mod tests {
 #[cfg(test)]
 mod capture_tests {
     use super::*;
-    use crate::capture::{read_capture, Direction};
+    use crate::capture::Direction;
     use crate::scenarios::lab_scenario;
     use spider_core::{OperationMode, SpiderConfig, SpiderDriver};
     use spider_wire::FrameBody;
 
-    #[test]
-    fn world_capture_records_a_join_in_order() {
-        let path = std::env::temp_dir().join("spider-world-capture.spdr");
+    fn lab(capture: Option<u64>) -> World<SpiderDriver> {
         let mut cfg = lab_scenario(&[Channel::CH1], 250_000.0, SimDuration::from_secs(5), 3);
-        cfg.capture = Some((path.clone(), 5_000));
+        cfg.capture = capture;
         let driver = SpiderDriver::new(SpiderConfig::for_mode(
             OperationMode::SingleChannelMultiAp(Channel::CH1),
             1,
         ));
-        let result = World::new(cfg, driver).run();
-        assert!(result.bytes > 0);
+        World::new(cfg, driver)
+    }
 
-        let records = read_capture(&path).unwrap();
+    #[test]
+    fn world_capture_records_a_join_in_order() {
+        let mut world = lab(Some(5_000));
+        world.run_until(SimTime::from_secs(5));
+        let records = world.captured().to_vec();
+        assert!(world.run().bytes > 0);
+
         assert!(records.len() > 20, "{} records", records.len());
         // Timestamps are non-decreasing.
         assert!(records.windows(2).all(|w| w[0].at <= w[1].at));
@@ -1946,7 +1886,38 @@ mod capture_tests {
         // Both directions occur.
         assert!(records.iter().any(|r| r.direction == Direction::ToClient));
         assert!(records.iter().any(|r| r.direction == Direction::ToAp));
-        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn forked_capture_equals_the_cold_capture() {
+        let end = SimTime::from_secs(5);
+        let mut cold = lab(Some(u64::MAX));
+        cold.run_until(end);
+
+        let mut parent = lab(Some(u64::MAX));
+        parent.run_until(SimTime::from_millis(2_500));
+        let mid = parent.captured().len();
+        assert!(mid > 0, "the fork point is past the first frames");
+        let mut fork = parent.fork();
+        fork.run_until(end);
+
+        assert!(fork.captured().len() > mid, "the fork kept capturing");
+        assert_eq!(fork.captured(), cold.captured());
+    }
+
+    #[test]
+    fn capture_honours_the_frame_cap() {
+        let mut full = lab(Some(u64::MAX));
+        full.run_until(SimTime::from_secs(5));
+        assert!(full.captured().len() > 40);
+
+        let mut capped = lab(Some(40));
+        capped.run_until(SimTime::from_secs(5));
+        assert_eq!(capped.captured(), &full.captured()[..40]);
+
+        let mut off = lab(None);
+        off.run_until(SimTime::from_secs(5));
+        assert!(off.captured().is_empty());
     }
 }
 

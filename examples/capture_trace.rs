@@ -1,37 +1,34 @@
 //! Capture and dissect a drive: run a short scenario with frame capture
-//! enabled, then read the capture back and print a protocol timeline —
-//! the simulator's `tcpdump`.
+//! enabled, then read the captured frames back and print a protocol
+//! timeline — the simulator's `tcpdump`.
 //!
 //! ```sh
 //! cargo run --release --example capture_trace
 //! ```
 
 use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
-use spider_repro::simcore::SimDuration;
+use spider_repro::simcore::{SimDuration, SimTime};
 use spider_repro::wire::ip::L4;
 use spider_repro::wire::{Channel, FrameBody};
 use spider_repro::workloads::scenarios::lab_scenario;
-use spider_repro::workloads::{read_capture, Direction, World};
+use spider_repro::workloads::{Direction, World};
 use std::collections::BTreeMap;
 
 fn main() {
-    let path = std::env::temp_dir().join("spider-trace.spdr");
-    let mut cfg = lab_scenario(
-        &[Channel::CH1, Channel::CH1],
-        250_000.0,
-        SimDuration::from_secs(10),
-        42,
-    );
-    cfg.capture = Some((path.clone(), 100_000));
+    let duration = SimDuration::from_secs(10);
+    let mut cfg = lab_scenario(&[Channel::CH1, Channel::CH1], 250_000.0, duration, 42);
+    cfg.capture = Some(100_000);
     let driver = SpiderDriver::new(SpiderConfig::for_mode(
         OperationMode::SingleChannelMultiAp(Channel::CH1),
         1,
     ));
-    let result = World::new(cfg, driver).run();
+    let mut world = World::new(cfg, driver);
+    world.run_until(SimTime::ZERO + duration);
+    let records = world.captured().to_vec();
+    let result = world.run();
     println!("{result}\n");
 
-    let records = read_capture(&path).expect("read capture");
-    println!("captured {} frames → {}", records.len(), path.display());
+    println!("captured {} frames", records.len());
 
     // Frame-type census.
     let mut census: BTreeMap<&'static str, usize> = BTreeMap::new();

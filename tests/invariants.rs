@@ -1,32 +1,33 @@
 //! Runtime invariant layer, end to end (DESIGN.md §11).
 //!
-//! Built with `--features validate`, these tests drive the benchmark
-//! suite's two heaviest deployments — the dense downtown drive and the
-//! dense drive under a seeded fault storm — with every runtime check
-//! armed: event-queue pop ordering, air-frame conservation,
-//! fault-counter consistency, and the radio's NaN/∞ guards. A clean run
-//! *is* the assertion; any invariant violation panics inside the
-//! engine with a message naming the broken ledger.
+//! Compiled whenever debug assertions are on (every plain `cargo test`),
+//! these tests drive the benchmark suite's two heaviest deployments —
+//! the dense downtown drive and the dense drive under a seeded fault
+//! storm — with every runtime check armed: event-queue pop ordering,
+//! air-frame conservation, fault-counter consistency, and the radio's
+//! NaN/∞ guards. A clean run *is* the assertion; any invariant
+//! violation panics inside the engine with a message naming the broken
+//! ledger.
 //!
 //! The negative tests then prove each guard actually fires: a check
 //! that cannot fail verifies nothing.
 
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 use spider_repro::simcore::SimDuration;
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 use spider_repro::wire::Channel;
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 use spider_repro::workloads::scenarios::{town_scenario, ScenarioParams};
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 use spider_repro::workloads::{FaultPlan, FaultProfile, World};
 
 /// Same fault-plan seed as the benchmark suite's `chaos_storm`.
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 const STORM_SEED: u64 = 99;
 
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 fn dense_params(sim_secs: u64) -> ScenarioParams {
     ScenarioParams {
         duration: SimDuration::from_secs(sim_secs),
@@ -36,7 +37,7 @@ fn dense_params(sim_secs: u64) -> ScenarioParams {
     }
 }
 
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 fn spider_driver() -> SpiderDriver {
     SpiderDriver::new(SpiderConfig::for_mode(
         OperationMode::SingleChannelMultiAp(Channel::CH6),
@@ -45,11 +46,11 @@ fn spider_driver() -> SpiderDriver {
 }
 
 /// Dense downtown (the suite's heaviest fault-free deployment) with all
-/// validate checks armed. Durations are shorter than the benchmark's —
+/// invariant checks armed. Durations are shorter than the benchmark's —
 /// these run under the dev profile with overflow checks — but the
 /// deployment, and so every data structure the invariants watch, is the
 /// full >1000-site downtown.
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 #[test]
 fn dense_downtown_upholds_all_invariants() {
     let cfg = town_scenario(&dense_params(120));
@@ -64,7 +65,7 @@ fn dense_downtown_upholds_all_invariants() {
 /// The same deployment under the seeded stormy fault plan: blackouts,
 /// zombies and DHCP faults exercise every drop path the air-frame
 /// ledger accounts for.
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 #[test]
 fn chaos_storm_upholds_all_invariants() {
     let mut cfg = town_scenario(&dense_params(90));
@@ -78,9 +79,9 @@ fn chaos_storm_upholds_all_invariants() {
     );
 }
 
-/// Determinism holds with the checks armed: the validate layer must
+/// Determinism holds with the checks armed: the invariant layer must
 /// observe, never perturb.
-#[cfg(feature = "validate")]
+#[cfg(debug_assertions)]
 #[test]
 fn validate_layer_does_not_perturb_the_run() {
     let run = || {
@@ -101,13 +102,12 @@ fn validate_layer_does_not_perturb_the_run() {
 // ---------------------------------------------------------------------
 
 mod negative {
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     use spider_repro::radio::{LossModel, Propagation};
     use spider_repro::simcore::{EventQueue, SimTime};
 
     /// Causality: scheduling behind the queue's clock panics in every
-    /// build — this guard predates the validate feature and stays
-    /// unconditional.
+    /// build, release included — this guard is unconditional.
     #[test]
     #[should_panic(expected = "scheduled into the past")]
     fn event_queue_rejects_scheduling_into_the_past() {
@@ -117,35 +117,35 @@ mod negative {
         q.schedule(SimTime::from_millis(1), ());
     }
 
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "rssi_dbm: bad distance")]
     fn nan_distance_trips_the_rssi_guard() {
         let _ = Propagation::outdoor().rssi_dbm(f64::NAN);
     }
 
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "rssi_dbm: bad distance")]
     fn infinite_distance_trips_the_rssi_guard() {
         let _ = Propagation::outdoor().rssi_dbm(f64::INFINITY);
     }
 
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "loss_probability: bad inputs")]
     fn nan_distance_trips_the_loss_guard() {
         let _ = LossModel::paper_default().loss_probability(f64::NAN, 100.0);
     }
 
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "loss_probability_sq: bad inputs")]
     fn negative_squared_distance_trips_the_loss_guard() {
         let _ = LossModel::paper_default().loss_probability_sq(-1.0, 100.0);
     }
 
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "loss_probability: bad inputs")]
     fn zero_range_trips_the_loss_guard() {

@@ -7,8 +7,8 @@
 //! chaos-campaign schedule and the stock-driver baseline, snapshot each
 //! at three mid-run points, and assert the forked `RunResult` — every
 //! metric, the join log, the per-class fault counters — equals the
-//! uninterrupted run's. Built with `--features validate` in CI, the
-//! air-frame conservation audit additionally replays across every
+//! uninterrupted run's. With debug assertions on (plain `cargo test`),
+//! the air-frame conservation audit additionally replays across every
 //! snapshot boundary: frames created before a fork must balance against
 //! deliveries after it.
 
