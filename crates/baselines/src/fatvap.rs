@@ -22,42 +22,30 @@ use spider_netstack::{DhcpClientConfig, PingConfig};
 use spider_simcore::{FxHashMap, SimDuration, SimTime};
 use spider_wire::{Channel, Frame, FrameBody, MacAddr};
 
-/// FatVAP-style configuration.
+/// Radio time per AP slot.
+const SLICE: SimDuration = SimDuration::from_millis(100);
+/// Optimistic bandwidth estimate for never-measured APs (bytes/s) —
+/// makes every AP worth trying once.
+const BOOTSTRAP_BW: f64 = 500_000.0;
+/// EWMA weight for fresh bandwidth measurements.
+const ESTIMATE_ALPHA: f64 = 0.3;
+
+/// FatVAP-style configuration. Timers are Spider's reduced ones
+/// (100 ms link layer, 200 ms DHCP), so the comparison isolates the
+/// scheduling policy.
 #[derive(Debug, Clone)]
 pub struct FatVapConfig {
     /// Concurrent connections maintained (FatVAP's evaluation used ~3).
     pub num_conns: usize,
-    /// Radio time per AP slot.
-    pub slice: SimDuration,
-    /// Link-layer timers.
-    pub mac: ClientMacConfig,
-    /// DHCP timers.
-    pub dhcp: DhcpClientConfig,
-    /// Optimistic bandwidth estimate for never-measured APs (bytes/s) —
-    /// makes every AP worth trying once.
-    pub bootstrap_bw: f64,
-    /// EWMA weight for fresh bandwidth measurements.
-    pub estimate_alpha: f64,
     /// Channels visited by the scan slot.
     pub scan_channels: Vec<Channel>,
-    /// Start TCP downloads once connected.
-    pub tcp_enabled: bool,
-    /// Client identity.
-    pub client_id: u64,
 }
 
 impl Default for FatVapConfig {
     fn default() -> Self {
         FatVapConfig {
             num_conns: 3,
-            slice: SimDuration::from_millis(100),
-            mac: ClientMacConfig::reduced(),
-            dhcp: DhcpClientConfig::reduced(SimDuration::from_millis(200)),
-            bootstrap_bw: 500_000.0,
-            estimate_alpha: 0.3,
             scan_channels: Channel::ORTHOGONAL.to_vec(),
-            tcp_enabled: true,
-            client_id: 0,
         }
     }
 }
@@ -99,11 +87,10 @@ impl FatVapDriver {
             .map(|i| {
                 ClientIface::new(
                     i,
-                    MacAddr::from_id(cfg.client_id * 1_000 + 700 + i as u64),
-                    cfg.mac.clone(),
-                    cfg.dhcp.clone(),
+                    MacAddr::from_id(700 + i as u64),
+                    ClientMacConfig::reduced(),
+                    DhcpClientConfig::reduced(SimDuration::from_millis(200)),
                     PingConfig::paper(i as u16),
-                    cfg.tcp_enabled,
                 )
             })
             .collect();
@@ -125,10 +112,7 @@ impl FatVapDriver {
 
     /// Estimated bandwidth for an AP (bootstrap for unknown).
     pub fn estimate_for(&self, bssid: MacAddr) -> f64 {
-        self.estimates
-            .get(&bssid)
-            .copied()
-            .unwrap_or(self.cfg.bootstrap_bw)
+        self.estimates.get(&bssid).copied().unwrap_or(BOOTSTRAP_BW)
     }
 
     fn absorb(
@@ -228,7 +212,7 @@ impl FatVapDriver {
                 if elapsed > 0.0 {
                     let sample = delivered as f64 / elapsed;
                     let old = self.estimate_for(bssid);
-                    let a = self.cfg.estimate_alpha;
+                    let a = ESTIMATE_ALPHA;
                     self.estimates.insert(bssid, (1.0 - a) * old + a * sample);
                 }
             }
@@ -319,10 +303,7 @@ impl FatVapDriver {
 
 impl ClientSystem for FatVapDriver {
     fn label(&self) -> String {
-        format!(
-            "FatVAP[{} conns, {} slice]",
-            self.cfg.num_conns, self.cfg.slice
-        )
+        format!("FatVAP[{} conns, {} slice]", self.cfg.num_conns, SLICE)
     }
 
     fn on_frame_into(&mut self, now: SimTime, rx: &RxFrame<'_>, actions: &mut Vec<DriverAction>) {
@@ -380,7 +361,7 @@ impl ClientSystem for FatVapDriver {
 
     fn poll_into(&mut self, now: SimTime, actions: &mut Vec<DriverAction>) {
         self.assign_ifaces(now);
-        if !self.switching && now.saturating_since(self.slot_started) >= self.cfg.slice {
+        if !self.switching && now.saturating_since(self.slot_started) >= SLICE {
             self.advance_slot(now, actions);
         }
         for idx in 0..self.ifaces.len() {
@@ -393,7 +374,7 @@ impl ClientSystem for FatVapDriver {
     }
 
     fn next_wakeup(&self, now: SimTime) -> SimTime {
-        let mut t = self.slot_started + self.cfg.slice;
+        let mut t = self.slot_started + SLICE;
         for iface in &self.ifaces {
             t = t.min(iface.next_wakeup());
         }

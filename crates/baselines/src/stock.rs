@@ -15,6 +15,9 @@ use spider_simcore::SimDuration as Dur;
 use spider_simcore::{SimDuration, SimTime};
 use spider_wire::{Channel, FrameBody, MacAddr};
 
+/// Minimum RSSI to consider an AP (both presets scan down to -90 dBm).
+const MIN_RSSI_DBM: f64 = -90.0;
+
 /// Stock driver configuration.
 #[derive(Debug, Clone)]
 pub struct StockConfig {
@@ -26,16 +29,12 @@ pub struct StockConfig {
     pub scan_channels: Vec<Channel>,
     /// Dwell per scan channel.
     pub scan_dwell: SimDuration,
-    /// Minimum RSSI to consider an AP.
-    pub min_rssi_dbm: f64,
     /// Whether leases are cached per BSSID (stock: no; QuickWiFi: yes).
     pub cache_leases: bool,
     /// Liveness probing. A stock driver has no ping monitor — it notices
     /// a dead link only after many seconds of silence; QuickWiFi detects
     /// loss quickly.
     pub ping: PingConfig,
-    /// Start a TCP download once connected.
-    pub tcp_enabled: bool,
     /// Client identity for MAC addressing.
     pub client_id: u64,
     /// Label for experiment output.
@@ -51,7 +50,6 @@ impl StockConfig {
             dhcp: DhcpClientConfig::stock(),
             scan_channels: (1..=11).map(Channel::new).collect(),
             scan_dwell: SimDuration::from_millis(120),
-            min_rssi_dbm: -90.0,
             cache_leases: false,
             // ~12 s to declare a connection dead (beacon-loss timescale).
             ping: PingConfig {
@@ -63,7 +61,6 @@ impl StockConfig {
                 reply_deadline: Dur::from_secs(3),
                 gateway_fallback_after: None,
             },
-            tcp_enabled: true,
             client_id,
             name: "MadWiFi",
         }
@@ -77,10 +74,8 @@ impl StockConfig {
             dhcp: DhcpClientConfig::reduced(SimDuration::from_millis(100)),
             scan_channels: Channel::ORTHOGONAL.to_vec(),
             scan_dwell: SimDuration::from_millis(100),
-            min_rssi_dbm: -90.0,
             cache_leases: true,
             ping: PingConfig::paper(0),
-            tcp_enabled: true,
             client_id,
             name: "Cabernet",
         }
@@ -120,7 +115,7 @@ impl StockDriver {
         // Selection is pure RSSI: keep all utilities at bootstrap so the
         // table's tie-break (signal strength) decides.
         let util_cfg = UtilityConfig {
-            min_rssi_dbm: cfg.min_rssi_dbm,
+            min_rssi_dbm: MIN_RSSI_DBM,
             freshness: SimDuration::from_secs(3),
             ..UtilityConfig::default()
         };
@@ -130,7 +125,6 @@ impl StockDriver {
             cfg.mac.clone(),
             cfg.dhcp.clone(),
             cfg.ping.clone(),
-            cfg.tcp_enabled,
         );
         let current = Some(cfg.scan_channels[0]);
         StockDriver {

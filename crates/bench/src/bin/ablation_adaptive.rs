@@ -6,7 +6,7 @@
 //! vehicular speed (the dividing-speed result).
 
 use spider_bench::{print_table, town_params, write_csv};
-use spider_core::adaptive::{AdaptivePolicy, AdaptiveSpider};
+use spider_core::adaptive::AdaptiveSpider;
 use spider_core::{OperationMode, SpiderConfig, SpiderDriver};
 use spider_simcore::{sweep, SimDuration};
 use spider_wire::Channel;
@@ -35,7 +35,7 @@ fn run_policy(policy: usize, speed: f64) -> (f64, f64) {
                 OperationMode::SingleChannelMultiAp(Channel::CH6),
                 1,
             ));
-            let mut adaptive = AdaptiveSpider::new(inner, AdaptivePolicy::default());
+            let mut adaptive = AdaptiveSpider::new(inner);
             adaptive.set_speed_hint(speed);
             World::new(world, adaptive).run()
         }

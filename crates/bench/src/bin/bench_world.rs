@@ -15,10 +15,6 @@
 //!   (each scenario's median of three runs) against the checked-in
 //!   copy and exit non-zero if any scenario regressed by more than 2x.
 //! * `--out PATH` — write the JSON somewhere else.
-//! * `--engine-only` — skip the (slow) suite-sweep section; useful for
-//!   checking the engine scenarios at full simulated durations without
-//!   paying for a whole Table 2 batch. Implies no JSON write, so a
-//!   checked-in baseline is never clobbered by a partial run.
 
 use spider_bench::worldbench::{
     check_regressions, document, median_run, run_checkpoint_bench, run_prefix_tree_bench,
@@ -35,14 +31,12 @@ fn default_out() -> PathBuf {
 fn main() -> ExitCode {
     let mut fast = false;
     let mut check = false;
-    let mut engine_only = false;
     let mut out = default_out();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--fast" => fast = true,
             "--check" => check = true,
-            "--engine-only" => engine_only = true,
             "--out" => match args.next() {
                 Some(p) => out = PathBuf::from(p),
                 None => {
@@ -51,7 +45,7 @@ fn main() -> ExitCode {
                 }
             },
             other => {
-                eprintln!("unknown flag {other}; valid: --fast --check --engine-only --out PATH");
+                eprintln!("unknown flag {other}; valid: --fast --check --out PATH");
                 return ExitCode::FAILURE;
             }
         }
@@ -81,90 +75,88 @@ fn main() -> ExitCode {
         results.push(r);
     }
 
-    if !engine_only {
-        // The engine scenarios above are deliberately single-threaded;
-        // this second section times the sweep runner on a batch of real
-        // Table 2 drives, serial vs the worker pool.
-        let suite = run_suite_bench(fast);
-        println!(
-            "  suite sweep      {:>2} jobs  {:>2} workers  {:>8.3}s serial  {:>8.3}s parallel  {:.2}x  {} events ({})",
-            suite.jobs,
-            suite.workers,
-            suite.serial_wall_secs,
-            suite.parallel_wall_secs,
-            suite.speedup(),
-            suite.events_serial,
-            if suite.identical { "bit-identical" } else { "DIVERGED" },
-        );
-        // The wall-clock speedup is machine dependent (1.00 on a 1-vCPU
-        // runner); the deterministic gate is the event accounting and
-        // byte-identity of the two legs.
-        if !suite.identical || suite.events_serial != suite.events_parallel {
-            eprintln!("suite bench: parallel leg diverged from the serial leg");
-            return ExitCode::FAILURE;
-        }
-
-        // Third section: the checkpoint/fork engine — a fork-resumed
-        // run vs its cold twin, and a shrink campaign evaluated cold
-        // vs through the checkpoint trie (DESIGN.md §13).
-        let cp = run_checkpoint_bench(fast);
-        println!(
-            "  checkpoint       resume {:>7.3}s vs cold {:>7.3}s ({})  shrink {:>7.3}s vs {:>7.3}s, {:.2}x fewer events ({})",
-            cp.fork_wall_secs,
-            cp.cold_wall_secs,
-            if cp.identical { "bit-identical" } else { "DIVERGED" },
-            cp.shrink_forked_wall_secs,
-            cp.shrink_cold_wall_secs,
-            cp.events_ratio(),
-            if cp.minimized_identical { "same artifact" } else { "ARTIFACT DIVERGED" },
-        );
-        if !cp.identical || !cp.minimized_identical {
-            eprintln!("checkpoint bench: forked results diverged from cold runs");
-            return ExitCode::FAILURE;
-        }
-        // Event counts are deterministic, so the sharing ratio is a
-        // machine-independent figure — gate it, not just report it.
-        if cp.events_ratio() < 3.0 {
-            eprintln!(
-                "checkpoint bench: shrink phase simulated only {:.2}x fewer events (target >=3x)",
-                cp.events_ratio()
-            );
-            return ExitCode::FAILURE;
-        }
-
-        // Fourth section: the checkpoint prefix-tree — a chaos campaign
-        // whose trials share checkpoints through the divergence trie.
-        let pt = run_prefix_tree_bench(fast);
-        println!(
-            "  prefix tree      campaign {:>2} trials: {:>7.3}s cold vs {:>7.3}s forked, {:.2}x fewer events, {} checkpoints ({})",
-            pt.campaign_trials,
-            pt.campaign_cold_wall_secs,
-            pt.campaign_forked_wall_secs,
-            pt.campaign_events_ratio(),
-            pt.checkpoints,
-            if pt.campaign_identical { "report identical" } else { "REPORT DIVERGED" },
-        );
-        if !pt.campaign_identical {
-            eprintln!("prefix-tree bench: forked campaign report diverged from the cold report");
-            return ExitCode::FAILURE;
-        }
-        // Deterministic event accounting: the trie must actually share
-        // work across trials, not just break even.
-        if pt.campaign_events_ratio() < 1.3 {
-            eprintln!(
-                "prefix-tree bench: campaign trie simulated only {:.2}x fewer events (target >=1.3x)",
-                pt.campaign_events_ratio()
-            );
-            return ExitCode::FAILURE;
-        }
-
-        let json = document(mode, &results, &suite, &cp, &pt).pretty();
-        if let Err(e) = std::fs::write(&out, json) {
-            eprintln!("failed to write {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", out.display());
+    // The engine scenarios above are deliberately single-threaded;
+    // this second section times the sweep runner on a batch of real
+    // Table 2 drives, serial vs the worker pool.
+    let suite = run_suite_bench(fast);
+    println!(
+        "  suite sweep      {:>2} jobs  {:>2} workers  {:>8.3}s serial  {:>8.3}s parallel  {:.2}x  {} events ({})",
+        suite.jobs,
+        suite.workers,
+        suite.serial_wall_secs,
+        suite.parallel_wall_secs,
+        suite.speedup(),
+        suite.events_serial,
+        if suite.identical { "bit-identical" } else { "DIVERGED" },
+    );
+    // The wall-clock speedup is machine dependent (1.00 on a 1-vCPU
+    // runner); the deterministic gate is the event accounting and
+    // byte-identity of the two legs.
+    if !suite.identical || suite.events_serial != suite.events_parallel {
+        eprintln!("suite bench: parallel leg diverged from the serial leg");
+        return ExitCode::FAILURE;
     }
+
+    // Third section: the checkpoint/fork engine — a fork-resumed
+    // run vs its cold twin, and a shrink campaign evaluated cold
+    // vs through the checkpoint trie (DESIGN.md §13).
+    let cp = run_checkpoint_bench(fast);
+    println!(
+        "  checkpoint       resume {:>7.3}s vs cold {:>7.3}s ({})  shrink {:>7.3}s vs {:>7.3}s, {:.2}x fewer events ({})",
+        cp.fork_wall_secs,
+        cp.cold_wall_secs,
+        if cp.identical { "bit-identical" } else { "DIVERGED" },
+        cp.shrink_forked_wall_secs,
+        cp.shrink_cold_wall_secs,
+        cp.events_ratio(),
+        if cp.minimized_identical { "same artifact" } else { "ARTIFACT DIVERGED" },
+    );
+    if !cp.identical || !cp.minimized_identical {
+        eprintln!("checkpoint bench: forked results diverged from cold runs");
+        return ExitCode::FAILURE;
+    }
+    // Event counts are deterministic, so the sharing ratio is a
+    // machine-independent figure — gate it, not just report it.
+    if cp.events_ratio() < 3.0 {
+        eprintln!(
+            "checkpoint bench: shrink phase simulated only {:.2}x fewer events (target >=3x)",
+            cp.events_ratio()
+        );
+        return ExitCode::FAILURE;
+    }
+
+    // Fourth section: the checkpoint prefix-tree — a chaos campaign
+    // whose trials share checkpoints through the divergence trie.
+    let pt = run_prefix_tree_bench(fast);
+    println!(
+        "  prefix tree      campaign {:>2} trials: {:>7.3}s cold vs {:>7.3}s forked, {:.2}x fewer events, {} checkpoints ({})",
+        pt.campaign_trials,
+        pt.campaign_cold_wall_secs,
+        pt.campaign_forked_wall_secs,
+        pt.campaign_events_ratio(),
+        pt.checkpoints,
+        if pt.campaign_identical { "report identical" } else { "REPORT DIVERGED" },
+    );
+    if !pt.campaign_identical {
+        eprintln!("prefix-tree bench: forked campaign report diverged from the cold report");
+        return ExitCode::FAILURE;
+    }
+    // Deterministic event accounting: the trie must actually share
+    // work across trials, not just break even.
+    if pt.campaign_events_ratio() < 1.3 {
+        eprintln!(
+            "prefix-tree bench: campaign trie simulated only {:.2}x fewer events (target >=1.3x)",
+            pt.campaign_events_ratio()
+        );
+        return ExitCode::FAILURE;
+    }
+
+    let json = document(mode, &results, &suite, &cp, &pt).pretty();
+    if let Err(e) = std::fs::write(&out, json) {
+        eprintln!("failed to write {}: {e}", out.display());
+        return ExitCode::FAILURE;
+    }
+    println!("wrote {}", out.display());
 
     if let Some(baseline) = baseline {
         let failures = check_regressions(&baseline, &results);

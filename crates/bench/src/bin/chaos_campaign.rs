@@ -12,11 +12,14 @@
 //! Usage:
 //!
 //! ```text
-//! chaos_campaign [--trials N] [--seed S] [--duration-secs D]
-//!                [--shrink-budget N] [--workers N] [--tight]
+//! chaos_campaign [--trials N] [--seed S] [--duration-secs D] [--tight]
 //!                [--tight-class CLASS] [--adversarial] [--no-fork]
 //!                [--forkstats PATH] [--replay PATH] [--matrix]
 //! ```
+//!
+//! Any other argument, or a value flag without its value, exits 2 with
+//! the list of valid flags. The sweep runs on `SPIDER_JOBS` workers
+//! (default: every core).
 //!
 //! * default mode exits non-zero when any trial violates an SLO or
 //!   panics the simulator (CI runs this); trials and shrink candidates
@@ -27,7 +30,8 @@
 //!   poisoning, captive portals, asymmetric loss) alongside the
 //!   standard classes,
 //! * `--no-fork` runs every world cold from `t = 0` — the report must
-//!   come out byte-identical either way, and CI diffs the two,
+//!   come out byte-identical either way, and `golden/check.sh` checks
+//!   both against the same recorded files,
 //! * `--forkstats PATH` writes the fork-stats sidecar JSON to an
 //!   explicit path instead of `target/experiments/`,
 //! * `--tight` swaps in a deliberately unmeetable SLO table to
@@ -64,6 +68,34 @@ use std::process::ExitCode;
 /// World seed for the campaign's drive (fixed: the campaign explores
 /// fault-schedule space, not world space).
 const WORLD_SEED: u64 = 7;
+
+/// Flags that take a value.
+const VALUE_FLAGS: [&str; 6] = [
+    "--trials",
+    "--seed",
+    "--duration-secs",
+    "--tight-class",
+    "--forkstats",
+    "--replay",
+];
+/// Flags that stand alone.
+const SWITCHES: [&str; 4] = ["--tight", "--adversarial", "--no-fork", "--matrix"];
+
+/// Check every argument against the known flags, so a misspelt flag
+/// or a missing value cannot silently fall back to a default.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            if rest.next().is_none_or(|v| v.starts_with("--")) {
+                return Err(format!("{arg} wants a value"));
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!("unknown flag {arg:?}"));
+        }
+    }
+    Ok(())
+}
 
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -286,8 +318,6 @@ fn run_matrix(args: &[String]) -> ExitCode {
     let trials = parse_num(args, "--trials", 4usize);
     let seed = parse_num(args, "--seed", 1u64);
     let duration = SimDuration::from_secs(parse_num(args, "--duration-secs", 120u64));
-    let shrink_budget = parse_num(args, "--shrink-budget", 40usize);
-    let workers = parse_num(args, "--workers", 0usize);
     let no_fork = args.iter().any(|a| a == "--no-fork");
 
     let params = ScenarioParams {
@@ -305,9 +335,9 @@ fn run_matrix(args: &[String]) -> ExitCode {
         profile: ChaosProfile::adversarial(),
         // Placeholder; every cell swaps in its calibrated table.
         slo: SloTable::paper_default(),
-        shrink_budget,
+        shrink_budget: 40,
         max_shrinks: 1,
-        workers,
+        workers: 0,
         watchdog_ms: Some(120_000),
     };
 
@@ -421,6 +451,14 @@ fn run_matrix(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_args(&args) {
+        eprintln!(
+            "chaos_campaign: {e}; valid: {} (each with a value), {}",
+            VALUE_FLAGS.join(" "),
+            SWITCHES.join(" ")
+        );
+        return ExitCode::from(2);
+    }
     if let Some(path) = parse_flag(&args, "--replay") {
         return replay(&args, &path);
     }
@@ -431,8 +469,6 @@ fn main() -> ExitCode {
     let trials = parse_num(&args, "--trials", 8usize);
     let seed = parse_num(&args, "--seed", 1u64);
     let duration = SimDuration::from_secs(parse_num(&args, "--duration-secs", 300u64));
-    let shrink_budget = parse_num(&args, "--shrink-budget", 120usize);
-    let workers = parse_num(&args, "--workers", 0usize);
     let tight_class = parse_flag(&args, "--tight-class");
     let tight = args.iter().any(|a| a == "--tight") || tight_class.is_some();
     let adversarial = args.iter().any(|a| a == "--adversarial");
@@ -455,9 +491,9 @@ fn main() -> ExitCode {
             None if tight => tight_table(),
             None => SloTable::paper_default(),
         },
-        shrink_budget,
+        shrink_budget: 120,
         max_shrinks: 4,
-        workers,
+        workers: 0,
         watchdog_ms: Some(120_000),
     };
     if tight {
@@ -554,5 +590,43 @@ fn main() -> ExitCode {
             report.job_failures.len()
         );
         ExitCode::from(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_args;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn known_flags_pass() {
+        assert!(check_args(&args(&[])).is_ok());
+        assert!(check_args(&args(&[
+            "--tight",
+            "--trials",
+            "4",
+            "--forkstats",
+            "f.json"
+        ]))
+        .is_ok());
+        assert!(check_args(&args(&["--matrix", "--no-fork", "--duration-secs", "60"])).is_ok());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert!(check_args(&args(&["--tirals", "4"])).is_err());
+        assert!(check_args(&args(&["--workers", "2"])).is_err());
+        assert!(check_args(&args(&["--shrink-budget", "40"])).is_err());
+        assert!(check_args(&args(&["4"])).is_err());
+    }
+
+    #[test]
+    fn value_flags_need_a_value() {
+        assert!(check_args(&args(&["--trials"])).is_err());
+        assert!(check_args(&args(&["--trials", "--tight"])).is_err());
+        assert!(check_args(&args(&["--tight", "--replay"])).is_err());
     }
 }

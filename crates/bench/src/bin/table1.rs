@@ -33,7 +33,6 @@ fn main() {
         let mut cfg = SpiderConfig::for_mode(OperationMode::MultiChannelMultiAp { period }, 1)
             .with_schedule(schedule);
         if ifaces == 0 {
-            cfg.tcp_enabled = false;
             cfg = cfg.with_candidates(vec![]); // join nothing
         }
         let result = World::new(world, SpiderDriver::new(cfg)).run();

@@ -29,7 +29,7 @@ use spider_workloads::campaign::{
     SloRule, SloTable,
 };
 use spider_workloads::scenarios::{town_scenario, ScenarioParams};
-use spider_workloads::{FaultEpisode, FaultKind, FaultPlan, FaultProfile, World};
+use spider_workloads::{FaultEpisode, FaultKind, FaultPlan, World};
 use std::time::Instant;
 
 /// Factor by which events/sec may drop versus the checked-in baseline
@@ -162,7 +162,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioResult {
         spec.min_sites
     );
     if spec.storm {
-        cfg.faults = FaultPlan::seeded(STORM_SEED, sites, cfg.duration, &FaultProfile::stormy());
+        cfg.faults = FaultPlan::stormy(STORM_SEED, sites, cfg.duration);
     }
     let t = Instant::now();
     let result = if spec.stock {

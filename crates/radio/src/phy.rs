@@ -6,7 +6,8 @@ use spider_simcore::SimDuration;
 ///
 /// Defaults correspond to the paper's testbed: 802.11b long-preamble
 /// timing at 11 Mbps, a ~5 ms hardware-reset channel switch (Table 1
-/// measured 4.9–5.9 ms), and a practical range of 100 m (§2.1.3).
+/// measured 4.9–5.9 ms). The world's 100 m range (§2.1.3) lives in
+/// [`crate::Propagation::range_m`].
 #[derive(Debug, Clone)]
 pub struct PhyParams {
     /// Data rate in bits/second used for frame bodies.
@@ -26,13 +27,11 @@ pub struct PhyParams {
     /// must be sent to each AP on the old channel and one PS-poll on the
     /// new (Table 1 shows latency growing with interface count).
     pub per_iface_switch_cost: SimDuration,
-    /// Practical communication range in metres.
-    pub range_m: f64,
 }
 
 impl PhyParams {
     /// 802.11b at 11 Mb/s — the paper's configuration.
-    pub fn b11() -> PhyParams {
+    pub const fn b11() -> PhyParams {
         PhyParams {
             rate_bps: 11e6,
             mgmt_rate_bps: 1e6,
@@ -41,19 +40,6 @@ impl PhyParams {
             per_frame_overhead: SimDuration::from_micros(360),
             switch_delay: SimDuration::from_micros(4_900),
             per_iface_switch_cost: SimDuration::from_micros(250),
-            range_m: 100.0,
-        }
-    }
-
-    /// 802.11g at 54 Mb/s, for sensitivity studies.
-    pub fn g54() -> PhyParams {
-        PhyParams {
-            rate_bps: 54e6,
-            mgmt_rate_bps: 6e6,
-            per_frame_overhead: SimDuration::from_micros(100),
-            switch_delay: SimDuration::from_micros(4_900),
-            per_iface_switch_cost: SimDuration::from_micros(250),
-            range_m: 100.0,
         }
     }
 
@@ -80,12 +66,6 @@ impl PhyParams {
     /// `bytes` bytes, in bytes/second — useful for calibration tests.
     pub fn max_goodput(&self, bytes: usize) -> f64 {
         bytes as f64 / self.airtime(bytes).as_secs_f64()
-    }
-}
-
-impl Default for PhyParams {
-    fn default() -> Self {
-        PhyParams::b11()
     }
 }
 
@@ -127,10 +107,5 @@ mod tests {
         // 11Mbps = 1.375 MB/s; MAC overhead must cost ~20-30%.
         assert!(goodput < 1_375_000.0);
         assert!(goodput > 900_000.0, "goodput {goodput}");
-    }
-
-    #[test]
-    fn g54_is_faster() {
-        assert!(PhyParams::g54().airtime(1500) < PhyParams::b11().airtime(1500));
     }
 }

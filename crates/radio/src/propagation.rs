@@ -56,7 +56,7 @@ impl Propagation {
     /// Calibrated so the edge of the 100 m practical range sits at
     /// ≈ −84 dBm — comfortably above a client's selection floor, making
     /// the whole disk usable as the paper's analysis assumes.
-    pub fn outdoor() -> Propagation {
+    pub const fn outdoor() -> Propagation {
         Propagation {
             range_m: 100.0,
             rssi_at_1m_dbm: -30.0,
@@ -101,12 +101,6 @@ impl Propagation {
     /// receivable.
     pub fn edge_rssi_dbm(&self) -> f64 {
         self.rssi_dbm(self.range_m)
-    }
-}
-
-impl Default for Propagation {
-    fn default() -> Self {
-        Propagation::outdoor()
     }
 }
 

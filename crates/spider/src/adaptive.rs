@@ -21,57 +21,36 @@ use spider_mac80211::{ClientSystem, DriverAction, JoinLog, RxFrame};
 use spider_simcore::{SimDuration, SimTime};
 use spider_wire::Channel;
 
-/// Adaptive policy parameters.
-#[derive(Debug, Clone)]
-pub struct AdaptivePolicy {
-    /// Speed above which only one channel is scheduled (the model's
-    /// dividing speed, ~10 m/s).
-    pub dividing_speed_mps: f64,
-    /// Scheduling period used when rotating multiple channels.
-    pub multi_period: SimDuration,
-    /// How often the schedule decision is reviewed.
-    pub review_interval: SimDuration,
-}
+/// Speed above which only one channel is scheduled (the model's
+/// dividing speed, ~10 m/s).
+const DIVIDING_SPEED_MPS: f64 = 10.0;
+/// Scheduling period used when rotating multiple channels.
+const MULTI_PERIOD: SimDuration = SimDuration::from_millis(600);
+/// How often the schedule decision is reviewed.
+const REVIEW_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
-impl Default for AdaptivePolicy {
-    fn default() -> Self {
-        AdaptivePolicy {
-            dividing_speed_mps: 10.0,
-            multi_period: SimDuration::from_millis(600),
-            review_interval: SimDuration::from_secs(5),
-        }
-    }
-}
-
-impl AdaptivePolicy {
-    /// Choose a schedule given the current speed and per-channel AP
-    /// census.
-    pub fn choose(
-        &self,
-        speed_mps: f64,
-        census: &spider_simcore::FxHashMap<Channel, usize>,
-    ) -> ChannelSchedule {
-        let mut channels: Vec<(Channel, usize)> = Channel::ORTHOGONAL
+/// Choose a schedule given the current speed and per-channel AP census.
+fn choose(speed_mps: f64, census: &spider_simcore::FxHashMap<Channel, usize>) -> ChannelSchedule {
+    let mut channels: Vec<(Channel, usize)> = Channel::ORTHOGONAL
+        .iter()
+        .map(|&c| (c, census.get(&c).copied().unwrap_or(0)))
+        .collect();
+    channels.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.number().cmp(&b.0.number())));
+    if speed_mps >= DIVIDING_SPEED_MPS {
+        ChannelSchedule::single(channels[0].0)
+    } else {
+        let populated: Vec<Channel> = channels
             .iter()
-            .map(|&c| (c, census.get(&c).copied().unwrap_or(0)))
+            .filter(|&&(_, n)| n > 0)
+            .map(|&(c, _)| c)
             .collect();
-        channels.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.number().cmp(&b.0.number())));
-        if speed_mps >= self.dividing_speed_mps {
-            ChannelSchedule::single(channels[0].0)
+        if populated.len() >= 2 {
+            ChannelSchedule::equal(&populated, MULTI_PERIOD)
         } else {
-            let populated: Vec<Channel> = channels
-                .iter()
-                .filter(|&&(_, n)| n > 0)
-                .map(|&(c, _)| c)
-                .collect();
-            if populated.len() >= 2 {
-                ChannelSchedule::equal(&populated, self.multi_period)
-            } else {
-                // A single radio only hears the channel it sits on, so a
-                // thin census is not evidence of an empty band — explore
-                // all orthogonal channels while moving slowly.
-                ChannelSchedule::equal(&Channel::ORTHOGONAL, self.multi_period)
-            }
+            // A single radio only hears the channel it sits on, so a
+            // thin census is not evidence of an empty band — explore
+            // all orthogonal channels while moving slowly.
+            ChannelSchedule::equal(&Channel::ORTHOGONAL, MULTI_PERIOD)
         }
     }
 }
@@ -81,7 +60,6 @@ impl AdaptivePolicy {
 #[derive(Clone)]
 pub struct AdaptiveSpider {
     inner: SpiderDriver,
-    policy: AdaptivePolicy,
     speed_hint_mps: f64,
     next_review: SimTime,
     /// Schedule replacements performed.
@@ -89,11 +67,10 @@ pub struct AdaptiveSpider {
 }
 
 impl AdaptiveSpider {
-    /// Wrap a driver with the given policy.
-    pub fn new(inner: SpiderDriver, policy: AdaptivePolicy) -> AdaptiveSpider {
+    /// Wrap a driver.
+    pub fn new(inner: SpiderDriver) -> AdaptiveSpider {
         AdaptiveSpider {
             inner,
-            policy,
             speed_hint_mps: 0.0,
             next_review: SimTime::ZERO,
             mode_changes: 0,
@@ -114,9 +91,9 @@ impl AdaptiveSpider {
         if now < self.next_review {
             return;
         }
-        self.next_review = now + self.policy.review_interval;
+        self.next_review = now + REVIEW_INTERVAL;
         let census = self.inner.utility_table().channel_census(now);
-        let desired = self.policy.choose(self.speed_hint_mps, &census);
+        let desired = choose(self.speed_hint_mps, &census);
         let current = self.inner.schedule();
         let same = current.slots().len() == desired.slots().len()
             && current
@@ -186,22 +163,20 @@ mod tests {
 
     #[test]
     fn fast_speed_picks_single_busiest_channel() {
-        let p = AdaptivePolicy::default();
         let mut census = FxHashMap::default();
         census.insert(Channel::CH6, 5);
         census.insert(Channel::CH1, 2);
-        let s = p.choose(15.0, &census);
+        let s = choose(15.0, &census);
         assert!(s.is_single_channel());
         assert_eq!(s.channels(), vec![Channel::CH6]);
     }
 
     #[test]
     fn slow_speed_rotates_populated_channels() {
-        let p = AdaptivePolicy::default();
         let mut census = FxHashMap::default();
         census.insert(Channel::CH6, 3);
         census.insert(Channel::CH11, 1);
-        let s = p.choose(3.0, &census);
+        let s = choose(3.0, &census);
         assert_eq!(s.channels().len(), 2);
         assert!(s.channels().contains(&Channel::CH6));
         assert!(s.channels().contains(&Channel::CH11));
@@ -211,19 +186,17 @@ mod tests {
     fn slow_with_thin_census_explores_all_channels() {
         // A single radio cannot hear channels it never visits; a slow
         // node with a one-channel census must explore.
-        let p = AdaptivePolicy::default();
         let mut census = FxHashMap::default();
         census.insert(Channel::CH1, 4);
-        let s = p.choose(3.0, &census);
+        let s = choose(3.0, &census);
         assert_eq!(s.channels().len(), 3);
     }
 
     #[test]
     fn empty_census_explores_when_slow_but_not_fast() {
-        let p = AdaptivePolicy::default();
-        let slow = p.choose(3.0, &FxHashMap::default());
+        let slow = choose(3.0, &FxHashMap::default());
         assert_eq!(slow.channels().len(), 3);
-        let fast = p.choose(15.0, &FxHashMap::default());
+        let fast = choose(15.0, &FxHashMap::default());
         assert!(fast.is_single_channel());
     }
 
@@ -233,7 +206,7 @@ mod tests {
             OperationMode::SingleChannelMultiAp(Channel::CH1),
             1,
         ));
-        let mut ad = AdaptiveSpider::new(inner, AdaptivePolicy::default());
+        let mut ad = AdaptiveSpider::new(inner);
         ad.set_speed_hint(15.0);
         ad.poll(SimTime::ZERO);
         assert!(ad.inner().schedule().is_single_channel());

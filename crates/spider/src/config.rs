@@ -1,6 +1,5 @@
 //! Spider configuration and the paper's four evaluation modes (§4.1).
 
-use crate::blacklist::BlacklistConfig;
 use crate::schedule::ChannelSchedule;
 use crate::utility::UtilityConfig;
 use spider_mac80211::ClientMacConfig;
@@ -59,30 +58,13 @@ pub struct SpiderConfig {
     pub dhcp: DhcpClientConfig,
     /// AP-selection utility parameters.
     pub utility: UtilityConfig,
-    /// Whether interfaces start a TCP download once connected (disabled
-    /// for join-only micro-benchmarks).
-    pub tcp_enabled: bool,
     /// Client identity (namespaces interface MAC addresses).
     pub client_id: u64,
-    /// Housekeeping (AP selection) cadence.
-    pub housekeeping: SimDuration,
     /// Restrict AP candidates to these channels (defaults to the
     /// schedule's channels). Used by the §2.2 experiments, which measure
     /// join delays to channel-6 APs while the radio schedule spans
     /// several channels.
     pub candidate_channels: Option<Vec<Channel>>,
-    /// Periodically broadcast probe requests on the current channel
-    /// ("Spider can also be configured to periodically broadcast probe
-    /// requests", §3.2.1). `None` = purely passive scanning.
-    pub probe_interval: Option<SimDuration>,
-    /// Exponential-backoff blacklist for APs whose joins fail (keeps a
-    /// blacked-out or zombie AP from trapping the driver in a
-    /// join/fail loop).
-    pub blacklist: BlacklistConfig,
-    /// Broadcast a probe request immediately when a connection dies, so
-    /// replacement candidates are discovered faster than the passive
-    /// beacon cadence allows.
-    pub rescan_on_down: bool,
 }
 
 impl SpiderConfig {
@@ -107,13 +89,8 @@ impl SpiderConfig {
             mac: ClientMacConfig::reduced(),
             dhcp: DhcpClientConfig::reduced(SimDuration::from_millis(200)),
             utility: UtilityConfig::default(),
-            tcp_enabled: true,
             client_id,
-            housekeeping: SimDuration::from_millis(100),
             candidate_channels: None,
-            probe_interval: None,
-            blacklist: BlacklistConfig::default(),
-            rescan_on_down: true,
         }
     }
 
@@ -127,12 +104,6 @@ impl SpiderConfig {
     pub fn with_timeouts(mut self, mac: ClientMacConfig, dhcp: DhcpClientConfig) -> SpiderConfig {
         self.mac = mac;
         self.dhcp = dhcp;
-        self
-    }
-
-    /// Enable active scanning: broadcast a probe request this often.
-    pub fn with_active_probing(mut self, interval: SimDuration) -> SpiderConfig {
-        self.probe_interval = Some(interval);
         self
     }
 

@@ -4,7 +4,7 @@
 //! Implements [`ClientSystem`] so the simulation world can drive it
 //! exactly like the baseline drivers.
 
-use crate::blacklist::ApBlacklist;
+use crate::blacklist::{ApBlacklist, BlacklistConfig};
 use crate::config::SpiderConfig;
 use crate::iface::{ClientIface, IfaceEvent};
 use crate::schedule::ChannelSchedule;
@@ -13,6 +13,9 @@ use spider_mac80211::{ApTarget, ClientObservation, ClientSystem, DriverAction, J
 use spider_netstack::{LeaseCache, PingConfig};
 use spider_simcore::{SimDuration, SimTime};
 use spider_wire::{Channel, Frame, FrameBody, MacAddr};
+
+/// Housekeeping (AP selection) cadence.
+const HOUSEKEEPING: SimDuration = SimDuration::from_millis(100);
 
 /// The Spider client system.
 // Clone backs `ClientSystem::clone_boxed`: every field — interfaces,
@@ -33,10 +36,6 @@ pub struct SpiderDriver {
     current: Option<Channel>,
     switching_to: Option<Channel>,
     next_housekeeping: SimTime,
-    next_probe: SimTime,
-    /// Per-interface (bssid, connected-at, delivered-at-connect) markers
-    /// for end-to-end throughput feedback into the utility table.
-    sessions: Vec<Option<(MacAddr, SimTime, u64)>>,
     /// Channel switches requested (observability; the radio itself also
     /// counts).
     pub switches_requested: u64,
@@ -76,14 +75,14 @@ impl SpiderDriver {
                     cfg.mac.clone(),
                     cfg.dhcp.clone(),
                     PingConfig::paper(i as u16),
-                    cfg.tcp_enabled,
                 )
             })
             .collect();
         let utility = UtilityTable::new(cfg.utility.clone());
         let current = Some(cfg.schedule.channel_at(SimTime::ZERO));
-        let sessions = vec![None; cfg.num_ifaces];
-        let blacklist = ApBlacklist::new(cfg.blacklist.clone());
+        // The exponential-backoff blacklist keeps a blacked-out or
+        // zombie AP from trapping the driver in a join/fail loop.
+        let blacklist = ApBlacklist::new(BlacklistConfig::default());
         let iface_addrs = ifaces.iter().map(|i: &ClientIface| i.addr).collect();
         let iface_wakeups = ifaces
             .iter()
@@ -101,8 +100,6 @@ impl SpiderDriver {
             current,
             switching_to: None,
             next_housekeeping: SimTime::ZERO,
-            next_probe: SimTime::ZERO,
-            sessions,
             switches_requested: 0,
             iface_addrs,
             iface_wakeups,
@@ -293,26 +290,10 @@ impl SpiderDriver {
                     self.utility
                         .record_outcome(now, bssid, JoinOutcome::FullyJoined);
                     self.blacklist.record_success(bssid);
-                    self.sessions[iface_idx] =
-                        Some((bssid, now, self.ifaces[iface_idx].delivered_bytes()));
                 }
                 IfaceEvent::Down { bssid, outcome } => {
                     if let Some(outcome) = outcome {
                         self.utility.record_outcome(now, bssid, outcome);
-                    }
-                    // Feed the session's measured throughput back into the
-                    // selection table (§4.8 extension; inert unless
-                    // `bandwidth_weight > 0`).
-                    if let Some((session_bssid, up_at, bytes_at_up)) =
-                        self.sessions[iface_idx].take()
-                    {
-                        if session_bssid == bssid {
-                            let span = now.saturating_since(up_at).as_secs_f64();
-                            if span > 0.5 {
-                                let bytes = self.ifaces[iface_idx].delivered_bytes() - bytes_at_up;
-                                self.utility.record_throughput(bssid, bytes as f64 / span);
-                            }
-                        }
                     }
                     // A dead or failed AP goes into exponential-backoff
                     // blacklist so selection doesn't loop on it while it
@@ -324,7 +305,7 @@ impl SpiderDriver {
                     // responses from every AP on the current channel, so
                     // a replacement is found faster than waiting out the
                     // beacon interval.
-                    if self.cfg.rescan_on_down && self.current.is_some() {
+                    if self.current.is_some() {
                         let src = self.ifaces[iface_idx].addr;
                         actions.push(DriverAction::Transmit {
                             iface: iface_idx,
@@ -554,29 +535,11 @@ impl ClientSystem for SpiderDriver {
             self.refresh_one(idx);
         }
         if now >= self.next_housekeeping {
-            self.next_housekeeping = now + self.cfg.housekeeping;
+            self.next_housekeeping = now + HOUSEKEEPING;
             self.utility.expire(now, SimDuration::from_secs(3_600));
             self.blacklist.prune(now);
             self.lease_cache.evict_expired(now);
             self.select_aps(now, actions);
-        }
-        // Active scanning (§3.2.1, optional): a broadcast probe request
-        // solicits probe responses from every AP on the current channel,
-        // feeding the scanner faster than beacons alone.
-        if let (Some(interval), Some(_ch)) = (self.cfg.probe_interval, self.current) {
-            if now >= self.next_probe {
-                self.next_probe = now + interval;
-                let src = self.ifaces[0].addr;
-                actions.push(DriverAction::Transmit {
-                    iface: 0,
-                    frame: Frame {
-                        src,
-                        dst: MacAddr::BROADCAST,
-                        bssid: MacAddr::BROADCAST,
-                        body: FrameBody::ProbeRequest { ssid: None },
-                    },
-                });
-            }
         }
         if self.hot_dirty_all {
             self.refresh_hot();
@@ -585,9 +548,6 @@ impl ClientSystem for SpiderDriver {
 
     fn next_wakeup(&self, now: SimTime) -> SimTime {
         let mut t = self.next_housekeeping;
-        if self.cfg.probe_interval.is_some() {
-            t = t.min(self.next_probe);
-        }
         if !self.cfg.schedule.is_single_channel() && self.switching_to.is_none() {
             t = t.min(self.cfg.schedule.next_boundary(now));
         }
@@ -921,56 +881,6 @@ mod tests {
         let d = driver(OperationMode::SingleChannelMultiAp(Channel::CH1));
         assert!(d.label().contains("ch1"));
         assert!(d.label().contains("max 7"));
-    }
-}
-
-#[cfg(test)]
-mod probing_tests {
-    use super::*;
-    use crate::config::OperationMode;
-    use spider_simcore::SimDuration;
-
-    #[test]
-    fn active_probing_broadcasts_probe_requests() {
-        let cfg = SpiderConfig::for_mode(OperationMode::SingleChannelMultiAp(Channel::CH6), 1)
-            .with_active_probing(SimDuration::from_millis(500));
-        let mut d = SpiderDriver::new(cfg);
-        let mut probes = 0;
-        for i in 0..20 {
-            for a in d.poll(SimTime::from_millis(i * 100)) {
-                if let DriverAction::Transmit { frame, .. } = a {
-                    if matches!(frame.body, FrameBody::ProbeRequest { .. }) {
-                        probes += 1;
-                        assert!(frame.dst.is_broadcast());
-                    }
-                }
-            }
-        }
-        // 2s of polling at a 500ms probe interval: 4-5 probes.
-        assert!((4..=5).contains(&probes), "probes: {probes}");
-    }
-
-    #[test]
-    fn passive_default_sends_no_probes() {
-        let cfg = SpiderConfig::for_mode(OperationMode::SingleChannelMultiAp(Channel::CH6), 1);
-        let mut d = SpiderDriver::new(cfg);
-        for i in 0..20 {
-            for a in d.poll(SimTime::from_millis(i * 100)) {
-                if let DriverAction::Transmit { frame, .. } = a {
-                    assert!(!matches!(frame.body, FrameBody::ProbeRequest { .. }));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn probe_wakeups_are_scheduled() {
-        let cfg = SpiderConfig::for_mode(OperationMode::SingleChannelMultiAp(Channel::CH6), 1)
-            .with_active_probing(SimDuration::from_millis(300));
-        let mut d = SpiderDriver::new(cfg);
-        d.poll(SimTime::ZERO);
-        let wk = d.next_wakeup(SimTime::from_millis(1));
-        assert!(wk <= SimTime::from_millis(100).max(SimTime::from_millis(300)));
     }
 }
 

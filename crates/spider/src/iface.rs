@@ -124,7 +124,6 @@ pub struct ClientIface {
     fallback_bytes: u64,
     join_started: SimTime,
     fully_joined: bool,
-    tcp_enabled: bool,
     next_iss: u32,
     /// Last time the TCP flow made delivery progress (or was created).
     flow_progress_at: SimTime,
@@ -143,7 +142,6 @@ impl ClientIface {
         mac_cfg: ClientMacConfig,
         dhcp_cfg: DhcpClientConfig,
         ping_cfg: PingConfig,
-        tcp_enabled: bool,
     ) -> ClientIface {
         ClientIface {
             index,
@@ -160,7 +158,6 @@ impl ClientIface {
             fallback_bytes: 0,
             join_started: SimTime::ZERO,
             fully_joined: false,
-            tcp_enabled,
             next_iss: (index as u32 + 1) * 10_000,
             flow_progress_at: SimTime::ZERO,
             flow_progress_bytes: 0,
@@ -469,8 +466,7 @@ impl ClientIface {
                 }
                 // Off-channel the stall clock cannot tick (nothing can
                 // flow or be re-dialled); slide it so wakeups progress.
-                if self.tcp_enabled
-                    && self.phase == IfacePhase::Connected
+                if self.phase == IfacePhase::Connected
                     && !on_channel
                     && now.saturating_since(self.flow_progress_at) >= Self::FLOW_STALL
                 {
@@ -479,7 +475,7 @@ impl ClientIface {
                 // Same for the portal clock: progress is impossible
                 // off-channel, so an expiry there slides instead of
                 // firing (the judgement window must elapse on-channel).
-                if self.tcp_enabled && self.phase == IfacePhase::Connected && !on_channel {
+                if self.phase == IfacePhase::Connected && !on_channel {
                     if let Some(fb) = self.fell_back_at {
                         if now.saturating_since(fb) >= Self::PORTAL_SUSPECT {
                             self.fell_back_at = Some(now);
@@ -489,7 +485,7 @@ impl ClientIface {
                 // Application-level retry: if the flow died (SYN gave up,
                 // server sender timed out away) or stalled, and the link
                 // itself is verified alive, dial a fresh connection.
-                if self.tcp_enabled && self.phase == IfacePhase::Connected && on_channel {
+                if self.phase == IfacePhase::Connected && on_channel {
                     let delivered = self.delivered_bytes();
                     if delivered > self.flow_progress_bytes {
                         self.flow_progress_bytes = delivered;
@@ -549,7 +545,7 @@ impl ClientIface {
                 if let Some(tcp) = &self.tcp {
                     t = t.min(tcp.next_wakeup());
                 }
-                if self.tcp_enabled && self.phase == IfacePhase::Connected {
+                if self.phase == IfacePhase::Connected {
                     t = t.min(self.flow_progress_at + Self::FLOW_STALL);
                     if let Some(fb) = self.fell_back_at {
                         t = t.min(fb + Self::PORTAL_SUSPECT);
@@ -572,7 +568,7 @@ impl ClientIface {
         match self.phase {
             IfacePhase::Idle => false,
             IfacePhase::Connected => {
-                (self.tcp_enabled && self.tcp.as_ref().map(|t| t.has_failed()).unwrap_or(true))
+                self.tcp.as_ref().map(|t| t.has_failed()).unwrap_or(true)
                     || self.next_wakeup() <= now
             }
             _ => true,
@@ -679,10 +675,7 @@ impl ClientIface {
                                 log.record_join(now, join_took);
                                 let bssid = self.bssid().unwrap_or(MacAddr::BROADCAST);
                                 out.push(IfaceEvent::ConnectivityUp { bssid, join_took });
-                                if self.tcp_enabled {
-                                    let flow = self.open_flow(now);
-                                    out.extend(flow);
-                                }
+                                out.extend(self.open_flow(now));
                             }
                         }
                     }
@@ -714,7 +707,6 @@ mod tests {
                 ClientMacConfig::reduced(),
                 DhcpClientConfig::reduced(SimDuration::from_millis(200)),
                 PingConfig::paper(0),
-                true,
             ),
             JoinLog::new(),
         )

@@ -25,16 +25,20 @@ pub enum JoinOutcome {
     FullyJoined,
 }
 
+/// Score for association-only attempts (the paper's `va`).
+const VA: f64 = 0.3;
+/// Score for lease-only attempts (the paper's `vb`).
+const VB: f64 = 0.6;
+/// Score for fully joined attempts (the paper's `vc`), also the
+/// bootstrap value for never-tried APs.
+const VC: f64 = 1.0;
+/// After a failed attempt, the AP is excluded from selection for this
+/// long (prevents hammering a dead AP during one encounter).
+const FAILURE_COOLDOWN: SimDuration = SimDuration::from_secs(2);
+
 /// Utility weighting parameters.
 #[derive(Debug, Clone)]
 pub struct UtilityConfig {
-    /// Score for association-only attempts.
-    pub va: f64,
-    /// Score for lease-only attempts.
-    pub vb: f64,
-    /// Score for fully joined attempts (also the bootstrap value for
-    /// never-tried APs).
-    pub vc: f64,
     /// Recency weight α: `utility ← α·score + (1-α)·utility`. Larger α
     /// weighs recent attempts more.
     pub recency: f64,
@@ -43,42 +47,28 @@ pub struct UtilityConfig {
     pub min_rssi_dbm: f64,
     /// How recently an AP must have been heard to be a candidate.
     pub freshness: SimDuration,
-    /// After a failed attempt, the AP is excluded from selection for
-    /// this long (prevents hammering a dead AP during one encounter).
-    pub failure_cooldown: SimDuration,
-    /// Weight of the measured end-to-end throughput in candidate
-    /// ranking — the §4.8 extension ("incorporate ... end-to-end
-    /// bandwidth estimates in addition to the past successful joins").
-    /// 0 (the default) reproduces the paper's join-history-only policy;
-    /// 1 weighs a 1 MB/s AP as heavily as a perfect join record.
-    pub bandwidth_weight: f64,
 }
 
 impl Default for UtilityConfig {
     fn default() -> Self {
         UtilityConfig {
-            va: 0.3,
-            vb: 0.6,
-            vc: 1.0,
             recency: 0.5,
             // Aligns with the reliable core of an outdoor cell (~60 m at
             // the default propagation): joining through the lossy edge
             // band mostly burns retries.
             min_rssi_dbm: -78.0,
             freshness: SimDuration::from_secs(4),
-            failure_cooldown: SimDuration::from_secs(2),
-            bandwidth_weight: 0.0,
         }
     }
 }
 
 impl JoinOutcome {
-    fn score(self, cfg: &UtilityConfig) -> f64 {
+    fn score(self) -> f64 {
         match self {
             JoinOutcome::Failed => 0.0,
-            JoinOutcome::AssociatedOnly => cfg.va,
-            JoinOutcome::LeaseOnly => cfg.vb,
-            JoinOutcome::FullyJoined => cfg.vc,
+            JoinOutcome::AssociatedOnly => VA,
+            JoinOutcome::LeaseOnly => VB,
+            JoinOutcome::FullyJoined => VC,
         }
     }
 }
@@ -100,9 +90,6 @@ pub struct ApRecord {
     pub attempts: u32,
     /// Earliest time this AP may be selected again.
     pub not_before: SimTime,
-    /// Smoothed end-to-end throughput measured across past connections
-    /// to this AP, bytes/second (`None` until first measured).
-    pub bw_estimate: Option<f64>,
 }
 
 /// The scanner + utility table driving AP selection.
@@ -121,11 +108,6 @@ impl UtilityTable {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &UtilityConfig {
-        &self.cfg
-    }
-
     /// Record a beacon or probe response from `bssid` (opportunistic
     /// scanning input).
     pub fn observe(
@@ -136,17 +118,15 @@ impl UtilityTable {
         channel: Channel,
         rssi_dbm: f64,
     ) {
-        let vc = self.cfg.vc;
         let entry = self.records.entry(bssid).or_insert_with(|| ApRecord {
             ssid: ssid.clone(),
             channel,
             rssi_dbm,
             last_seen: now,
             // Bootstrap at maximum utility so new APs get tried once.
-            utility: vc,
+            utility: VC,
             attempts: 0,
             not_before: SimTime::ZERO,
-            bw_estimate: None,
         });
         // An AP's SSID essentially never changes; cloning the string on
         // every overheard beacon would dominate the scanner's cost.
@@ -161,39 +141,15 @@ impl UtilityTable {
 
     /// Record the outcome of a join attempt at `bssid`.
     pub fn record_outcome(&mut self, now: SimTime, bssid: MacAddr, outcome: JoinOutcome) {
-        let score = outcome.score(&self.cfg);
-        let cooldown = self.cfg.failure_cooldown;
+        let score = outcome.score();
         let alpha = self.cfg.recency;
         if let Some(rec) = self.records.get_mut(&bssid) {
             rec.utility = alpha * score + (1.0 - alpha) * rec.utility;
             rec.attempts += 1;
             if outcome == JoinOutcome::Failed {
-                rec.not_before = now + cooldown;
+                rec.not_before = now + FAILURE_COOLDOWN;
             }
         }
-    }
-
-    /// Record a measured end-to-end throughput for a completed
-    /// connection to `bssid` (EWMA, bytes/second).
-    pub fn record_throughput(&mut self, bssid: MacAddr, bytes_per_sec: f64) {
-        if let Some(rec) = self.records.get_mut(&bssid) {
-            rec.bw_estimate = Some(match rec.bw_estimate {
-                Some(prev) => 0.5 * prev + 0.5 * bytes_per_sec,
-                None => bytes_per_sec,
-            });
-        }
-    }
-
-    /// Candidate score: join-history utility plus the (optional)
-    /// bandwidth term. Unmeasured APs use the utility alone.
-    fn score(&self, rec: &ApRecord) -> f64 {
-        let bw_term = match rec.bw_estimate {
-            Some(bw) if self.cfg.bandwidth_weight > 0.0 => {
-                self.cfg.bandwidth_weight * (bw / 1e6).min(1.0)
-            }
-            _ => 0.0,
-        };
-        rec.utility + bw_term
     }
 
     /// Look up a record.
@@ -230,8 +186,8 @@ impl UtilityTable {
                     && (channels.is_empty() || channels.contains(&rec.channel))
             })
             .max_by(|(a_id, a), (b_id, b)| {
-                self.score(a)
-                    .total_cmp(&self.score(b))
+                a.utility
+                    .total_cmp(&b.utility)
                     .then(a.rssi_dbm.total_cmp(&b.rssi_dbm))
                     // Deterministic final tie-break.
                     .then(b_id.cmp(a_id))
@@ -390,57 +346,5 @@ mod tests {
         let a = t.best_candidate(now, &[], &[]).unwrap().0;
         let b = t.best_candidate(now, &[], &[]).unwrap().0;
         assert_eq!(a, b);
-    }
-}
-
-#[cfg(test)]
-mod bandwidth_tests {
-    use super::*;
-
-    fn observe(t: &mut UtilityTable, id: u64, rssi: f64, now: SimTime) -> MacAddr {
-        let mac = MacAddr::from_id(id);
-        t.observe(now, mac, &Ssid::new(format!("ap{id}")), Channel::CH6, rssi);
-        mac
-    }
-
-    #[test]
-    fn bandwidth_term_is_inert_by_default() {
-        let mut t = UtilityTable::new(UtilityConfig::default());
-        let now = SimTime::from_secs(1);
-        let fast_far = observe(&mut t, 1, -70.0, now);
-        let slow_near = observe(&mut t, 2, -50.0, now);
-        t.record_throughput(fast_far, 900_000.0);
-        t.record_throughput(slow_near, 50_000.0);
-        // bandwidth_weight = 0: RSSI tie-break still decides.
-        let (chosen, _) = t.best_candidate(now, &[], &[]).unwrap();
-        assert_eq!(chosen, slow_near);
-    }
-
-    #[test]
-    fn bandwidth_weight_prefers_measured_fast_aps() {
-        let mut t = UtilityTable::new(UtilityConfig {
-            bandwidth_weight: 1.0,
-            ..UtilityConfig::default()
-        });
-        let now = SimTime::from_secs(1);
-        let fast_far = observe(&mut t, 1, -70.0, now);
-        let slow_near = observe(&mut t, 2, -50.0, now);
-        t.record_throughput(fast_far, 900_000.0);
-        t.record_throughput(slow_near, 50_000.0);
-        let (chosen, _) = t.best_candidate(now, &[], &[]).unwrap();
-        assert_eq!(chosen, fast_far);
-    }
-
-    #[test]
-    fn throughput_estimate_is_smoothed() {
-        let mut t = UtilityTable::new(UtilityConfig::default());
-        let now = SimTime::from_secs(1);
-        let ap = observe(&mut t, 1, -60.0, now);
-        t.record_throughput(ap, 100_000.0);
-        t.record_throughput(ap, 300_000.0);
-        let est = t.get(ap).unwrap().bw_estimate.unwrap();
-        assert!((est - 200_000.0).abs() < 1e-6);
-        // Unknown AP is a no-op.
-        t.record_throughput(MacAddr::from_id(99), 1.0);
     }
 }

@@ -2,7 +2,7 @@
 //! and failing-schedule shrinking.
 //!
 //! The scripted chaos tests only verify recovery against failures
-//! someone thought to write down, and [`FaultPlan::seeded`] draws each
+//! someone thought to write down, and [`FaultPlan::stormy`] draws each
 //! fault class independently per AP — it structurally cannot produce
 //! the *compound* failures ("Why It Takes So Long to Connect to a WiFi
 //! Access Point" finds the long tail of join failures there): an ICMP
@@ -12,7 +12,7 @@
 //!
 //! 1. [`chaos_plan`] generates a randomized [`FaultPlan`] from a
 //!    [`ChaosProfile`]: episodes of every [`FaultKind`] (including
-//!    *windowed* ICMP blackholes, which the seeded generator never
+//!    *windowed* ICMP blackholes, which the stormy generator never
 //!    emits), deliberately overlapping, with explicit compound pairs
 //!    layered on the same AP and window.
 //! 2. An [`SloTable`] judges each run: declarative per-fault-class
@@ -46,47 +46,45 @@ use spider_simcore::{
     try_sweep_with, JobFailure, Json, SimDuration, SimRng, SimTime, SweepOptions,
 };
 
-/// Knobs for randomized chaos-schedule generation.
+/// Which classes a chaos schedule draws from, and where in the drive
+/// its episodes may start.
 ///
-/// Unlike [`crate::faults::FaultProfile`] (a *realism* model: per-class
-/// Poisson incidence calibrated to "a day in a deployment"), this is an
-/// *adversity* model: how many episodes, how long, how often they
-/// compound. The generator makes no attempt at plausibility — its job
-/// is coverage of the failure-combination space.
+/// Unlike [`FaultPlan::stormy`] (per-class Poisson incidence, each
+/// class drawn independently), this is an *adversity* model: every
+/// trial draws 3–10 base episodes with 5–60 s windows, and about a
+/// third of them gain an overlapping partner. The generator makes no
+/// attempt at plausibility — its job is coverage of the
+/// failure-combination space.
 #[derive(Debug, Clone)]
 pub struct ChaosProfile {
-    /// Inclusive bounds on the number of base episodes per trial.
-    pub episodes: (usize, usize),
-    /// Episode window length bounds in seconds (uniform).
-    pub window_secs: (f64, f64),
-    /// Probability that a base episode gains a *compound partner*: a
-    /// second episode of a different class on the same target with an
-    /// overlapping window.
-    pub compound_prob: f64,
-    /// Probability that an episode is area-wide (`ap: None`) rather
-    /// than pinned to one AP.
-    pub global_prob: f64,
-    /// Extra-loss bounds for generated [`FaultKind::LossBurst`]s.
-    pub loss_extra: (f64, f64),
-    /// Relative draw weights per class, in [`CHAOS_KINDS`] order:
-    /// blackout, zombie, dhcp-silence, dhcp-exhausted, icmp-blackhole,
-    /// loss-burst, arp-poison, captive-portal, asymmetric-loss.
-    ///
-    /// `pick_weighted` sums the slice and walks it against one uniform
-    /// draw, so *trailing zero* weights change neither the total nor
-    /// the draw sequence: profiles that zero the adversarial tail
-    /// generate byte-identical plans to the six-class generator, which
-    /// is what keeps every recorded corpus artifact valid.
-    pub kind_weights: [f64; 9],
-    /// Fraction window of the available start range episodes may begin
-    /// in, as `(lo, hi)` in `[0, 1]`. `(0.0, 1.0)` is the whole drive;
-    /// `(0.5, 1.0)` back-loads every episode into the second half,
-    /// which is the regime where the checkpoint prefix-tree
-    /// (DESIGN.md §13) pays most — long shared fault-free prefixes.
-    pub start_frac: (f64, f64),
+    /// Draw the adversarial tail of [`CHAOS_KINDS`] (ARP poison,
+    /// captive portals, directional loss) alongside the original six.
+    adversarial: bool,
+    /// Fraction of the available start range before which no episode
+    /// begins, in `[0, 1)`. `0.0` is the whole drive; `0.5` back-loads
+    /// every episode into the second half, which is the regime where
+    /// the checkpoint prefix-tree (DESIGN.md §13) pays most — long
+    /// shared fault-free prefixes.
+    start_frac: f64,
 }
 
-/// Class order behind [`ChaosProfile::kind_weights`].
+/// Inclusive bounds on the number of base episodes per trial.
+const CHAOS_EPISODES: (usize, usize) = (3, 10);
+/// Episode window length bounds in seconds (uniform), long enough to
+/// straddle joins.
+const CHAOS_WINDOW_SECS: (f64, f64) = (5.0, 60.0);
+/// Probability that a base episode gains a *compound partner*: a second
+/// episode of a different class on the same target with an overlapping
+/// window.
+const CHAOS_COMPOUND_PROB: f64 = 0.35;
+/// Probability that an episode is area-wide (`ap: None`) rather than
+/// pinned to one AP.
+const CHAOS_GLOBAL_PROB: f64 = 0.1;
+/// Extra-loss bounds for generated [`FaultKind::LossBurst`]s and each
+/// leg of a [`FaultKind::AsymmetricLoss`].
+const CHAOS_LOSS_EXTRA: (f64, f64) = (0.1, 0.6);
+
+/// Class order of the generator's weighted draw.
 pub const CHAOS_KINDS: [&str; 9] = [
     "blackout",
     "zombie",
@@ -99,46 +97,35 @@ pub const CHAOS_KINDS: [&str; 9] = [
     "asymmetric-loss",
 ];
 
+/// Draw weights per class, in [`CHAOS_KINDS`] order, without and with
+/// the adversarial tail.
+///
+/// `pick_weighted` sums the slice and walks it against one uniform
+/// draw, so *trailing zero* weights change neither the total nor the
+/// draw sequence: the standard profile generates byte-identical plans
+/// to the six-class generator, which is what keeps every recorded
+/// corpus artifact valid.
+const STANDARD_WEIGHTS: [f64; 9] = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0];
+const ADVERSARIAL_WEIGHTS: [f64; 9] = [1.0; 9];
+
 impl ChaosProfile {
-    /// The standard campaign profile: a handful of episodes per trial,
-    /// windows long enough to straddle joins, one in three episodes
-    /// compounded.
+    /// The standard campaign profile: the six original classes over the
+    /// whole drive. Its plans (and so every recorded corpus artifact)
+    /// predate the adversarial classes.
     pub fn standard() -> ChaosProfile {
         ChaosProfile {
-            episodes: (3, 10),
-            window_secs: (5.0, 60.0),
-            compound_prob: 0.35,
-            global_prob: 0.1,
-            loss_extra: (0.1, 0.6),
-            // Adversarial tail zeroed: the standard profile's plans (and
-            // so every recorded corpus artifact) predate those classes.
-            kind_weights: [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
-            start_frac: (0.0, 1.0),
-        }
-    }
-
-    /// A denser, nastier profile: more episodes, longer windows, most
-    /// of them compounded. For hunting, not for CI smoke.
-    pub fn aggressive() -> ChaosProfile {
-        ChaosProfile {
-            episodes: (8, 24),
-            window_secs: (10.0, 120.0),
-            compound_prob: 0.6,
-            global_prob: 0.2,
-            loss_extra: (0.2, 0.8),
-            kind_weights: [1.0, 1.5, 1.0, 1.0, 1.5, 1.5, 0.0, 0.0, 0.0],
-            start_frac: (0.0, 1.0),
+            adversarial: false,
+            start_frac: 0.0,
         }
     }
 
     /// [`ChaosProfile::standard`] with the adversarial classes armed:
     /// ARP poison, captive portals, and directional loss drawn at full
     /// weight alongside the original six. New artifacts and the
-    /// campaign matrix use this; the legacy profiles keep the tail at
-    /// zero so their recorded plans never shift.
+    /// campaign matrix use this.
     pub fn adversarial() -> ChaosProfile {
         ChaosProfile {
-            kind_weights: [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            adversarial: true,
             ..ChaosProfile::standard()
         }
     }
@@ -154,7 +141,7 @@ impl ChaosProfile {
             "back_loaded wants frac in [0, 1)"
         );
         ChaosProfile {
-            start_frac: (frac, 1.0),
+            start_frac: frac,
             ..ChaosProfile::standard()
         }
     }
@@ -162,22 +149,28 @@ impl ChaosProfile {
 
 /// Draw one fault kind according to the profile's weights.
 fn draw_kind(rng: &mut SimRng, profile: &ChaosProfile) -> FaultKind {
-    match rng.pick_weighted(&profile.kind_weights) {
+    let weights = if profile.adversarial {
+        &ADVERSARIAL_WEIGHTS
+    } else {
+        &STANDARD_WEIGHTS
+    };
+    let (lo, hi) = CHAOS_LOSS_EXTRA;
+    match rng.pick_weighted(weights) {
         0 => FaultKind::Blackout,
         1 => FaultKind::Zombie,
         2 => FaultKind::DhcpSilence,
         3 => FaultKind::DhcpExhausted,
         4 => FaultKind::IcmpBlackhole,
         5 => FaultKind::LossBurst {
-            extra: rng.uniform_in(profile.loss_extra.0, profile.loss_extra.1),
+            extra: rng.uniform_in(lo, hi),
         },
         6 => FaultKind::ArpPoison,
         7 => FaultKind::CaptivePortal,
         // Directional loss reuses the burst's extra bounds per leg; the
         // two draws are ordered up-then-down.
         _ => FaultKind::AsymmetricLoss {
-            up: rng.uniform_in(profile.loss_extra.0, profile.loss_extra.1),
-            down: rng.uniform_in(profile.loss_extra.0, profile.loss_extra.1),
+            up: rng.uniform_in(lo, hi),
+            down: rng.uniform_in(lo, hi),
         },
     }
 }
@@ -185,7 +178,7 @@ fn draw_kind(rng: &mut SimRng, profile: &ChaosProfile) -> FaultKind {
 /// Generate a randomized chaos schedule: a pure function of
 /// `(seed, num_aps, duration, profile)`.
 ///
-/// Two deliberate differences from [`FaultPlan::seeded`]: episodes of
+/// Two deliberate differences from [`FaultPlan::stormy`]: episodes of
 /// *different* classes freely overlap on the same AP (compound
 /// failures), and [`FaultKind::IcmpBlackhole`] appears as a windowed
 /// episode (a gateway that *starts* filtering mid-session) instead of
@@ -199,22 +192,22 @@ pub fn chaos_plan(
     assert!(num_aps > 0, "chaos plans need at least one AP to target");
     let mut rng = SimRng::new(seed).stream("chaos-plan");
     let horizon = duration.as_secs_f64();
-    let (lo, hi) = profile.episodes;
+    let (lo, hi) = CHAOS_EPISODES;
     let n = rng.uniform_u64(lo as u64, hi as u64 + 1) as usize;
     let mut episodes = Vec::with_capacity(n * 2);
     for _ in 0..n {
-        let ap = if rng.chance(profile.global_prob) {
+        let ap = if rng.chance(CHAOS_GLOBAL_PROB) {
             None
         } else {
             Some(rng.index(num_aps))
         };
         let kind = draw_kind(&mut rng, profile);
-        let dur = rng.uniform_in(profile.window_secs.0, profile.window_secs.1);
+        let dur = rng.uniform_in(CHAOS_WINDOW_SECS.0, CHAOS_WINDOW_SECS.1);
         let avail = (horizon - dur).max(0.0);
-        // With the default (0.0, 1.0) window this is uniform_in(0, avail)
-        // exactly — same arguments, same draw — so existing seeded plans
-        // stay bit-identical.
-        let start = rng.uniform_in(profile.start_frac.0 * avail, profile.start_frac.1 * avail);
+        // With start_frac = 0 this is uniform_in(0, avail) exactly —
+        // same arguments, same draw — so existing seeded plans stay
+        // bit-identical.
+        let start = rng.uniform_in(profile.start_frac * avail, avail);
         let end = (start + dur).min(horizon);
         let base = FaultEpisode {
             ap,
@@ -223,7 +216,7 @@ pub fn chaos_plan(
             end: SimTime::ZERO + SimDuration::from_secs_f64(end),
         };
         episodes.push(base);
-        if rng.chance(profile.compound_prob) {
+        if rng.chance(CHAOS_COMPOUND_PROB) {
             // A partner of a different class, overlapping the base
             // window on the same target: this is where the interesting
             // combinations come from (ICMP blackhole + loss burst,
@@ -235,7 +228,7 @@ pub fn chaos_plan(
                 }
             };
             let p_start = rng.uniform_in(start, end.max(start + 1e-6));
-            let p_dur = rng.uniform_in(profile.window_secs.0, profile.window_secs.1);
+            let p_dur = rng.uniform_in(CHAOS_WINDOW_SECS.0, CHAOS_WINDOW_SECS.1);
             let p_end = (p_start + p_dur).min(horizon);
             episodes.push(FaultEpisode {
                 ap,
@@ -976,7 +969,7 @@ where
     }
 
     /// A trie with no keys: it never builds a checkpoint, and every run
-    /// is `make(plan).run_with()`.
+    /// is `make(plan).finish()`.
     pub fn cold(make: F) -> CheckpointTrie<C, F> {
         CheckpointTrie {
             keys: Vec::new(),
@@ -1111,7 +1104,7 @@ where
                 (result, simulated)
             }
             None => {
-                let (result, _) = (self.make)(plan).run_with();
+                let (result, _) = (self.make)(plan).finish();
                 let simulated = result.events;
                 (result, simulated)
             }
@@ -1509,7 +1502,7 @@ where
     F: Fn(&FaultPlan) -> World<C> + Sync,
 {
     // Calibration run: this cell, nothing attacking it.
-    let (baseline, _) = make(&FaultPlan::none()).run_with();
+    let (baseline, _) = make(&FaultPlan::none()).finish();
     let envelope = Envelope::measure(&baseline);
     let mut cell_cfg = cfg.clone();
     cell_cfg.slo = calibrated_slo(&envelope, margins);
@@ -1549,7 +1542,7 @@ mod tests {
         let a = chaos_plan(42, 10, dur(300), &profile);
         let b = chaos_plan(42, 10, dur(300), &profile);
         assert_eq!(a, b);
-        assert!(a.episodes.len() >= profile.episodes.0);
+        assert!(a.episodes.len() >= CHAOS_EPISODES.0);
         for e in &a.episodes {
             assert!(e.start < e.end, "{e:?}");
             assert!(e.end <= t(300.0), "{e:?}");
@@ -1566,7 +1559,7 @@ mod tests {
         // window bound, so every episode of every seed starts past
         // frac * (horizon - window_hi).
         let profile = ChaosProfile::back_loaded(0.5);
-        let floor = t(0.5 * (300.0 - profile.window_secs.1));
+        let floor = t(0.5 * (300.0 - CHAOS_WINDOW_SECS.1));
         for seed in 0..10 {
             let plan = chaos_plan(seed, 10, dur(300), &profile);
             for e in &plan.episodes {
@@ -1574,12 +1567,8 @@ mod tests {
             }
         }
         // The neutral window is a no-op: same draws as standard().
-        let neutral = ChaosProfile {
-            start_frac: (0.0, 1.0),
-            ..ChaosProfile::standard()
-        };
         assert_eq!(
-            chaos_plan(42, 10, dur(300), &neutral),
+            chaos_plan(42, 10, dur(300), &ChaosProfile::back_loaded(0.0)),
             chaos_plan(42, 10, dur(300), &ChaosProfile::standard())
         );
     }
@@ -1589,8 +1578,8 @@ mod tests {
         // Across a handful of seeds, the generator must emit at least
         // one pair of distinct-class episodes overlapping on the same
         // target, and at least one *windowed* ICMP blackhole — the two
-        // things FaultPlan::seeded never produces.
-        let profile = ChaosProfile::aggressive();
+        // things FaultPlan::stormy never produces.
+        let profile = ChaosProfile::standard();
         let mut compound = false;
         let mut windowed_icmp = false;
         for seed in 0..20 {

@@ -10,7 +10,7 @@
 //! A [`FaultPlan`] is a set of [`FaultEpisode`]s — per-AP (or global)
 //! time windows during which one [`FaultKind`] is active. Plans are
 //! either scripted (tests, examples) or generated stochastically from a
-//! seed and a [`FaultProfile`] ([`FaultPlan::seeded`]), so a faulty run
+//! seed ([`FaultPlan::stormy`]), so a faulty run
 //! remains a pure function of `(WorldConfig, FaultPlan)` like everything
 //! else in the simulator. The world consults the plan, through a
 //! per-AP [`FaultIndex`], on every AP, DHCP, and medium interaction and
@@ -182,78 +182,6 @@ impl FaultEpisode {
     }
 }
 
-/// Knobs for stochastic fault generation: per-AP incidence rates
-/// (events per simulated hour) and episode-duration bounds (seconds,
-/// uniform). Rates of zero disable a class.
-#[derive(Debug, Clone)]
-pub struct FaultProfile {
-    /// Blackout events per AP-hour.
-    pub blackout_per_hour: f64,
-    /// Blackout duration bounds in seconds.
-    pub blackout_secs: (f64, f64),
-    /// Zombie episodes per AP-hour.
-    pub zombie_per_hour: f64,
-    /// Zombie duration bounds in seconds.
-    pub zombie_secs: (f64, f64),
-    /// DHCP-silence episodes per AP-hour.
-    pub dhcp_silence_per_hour: f64,
-    /// DHCP-silence duration bounds in seconds.
-    pub dhcp_silence_secs: (f64, f64),
-    /// Pool-exhaustion episodes per AP-hour.
-    pub dhcp_exhausted_per_hour: f64,
-    /// Pool-exhaustion duration bounds in seconds.
-    pub dhcp_exhausted_secs: (f64, f64),
-    /// Fraction of APs whose gateway filters end-to-end ICMP for the
-    /// entire run.
-    pub icmp_filtered_fraction: f64,
-    /// Loss-burst episodes per AP-hour.
-    pub loss_burst_per_hour: f64,
-    /// Loss-burst duration bounds in seconds.
-    pub loss_burst_secs: (f64, f64),
-    /// Extra loss probability bounds for a burst.
-    pub loss_burst_extra: (f64, f64),
-}
-
-impl FaultProfile {
-    /// A mild profile: occasional short outages, a few percent of APs
-    /// ICMP-filtered. Roughly "a normal day in an open-AP deployment".
-    pub fn calm() -> FaultProfile {
-        FaultProfile {
-            blackout_per_hour: 0.5,
-            blackout_secs: (10.0, 60.0),
-            zombie_per_hour: 0.5,
-            zombie_secs: (20.0, 120.0),
-            dhcp_silence_per_hour: 0.5,
-            dhcp_silence_secs: (10.0, 60.0),
-            dhcp_exhausted_per_hour: 0.25,
-            dhcp_exhausted_secs: (30.0, 120.0),
-            icmp_filtered_fraction: 0.05,
-            loss_burst_per_hour: 1.0,
-            loss_burst_secs: (1.0, 10.0),
-            loss_burst_extra: (0.05, 0.3),
-        }
-    }
-
-    /// A hostile profile for chaos testing: frequent long outages,
-    /// widespread ICMP filtering, heavy interference bursts.
-    pub fn stormy() -> FaultProfile {
-        FaultProfile {
-            blackout_per_hour: 6.0,
-            blackout_secs: (20.0, 180.0),
-            zombie_per_hour: 6.0,
-            zombie_secs: (30.0, 300.0),
-            dhcp_silence_per_hour: 4.0,
-            dhcp_silence_secs: (20.0, 120.0),
-            dhcp_exhausted_per_hour: 3.0,
-            dhcp_exhausted_secs: (30.0, 180.0),
-            icmp_filtered_fraction: 0.25,
-            loss_burst_per_hour: 10.0,
-            loss_burst_secs: (2.0, 20.0),
-            loss_burst_extra: (0.2, 0.6),
-        }
-    }
-}
-
 /// A complete fault schedule for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
@@ -280,45 +208,27 @@ impl FaultPlan {
         FaultPlan { episodes }
     }
 
-    /// Generate a plan stochastically: for each AP and each fault
-    /// class, episodes arrive as a Poisson process (exponential
-    /// inter-arrivals) at the profile's rate, with uniform durations.
-    /// Pure function of `(seed, num_aps, duration, profile)`; the seed
-    /// is streamed per class and AP so plans are stable under profile
-    /// tweaks to other classes.
-    pub fn seeded(
-        seed: u64,
-        num_aps: usize,
-        duration: SimDuration,
-        profile: &FaultProfile,
-    ) -> FaultPlan {
+    /// Generate a hostile plan for chaos testing: frequent long
+    /// outages, widespread ICMP filtering, heavy interference bursts.
+    /// For each AP and each fault class, episodes arrive as a Poisson
+    /// process (exponential inter-arrivals) at the class's rate, with
+    /// uniform durations. Pure function of `(seed, num_aps, duration)`;
+    /// the seed is streamed per class and AP, so each class draws
+    /// independently of the others.
+    pub fn stormy(seed: u64, num_aps: usize, duration: SimDuration) -> FaultPlan {
         let root = SimRng::new(seed);
         let horizon = duration.as_secs_f64();
         let mut episodes = Vec::new();
+        // (stream label, episodes per AP-hour, duration bounds in seconds)
         let classes: [(&str, f64, (f64, f64)); 5] = [
-            ("blackout", profile.blackout_per_hour, profile.blackout_secs),
-            ("zombie", profile.zombie_per_hour, profile.zombie_secs),
-            (
-                "dhcp-silence",
-                profile.dhcp_silence_per_hour,
-                profile.dhcp_silence_secs,
-            ),
-            (
-                "dhcp-exhausted",
-                profile.dhcp_exhausted_per_hour,
-                profile.dhcp_exhausted_secs,
-            ),
-            (
-                "loss-burst",
-                profile.loss_burst_per_hour,
-                profile.loss_burst_secs,
-            ),
+            ("blackout", 6.0, (20.0, 180.0)),
+            ("zombie", 6.0, (30.0, 300.0)),
+            ("dhcp-silence", 4.0, (20.0, 120.0)),
+            ("dhcp-exhausted", 3.0, (30.0, 180.0)),
+            ("loss-burst", 10.0, (2.0, 20.0)),
         ];
         for ap in 0..num_aps {
             for (label, per_hour, (lo, hi)) in classes {
-                if per_hour <= 0.0 {
-                    continue;
-                }
                 // The label is interpolated from a fixed literal table
                 // directly above, so the full set ("fault-assoc-flap",
                 // "fault-dhcp-outage", ...) is still auditable; rewriting
@@ -339,8 +249,7 @@ impl FaultPlan {
                         "dhcp-silence" => FaultKind::DhcpSilence,
                         "dhcp-exhausted" => FaultKind::DhcpExhausted,
                         _ => FaultKind::LossBurst {
-                            extra: rng
-                                .uniform_in(profile.loss_burst_extra.0, profile.loss_burst_extra.1),
+                            extra: rng.uniform_in(0.2, 0.6),
                         },
                     };
                     episodes.push(FaultEpisode {
@@ -353,9 +262,9 @@ impl FaultPlan {
                 }
             }
             // ICMP filtering is a property of the gateway, not an
-            // episode: a filtered AP filters for the whole run.
+            // episode: a quarter of the gateways filter for the whole run.
             let mut rng = root.stream("fault-icmp").stream_indexed("ap", ap as u64);
-            if rng.chance(profile.icmp_filtered_fraction) {
+            if rng.chance(0.25) {
                 episodes.push(FaultEpisode {
                     ap: Some(ap),
                     kind: FaultKind::IcmpBlackhole,
@@ -962,7 +871,7 @@ mod tests {
 
     #[test]
     fn first_divergence_identical_plans_share_everything() {
-        let plan = FaultPlan::seeded(7, 20, SimDuration::from_secs(600), &FaultProfile::stormy());
+        let plan = FaultPlan::stormy(7, 20, SimDuration::from_secs(600));
         assert_eq!(plan.first_divergence(&plan.clone()), None);
         assert_eq!(FaultPlan::none().first_divergence(&FaultPlan::none()), None);
     }
@@ -1016,34 +925,18 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic_and_bounded() {
-        let profile = FaultProfile::stormy();
         let dur = SimDuration::from_secs(600);
-        let a = FaultPlan::seeded(7, 20, dur, &profile);
-        let b = FaultPlan::seeded(7, 20, dur, &profile);
+        let a = FaultPlan::stormy(7, 20, dur);
+        let b = FaultPlan::stormy(7, 20, dur);
         assert_eq!(a, b);
-        assert!(!a.is_empty(), "stormy profile over 20 AP-hours must fire");
+        assert!(!a.is_empty(), "a storm over 20 AP-hours must fire");
         for e in &a.episodes {
             assert!(e.start < e.end);
             assert!(e.end <= SimTime::ZERO + dur);
         }
         // A different seed gives a different storm.
-        let c = FaultPlan::seeded(8, 20, dur, &profile);
+        let c = FaultPlan::stormy(8, 20, dur);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn seeded_respects_zero_rates() {
-        let profile = FaultProfile {
-            blackout_per_hour: 0.0,
-            zombie_per_hour: 0.0,
-            dhcp_silence_per_hour: 0.0,
-            dhcp_exhausted_per_hour: 0.0,
-            icmp_filtered_fraction: 0.0,
-            loss_burst_per_hour: 0.0,
-            ..FaultProfile::calm()
-        };
-        let plan = FaultPlan::seeded(1, 50, SimDuration::from_secs(3600), &profile);
-        assert!(plan.is_empty());
     }
 
     #[test]
@@ -1053,7 +946,7 @@ mod tests {
         // including the float composition of overlapping loss bursts.
         let num_aps = 30;
         let dur = SimDuration::from_secs(900);
-        let mut plan = FaultPlan::seeded(13, num_aps, dur, &FaultProfile::stormy());
+        let mut plan = FaultPlan::stormy(13, num_aps, dur);
         plan.episodes.push(FaultEpisode {
             ap: None,
             kind: FaultKind::LossBurst { extra: 0.123 },
@@ -1081,8 +974,7 @@ mod tests {
 
     #[test]
     fn plan_json_round_trips_exactly() {
-        let mut plan =
-            FaultPlan::seeded(11, 12, SimDuration::from_secs(600), &FaultProfile::stormy());
+        let mut plan = FaultPlan::stormy(11, 12, SimDuration::from_secs(600));
         plan.episodes.push(FaultEpisode {
             ap: None,
             kind: FaultKind::LossBurst {

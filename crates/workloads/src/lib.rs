@@ -44,7 +44,7 @@ pub use campaign::{
     SloRule, SloTable, SloViolation, TrialRecord,
 };
 pub use capture::{CaptureRecord, Direction};
-pub use faults::{FaultEpisode, FaultIndex, FaultKind, FaultPlan, FaultProfile, FaultStats};
+pub use faults::{FaultEpisode, FaultIndex, FaultKind, FaultPlan, FaultStats};
 pub use metrics::RunResult;
 pub use scenarios::{lab_scenario, town_scenario, ScenarioParams};
 pub use world::{World, WorldConfig};

@@ -33,13 +33,20 @@ use std::sync::Arc;
 /// definitions so baselines and world agree).
 pub use spider_core::iface::{SERVER_IP, SERVER_PORT};
 
+/// The paper's card: 802.11b at 11 Mb/s with its measured switch cost.
+const PHY: PhyParams = PhyParams::b11();
+/// Outdoor suburban propagation with the 100 m practical range (§2.1.3).
+const PROPAGATION: Propagation = Propagation::outdoor();
+/// Extra margin beyond radio range within which APs are actively
+/// simulated (beaconing), in metres.
+const ACTIVATION_MARGIN_M: f64 = 30.0;
+/// Maximum backhaul queueing delay before drop-tail (bufferbloat guard
+/// that keeps TCP honest).
+const BACKHAUL_QUEUE_CAP: SimDuration = SimDuration::from_millis(200);
+
 /// World configuration.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
-    /// PHY parameters (rate, switch latency, range).
-    pub phy: PhyParams,
-    /// Propagation model.
-    pub propagation: Propagation,
     /// Frame loss model.
     pub loss: LossModel,
     /// Client mobility.
@@ -50,19 +57,11 @@ pub struct WorldConfig {
     pub duration: SimDuration,
     /// Root seed — the run is a pure function of it.
     pub seed: u64,
-    /// TCP parameters for the bulk downloads.
-    pub tcp: TcpConfig,
     /// Unicast MAC-layer transmission attempts (1 = no link-layer ARQ).
     /// Real 802.11 retries unicast frames several times, so the residual
     /// loss seen by upper layers mid-cell is far below the raw per-
     /// transmission loss; broadcasts (beacons) are never retried.
     pub mac_retries: u32,
-    /// Extra margin beyond radio range within which APs are actively
-    /// simulated (beaconing), in metres.
-    pub activation_margin_m: f64,
-    /// Maximum backhaul queueing delay before drop-tail (bufferbloat
-    /// guard that keeps TCP honest).
-    pub backhaul_queue_cap: SimDuration,
     /// Record every delivered frame in memory (see [`crate::capture`]),
     /// keeping at most this many; read back with [`World::captured`].
     pub capture: Option<u64>,
@@ -86,17 +85,12 @@ impl WorldConfig {
         seed: u64,
     ) -> WorldConfig {
         WorldConfig {
-            phy: PhyParams::b11(),
-            propagation: Propagation::outdoor(),
             loss: LossModel::paper_default(),
             mobility,
             deployment,
             duration,
             seed,
-            tcp: TcpConfig::default(),
             mac_retries: 4,
-            activation_margin_m: 30.0,
-            backhaul_queue_cap: SimDuration::from_millis(200),
             capture: None,
             psm_buffers_join_traffic: false,
             faults: FaultPlan::none(),
@@ -507,7 +501,7 @@ impl<C: ClientSystem> World<C> {
         // Cell size near the query radius keeps lookups to a 3×3 cell
         // neighbourhood; both sweep (horizon) and fan-out (range) radii
         // are within one cell of it.
-        let horizon = cfg.propagation.range_m + cfg.activation_margin_m;
+        let horizon = PROPAGATION.range_m + ACTIVATION_MARGIN_M;
         let grid = cfg.deployment.grid(horizon.max(1.0));
         let path = CachedPath::new(cfg.mobility.clone());
         let findex = FaultIndex::build(&cfg.faults, num_aps);
@@ -596,13 +590,7 @@ impl<C: ClientSystem> World<C> {
 
     /// Run the simulation to completion and produce the result.
     pub fn run(self) -> RunResult {
-        self.run_with().0
-    }
-
-    /// Run to completion, returning the result *and* the client system
-    /// for post-run introspection (utility tables, lease caches, ...).
-    pub fn run_with(self) -> (RunResult, C) {
-        self.finish()
+        self.finish().0
     }
 
     /// Schedule the t=0 bootstrap events exactly once.
@@ -631,27 +619,6 @@ impl<C: ClientSystem> World<C> {
         while let Some(ev) = self.queue.pop_before(limit) {
             let now = ev.at;
             self.events += 1;
-            if self.dispatch(now, ev.event) {
-                self.after_event(now);
-            }
-        }
-    }
-
-    /// Run from the current point (t=0 for a fresh world, the snapshot
-    /// point for a fork) to completion and produce the result.
-    pub fn finish(mut self) -> (RunResult, C) {
-        self.start();
-        let end = SimTime::ZERO + self.cfg.duration;
-        while let Some(ev) = self.queue.pop() {
-            let now = ev.at;
-            if now > end {
-                // Popped but never dispatched: for the ledger this frame
-                // is still in flight, like everything left in the queue.
-                #[cfg(debug_assertions)]
-                self.air_note_in_flight(&ev.event);
-                break;
-            }
-            self.events += 1;
             // Only events actually delivered into the client system can
             // change what after_event observes (delivered bytes,
             // connectivity, the driver's next wakeup): every quantity it
@@ -663,6 +630,16 @@ impl<C: ClientSystem> World<C> {
                 self.after_event(now);
             }
         }
+    }
+
+    /// Run from the current point (t=0 for a fresh world, the snapshot
+    /// point for a fork) to completion, returning the result *and* the
+    /// client system for post-run introspection (utility tables, lease
+    /// caches, ...). Events past the end stay queued; the debug audit
+    /// counts their frames as in flight.
+    pub fn finish(mut self) -> (RunResult, C) {
+        let end = SimTime::ZERO + self.cfg.duration;
+        self.run_until(end);
         let duration = self.cfg.duration;
         let bytes = self.client.delivered_bytes();
         let mut tcp_timeouts = 0;
@@ -864,7 +841,7 @@ impl<C: ClientSystem> World<C> {
                     frame.body,
                     FrameBody::Beacon { .. } | FrameBody::ProbeResponse { .. }
                 )
-                .then(|| self.cfg.propagation.rssi_dbm(self.distance_to_ap(now, ap)));
+                .then(|| PROPAGATION.rssi_dbm(self.distance_to_ap(now, ap)));
                 let rx = RxFrame {
                     frame: &frame,
                     channel,
@@ -948,7 +925,7 @@ impl<C: ClientSystem> World<C> {
         // returns ascending ids — the same order the old linear scan
         // visited them — so activation-driven scheduling (and therefore
         // event sequence numbers) is unchanged.
-        let horizon = self.cfg.propagation.range_m + self.cfg.activation_margin_m;
+        let horizon = PROPAGATION.range_m + ACTIVATION_MARGIN_M;
         let pos = self.client_pos(now);
         let mut nearby = std::mem::take(&mut self.nearby_scratch);
         self.grid.within_into(pos, horizon, &mut nearby);
@@ -970,11 +947,7 @@ impl<C: ClientSystem> World<C> {
                 self.aps[i].mac.resync_beacons(now);
                 self.schedule_ap_wake(now, i, now);
             }
-            if self
-                .cfg
-                .propagation
-                .in_range_sq(pos.distance_sq_to(self.aps[i].position))
-            {
+            if PROPAGATION.in_range_sq(pos.distance_sq_to(self.aps[i].position)) {
                 self.encountered.insert(i);
                 // Coverage for the recovery clock means a *usable*
                 // candidate: an in-range AP on a channel this client
@@ -1184,12 +1157,9 @@ impl<C: ClientSystem> World<C> {
                     // the hardware queue is held in reset.
                 }
                 DriverAction::SwitchChannel(ch) => {
-                    let done = self.radio.start_switch(
-                        now,
-                        ch,
-                        &self.cfg.phy,
-                        self.client.associated_interfaces(),
-                    );
+                    let done =
+                        self.radio
+                            .start_switch(now, ch, &PHY, self.client.associated_interfaces());
                     self.queue.schedule(done.max(now), Ev::SwitchDone(ch));
                 }
             }
@@ -1215,10 +1185,8 @@ impl<C: ClientSystem> World<C> {
 
     fn airtime(&self, frame: &Frame) -> SimDuration {
         match frame.kind() {
-            FrameKind::Management | FrameKind::Control => {
-                self.cfg.phy.mgmt_airtime(frame.wire_size())
-            }
-            FrameKind::Data => self.cfg.phy.airtime(frame.wire_size()),
+            FrameKind::Management | FrameKind::Control => PHY.mgmt_airtime(frame.wire_size()),
+            FrameKind::Data => PHY.airtime(frame.wire_size()),
         }
     }
 
@@ -1245,7 +1213,7 @@ impl<C: ClientSystem> World<C> {
         let mut targets = std::mem::take(&mut self.targets_scratch);
         if broadcast {
             self.grid
-                .within_into(pos, self.cfg.propagation.range_m, &mut targets);
+                .within_into(pos, PROPAGATION.range_m, &mut targets);
             targets.retain(|&i| self.aps[i].active && self.aps[i].channel == ch);
         } else {
             targets.clear();
@@ -1275,13 +1243,10 @@ impl<C: ClientSystem> World<C> {
             // Squared distance everywhere: the disk test and the flat
             // region of the loss model never need the root.
             let d2 = pos.distance_sq_to(self.aps[i].position);
-            if !self.cfg.propagation.in_range_sq(d2) {
+            if !PROPAGATION.in_range_sq(d2) {
                 continue;
             }
-            let mut p = self
-                .cfg
-                .loss
-                .loss_probability_sq(d2, self.cfg.propagation.range_m);
+            let mut p = self.cfg.loss.loss_probability_sq(d2, PROPAGATION.range_m);
             // Client → AP frames ride the *up* leg: symmetric bursts
             // plus the `up` side of any directional-loss episode.
             let burst = self.findex.extra_loss_up(start, i);
@@ -1335,13 +1300,10 @@ impl<C: ClientSystem> World<C> {
         let ch = self.aps[ap].channel;
         let (start, end) = self.medium.reserve(now, ch, airtime);
         let d2 = self.distance_sq_to_ap(start, ap);
-        if !self.cfg.propagation.in_range_sq(d2) {
+        if !PROPAGATION.in_range_sq(d2) {
             return;
         }
-        let mut p = self
-            .cfg
-            .loss
-            .loss_probability_sq(d2, self.cfg.propagation.range_m);
+        let mut p = self.cfg.loss.loss_probability_sq(d2, PROPAGATION.range_m);
         // AP → client frames ride the *down* leg.
         let burst = self.findex.extra_loss_down(start, ap);
         if burst > 0.0 {
@@ -1592,7 +1554,7 @@ impl<C: ClientSystem> World<C> {
                 .unwrap_or(true);
             if needs_new {
                 let iss = self.aps[ap].iss_rng.next_u64() as u32;
-                let sender = TcpSender::new(self.cfg.tcp.clone(), SERVER_PORT, client_port, iss);
+                let sender = TcpSender::new(TcpConfig::default(), SERVER_PORT, client_port, iss);
                 self.aps[ap]
                     .senders
                     .insert(client_port, (packet.src, sender));
@@ -1626,7 +1588,7 @@ impl<C: ClientSystem> World<C> {
         let node = &mut self.aps[ap];
         let free = node.backhaul_free_at.max(now);
         // Drop-tail if the backhaul queue is too deep.
-        if free.saturating_since(now) > self.cfg.backhaul_queue_cap {
+        if free.saturating_since(now) > BACKHAUL_QUEUE_CAP {
             return;
         }
         let tx_done = free + SimDuration::from_secs_f64(bytes / node.backhaul_bps);
@@ -1828,7 +1790,7 @@ mod tests {
             SimDuration::from_secs(2),
             1,
         );
-        let (result, client) = World::new(cfg, RearmingClient::default()).run_with();
+        let (result, client) = World::new(cfg, RearmingClient::default()).finish();
         assert_eq!(result.switches, 1);
         // Every poll came at the instant the client armed, once each:
         // the superseded 100 ms wake neither polled early nor started a

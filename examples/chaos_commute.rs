@@ -13,7 +13,7 @@ use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
 use spider_repro::simcore::SimDuration;
 use spider_repro::wire::Channel;
 use spider_repro::workloads::scenarios::{town_scenario, ScenarioParams};
-use spider_repro::workloads::{FaultPlan, FaultProfile, FaultStats, RunResult, World, WorldConfig};
+use spider_repro::workloads::{FaultPlan, FaultStats, RunResult, World, WorldConfig};
 
 fn stormy_town(seed: u64, fault_seed: u64) -> WorldConfig {
     let params = ScenarioParams {
@@ -22,12 +22,7 @@ fn stormy_town(seed: u64, fault_seed: u64) -> WorldConfig {
         ..Default::default()
     };
     let mut cfg = town_scenario(&params);
-    cfg.faults = FaultPlan::seeded(
-        fault_seed,
-        cfg.deployment.len(),
-        cfg.duration,
-        &FaultProfile::stormy(),
-    );
+    cfg.faults = FaultPlan::stormy(fault_seed, cfg.deployment.len(), cfg.duration);
     cfg
 }
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example vehicular_commute
 //! ```
 
-use spider_repro::core::adaptive::{AdaptivePolicy, AdaptiveSpider};
+use spider_repro::core::adaptive::AdaptiveSpider;
 use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
 use spider_repro::simcore::SimDuration;
 use spider_repro::wire::Channel;
@@ -28,7 +28,7 @@ fn leg(name: &str, speed_mps: f64, seed: u64) {
         OperationMode::SingleChannelMultiAp(Channel::CH6),
         1,
     ));
-    let mut adaptive = AdaptiveSpider::new(inner, AdaptivePolicy::default());
+    let mut adaptive = AdaptiveSpider::new(inner);
     adaptive.set_speed_hint(speed_mps);
     let result = World::new(world, adaptive).run();
     println!(

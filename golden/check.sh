@@ -5,6 +5,11 @@
 #   golden/check.sh            build, regenerate, compare; exit 1 on a mismatch
 #   golden/check.sh --record   build, regenerate, overwrite golden/
 #
+# fig06 and table2 are also run on one sweep worker, and the three
+# campaigns with --no-fork; those outputs must equal the same recorded
+# files, which proves scheduling (worker count, checkpoint forking)
+# cannot change what the program computes.
+#
 # The release binaries are built in the usual target directory; each
 # run writes into its own temporary CARGO_TARGET_DIR, so nothing under
 # target/experiments/ is read or overwritten.
@@ -27,7 +32,9 @@ case "$bin" in /*) ;; *) bin="$root/$bin" ;; esac
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 fresh="$tmp/fresh"
-mkdir -p "$fresh/suite" "$fresh/campaign"
+cold="$tmp/cold"
+serial="$tmp/serial"
+mkdir -p "$fresh/suite" "$serial/suite"
 
 # The 24 figure, table and ablation binaries on two workers.
 for b in fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig10 fig11 fig12 \
@@ -38,28 +45,42 @@ for b in fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig10 fig11 fig12 \
 done
 cp "$tmp/run/suite/experiments/"* "$fresh/suite/"
 
-# campaign <name> <expected exit status> [args...]: run chaos_campaign
-# in its own output directory and keep everything but the forkstats
-# sidecars (performance accounting, not behaviour).
+# fig06 and table2 again on one worker: the sweep's worker count must
+# not move a byte, so they must write the same recorded files.
+for b in fig06 table2; do
+    SPIDER_JOBS=1 CARGO_TARGET_DIR="$tmp/run/serial" "$bin/$b" > "$tmp/$b.serial.log"
+done
+cp "$tmp/run/serial/experiments/"* "$serial/suite/"
+
+# campaign <output root> <name> <expected exit status> [args...]: run
+# chaos_campaign in its own output directory and keep everything but
+# the forkstats sidecars (performance accounting, not behaviour) under
+# <output root>/campaign/<name>.
 campaign() {
-    name=$1 want=$2
-    shift 2
+    root=$1 name=$2 want=$3
+    shift 3
+    run="$tmp/run/$(basename "$root")-$name"
     status=0
-    CARGO_TARGET_DIR="$tmp/run/$name" "$bin/chaos_campaign" "$@" > "$tmp/$name.log" 2>&1 || status=$?
+    CARGO_TARGET_DIR="$run" "$bin/chaos_campaign" "$@" > "$run.log" 2>&1 || status=$?
     if [ "$status" -ne "$want" ]; then
-        echo "chaos_campaign $* exited $status, expected $want (log: $tmp/$name.log)" >&2
+        echo "chaos_campaign $* exited $status, expected $want (log: $run.log)" >&2
         trap - EXIT
         exit 1
     fi
-    mkdir -p "$fresh/campaign/$name"
-    for f in "$tmp/run/$name/experiments/"*; do
+    mkdir -p "$root/campaign/$name"
+    for f in "$run/experiments/"*; do
         case "$f" in *forkstats*) continue ;; esac
-        cp "$f" "$fresh/campaign/$name/"
+        cp "$f" "$root/campaign/$name/"
     done
 }
-campaign default 0
-campaign tight 1 --tight --trials 4
-campaign matrix 0 --matrix --trials 2 --duration-secs 60
+campaign "$fresh" default 0
+campaign "$fresh" tight 1 --tight --trials 4
+campaign "$fresh" matrix 0 --matrix --trials 2 --duration-secs 60
+# The same campaigns with every world run cold from t = 0: checkpoint
+# forking must not move a byte either.
+campaign "$cold" default 0 --no-fork
+campaign "$cold" tight 1 --tight --trials 4 --no-fork
+campaign "$cold" matrix 0 --matrix --trials 2 --duration-secs 60 --no-fork
 
 if [ "$record" -eq 1 ]; then
     rm -rf "$golden/suite" "$golden/campaign"
@@ -68,22 +89,32 @@ if [ "$record" -eq 1 ]; then
     exit 0
 fi
 
-# Compare both ways: every recorded file must be regenerated
-# byte-for-byte, and no run may write a file that was never recorded.
-(cd "$golden" && find suite campaign -type f | sort) > "$tmp/want"
-(cd "$fresh" && find suite campaign -type f | sort) > "$tmp/got"
-if ! cmp -s "$tmp/want" "$tmp/got"; then
-    echo "golden: the set of output files changed (- recorded, + regenerated):" >&2
-    diff "$tmp/want" "$tmp/got" | grep '^[<>]' | sed 's/^</-/; s/^>/+/' >&2
-    exit 1
-fi
-while read -r f; do
-    if ! cmp -s "$golden/$f" "$fresh/$f"; then
-        line=$(cmp "$golden/$f" "$fresh/$f" 2>&1 | sed -n 's/.* line \([0-9]*\).*/\1/p')
-        echo "golden: $f differs, first at line ${line:-?}:" >&2
-        echo "  recorded:    $(sed -n "${line:-1}p" "$golden/$f" | cut -c1-200)" >&2
-        echo "  regenerated: $(sed -n "${line:-1}p" "$fresh/$f" | cut -c1-200)" >&2
+# compare <list> <tree> <what>: <tree> must hold exactly the files named
+# in <list> (paths relative to golden/), each byte for byte the same as
+# its recorded copy. Checking both ways means no recorded file may go
+# missing and no run may write a file that was never recorded.
+compare() {
+    (cd "$2" && find . -type f | sed 's|^\./||' | sort) > "$tmp/got"
+    if ! cmp -s "$1" "$tmp/got"; then
+        echo "golden: the set of output files of $3 changed (- recorded, + regenerated):" >&2
+        diff "$1" "$tmp/got" | grep '^[<>]' | sed 's/^</-/; s/^>/+/' >&2
         exit 1
     fi
-done < "$tmp/want"
-echo "golden: all $(wc -l < "$tmp/want") files byte-identical"
+    while read -r f; do
+        if ! cmp -s "$golden/$f" "$2/$f"; then
+            line=$(cmp "$golden/$f" "$2/$f" 2>&1 | sed -n 's/.* line \([0-9]*\).*/\1/p')
+            echo "golden: $f of $3 differs, first at line ${line:-?}:" >&2
+            echo "  recorded:    $(sed -n "${line:-1}p" "$golden/$f" | cut -c1-200)" >&2
+            echo "  regenerated: $(sed -n "${line:-1}p" "$2/$f" | cut -c1-200)" >&2
+            exit 1
+        fi
+    done < "$1"
+}
+(cd "$golden" && find suite campaign -type f | sort) > "$tmp/want"
+compare "$tmp/want" "$fresh" "the default runs"
+(cd "$golden" && find suite -type f \( -name 'fig06[._]*' -o -name 'table2[._]*' \) | sort) > "$tmp/want.serial"
+compare "$tmp/want.serial" "$serial" "the one-worker runs"
+(cd "$golden" && find campaign -type f | sort) > "$tmp/want.cold"
+compare "$tmp/want.cold" "$cold" "the --no-fork campaigns"
+echo "golden: all $(wc -l < "$tmp/want") files byte-identical" \
+     "(and $(cat "$tmp/want.serial" "$tmp/want.cold" | wc -l) more from one worker and --no-fork)"

@@ -12,7 +12,7 @@ use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
 use spider_repro::simcore::{SimDuration, SimTime};
 use spider_repro::wire::Channel;
 use spider_repro::workloads::scenarios::{lab_scenario, town_scenario, ScenarioParams};
-use spider_repro::workloads::{FaultEpisode, FaultKind, FaultPlan, FaultProfile, World};
+use spider_repro::workloads::{FaultEpisode, FaultKind, FaultPlan, World};
 
 fn spider(mode: OperationMode) -> SpiderDriver {
     SpiderDriver::new(SpiderConfig::for_mode(mode, 1))
@@ -99,7 +99,7 @@ fn blacklist_prevents_join_looping_on_a_dead_ap() {
         cfg,
         spider(OperationMode::SingleChannelSingleAp(Channel::CH1)),
     )
-    .run_with();
+    .finish();
     assert!(
         !driver.blacklist().is_empty(),
         "the dead AP should be blacklisted"
@@ -173,7 +173,7 @@ fn dhcp_exhaustion_falls_back_and_recovers() {
 
 #[test]
 fn icmp_blackhole_with_loss_burst_rides_the_gateway_fallback() {
-    // Compound episode the seeded profiles never produce: the gateway
+    // Compound episode the stormy generator never produces: the gateway
     // filters end-to-end ICMP while an interference burst layers extra
     // channel loss over the same window. The ping monitor's
     // gateway-ping fallback (§3.2.2) must keep the link classified as
@@ -294,7 +294,7 @@ fn arp_poison_is_detected_only_by_the_end_to_end_monitor() {
         cfg,
         spider(OperationMode::SingleChannelSingleAp(Channel::CH1)),
     )
-    .run_with();
+    .finish();
     assert!(
         result.faults.frames_blackholed_arp > 0,
         "the poison never swallowed anything: {result}"
@@ -355,7 +355,7 @@ fn captive_portal_defeats_gateway_fallback_but_demotion_recovers() {
         cfg,
         spider(OperationMode::SingleChannelMultiAp(Channel::CH1)),
     )
-    .run_with();
+    .finish();
     assert!(
         result.faults.packets_hijacked_portal > 0,
         "the portal never hijacked anything: {result}"
@@ -460,12 +460,7 @@ fn drivers_survive_a_seeded_fault_storm() {
         ..Default::default()
     };
     let stormy = |cfg: &mut spider_repro::workloads::WorldConfig| {
-        cfg.faults = FaultPlan::seeded(
-            99,
-            cfg.deployment.len(),
-            cfg.duration,
-            &FaultProfile::stormy(),
-        );
+        cfg.faults = FaultPlan::stormy(99, cfg.deployment.len(), cfg.duration);
     };
 
     let mut cfg = town_scenario(&params);
@@ -506,8 +501,7 @@ fn faulty_runs_are_deterministic_per_seed() {
             ..Default::default()
         };
         let mut cfg = town_scenario(&params);
-        cfg.faults =
-            FaultPlan::seeded(7, cfg.deployment.len(), cfg.duration, &FaultProfile::calm());
+        cfg.faults = FaultPlan::stormy(7, cfg.deployment.len(), cfg.duration);
         World::new(
             cfg,
             spider(OperationMode::MultiChannelMultiAp {
@@ -550,12 +544,7 @@ fn dense_deployment_rerun_is_bit_identical() {
             "dense scenario must stay dense ({} sites)",
             cfg.deployment.len()
         );
-        cfg.faults = FaultPlan::seeded(
-            99,
-            cfg.deployment.len(),
-            cfg.duration,
-            &FaultProfile::stormy(),
-        );
+        cfg.faults = FaultPlan::stormy(99, cfg.deployment.len(), cfg.duration);
         World::new(
             cfg,
             SpiderDriver::new(SpiderConfig::for_mode(

@@ -1,7 +1,7 @@
 //! Cross-crate integration: every driver through the full world.
 
 use spider_repro::baselines::{FatVapConfig, FatVapDriver, StockConfig, StockDriver};
-use spider_repro::core::adaptive::{AdaptivePolicy, AdaptiveSpider};
+use spider_repro::core::adaptive::AdaptiveSpider;
 use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
 use spider_repro::simcore::SimDuration;
 use spider_repro::wire::Channel;
@@ -69,7 +69,7 @@ fn adaptive_driver_runs_and_switches_modes() {
         OperationMode::SingleChannelMultiAp(Channel::CH6),
         1,
     ));
-    let mut adaptive = AdaptiveSpider::new(inner, AdaptivePolicy::default());
+    let mut adaptive = AdaptiveSpider::new(inner);
     adaptive.set_speed_hint(3.0);
     let result = World::new(world, adaptive).run();
     assert!(result.switches > 0, "slow adaptive should rotate: {result}");
@@ -121,7 +121,7 @@ fn straight_road_first_visit_has_no_cache_hits() {
         OperationMode::SingleChannelMultiAp(Channel::CH1),
         1,
     ));
-    let (result, driver) = World::new(world, driver).run_with();
+    let (result, driver) = World::new(world, driver).finish();
     assert!(!result.join_log.join.is_empty());
     assert_eq!(
         driver.lease_cache().hits,
@@ -139,7 +139,7 @@ fn loop_route_reuses_cached_leases() {
         OperationMode::SingleChannelMultiAp(Channel::CH1),
         1,
     ));
-    let (_, driver) = World::new(world, driver).run_with();
+    let (_, driver) = World::new(world, driver).finish();
     assert!(
         driver.lease_cache().hits > 0,
         "later laps must hit the DHCP cache"

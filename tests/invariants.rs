@@ -21,7 +21,7 @@ use spider_repro::wire::Channel;
 #[cfg(debug_assertions)]
 use spider_repro::workloads::scenarios::{town_scenario, ScenarioParams};
 #[cfg(debug_assertions)]
-use spider_repro::workloads::{FaultPlan, FaultProfile, World};
+use spider_repro::workloads::{FaultPlan, World};
 
 /// Same fault-plan seed as the benchmark suite's `chaos_storm`.
 #[cfg(debug_assertions)]
@@ -57,7 +57,7 @@ fn dense_downtown_upholds_all_invariants() {
     assert!(cfg.deployment.len() >= 1_000, "deployment lost its density");
     let result = World::new(cfg, spider_driver()).run();
     assert!(result.bytes > 0, "dense run delivered nothing: {result}");
-    // No fault plan: the audit inside `run_with` has already asserted
+    // No fault plan: the audit inside `finish` has already asserted
     // every fault counter stayed at zero.
     assert_eq!(result.faults.total_drops(), 0);
 }
@@ -71,7 +71,7 @@ fn chaos_storm_upholds_all_invariants() {
     let mut cfg = town_scenario(&dense_params(90));
     let sites = cfg.deployment.len();
     assert!(sites >= 1_000, "deployment lost its density");
-    cfg.faults = FaultPlan::seeded(STORM_SEED, sites, cfg.duration, &FaultProfile::stormy());
+    cfg.faults = FaultPlan::stormy(STORM_SEED, sites, cfg.duration);
     let result = World::new(cfg, spider_driver()).run();
     assert!(
         result.faults.total_drops() > 0,
@@ -87,7 +87,7 @@ fn validate_layer_does_not_perturb_the_run() {
     let run = || {
         let mut cfg = town_scenario(&dense_params(60));
         let sites = cfg.deployment.len();
-        cfg.faults = FaultPlan::seeded(STORM_SEED, sites, cfg.duration, &FaultProfile::stormy());
+        cfg.faults = FaultPlan::stormy(STORM_SEED, sites, cfg.duration);
         World::new(cfg, spider_driver()).run()
     };
     let (a, b) = (run(), run());

@@ -33,7 +33,6 @@ impl Drill {
                 ClientMacConfig::reduced(),
                 DhcpClientConfig::reduced(SimDuration::from_millis(200)),
                 PingConfig::paper(0),
-                true,
             ),
             ap: ApMac::new(
                 ApConfig::open(bssid, Ssid::new("drill"), Channel::CH6),

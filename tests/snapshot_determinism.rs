@@ -18,9 +18,7 @@ use spider_repro::mac80211::ClientSystem;
 use spider_repro::simcore::{sweep_with, SimDuration, SimTime};
 use spider_repro::wire::Channel;
 use spider_repro::workloads::scenarios::{town_scenario, ScenarioParams};
-use spider_repro::workloads::{
-    chaos_plan, ChaosProfile, FaultPlan, FaultProfile, RunResult, World, WorldConfig,
-};
+use spider_repro::workloads::{chaos_plan, ChaosProfile, FaultPlan, RunResult, World, WorldConfig};
 
 /// Same fault-plan seed as the benchmark suite's `chaos_storm`.
 const STORM_SEED: u64 = 99;
@@ -33,12 +31,7 @@ fn dense_cfg(sim_secs: u64, storm: bool) -> WorldConfig {
         ..Default::default()
     });
     if storm {
-        cfg.faults = FaultPlan::seeded(
-            STORM_SEED,
-            cfg.deployment.len(),
-            cfg.duration,
-            &FaultProfile::stormy(),
-        );
+        cfg.faults = FaultPlan::stormy(STORM_SEED, cfg.deployment.len(), cfg.duration);
     }
     cfg
 }

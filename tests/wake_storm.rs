@@ -117,7 +117,7 @@ fn assert_one_poll_per_armed_wake<C: ClientSystem + Clone + Send + 'static>(
     params: &ScenarioParams,
     client: C,
 ) {
-    let (result, audit) = World::new(town_scenario(params), PollAudit::new(client)).run_with();
+    let (result, audit) = World::new(town_scenario(params), PollAudit::new(client)).finish();
     assert!(audit.polls > 0, "{result}");
     assert_eq!(
         audit.unarmed, 0,
