@@ -15,6 +15,9 @@
 //!   (each scenario's median of three runs) against the checked-in
 //!   copy and exit non-zero if any scenario regressed by more than 2x.
 //! * `--out PATH` — write the JSON somewhere else.
+//!
+//! Any other argument, or `--out` without its path, exits 2 with the
+//! list of valid flags.
 
 use spider_bench::worldbench::{
     check_regressions, document, median_run, run_checkpoint_bench, run_prefix_tree_bench,
@@ -28,28 +31,43 @@ fn default_out() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_world.json")
 }
 
-fn main() -> ExitCode {
-    let mut fast = false;
-    let mut check = false;
-    let mut out = default_out();
-    let mut args = std::env::args().skip(1);
+/// The command line: `--fast`, `--check`, and where to write.
+#[derive(Debug, PartialEq)]
+struct Args {
+    fast: bool,
+    check: bool,
+    out: PathBuf,
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        fast: false,
+        check: false,
+        out: default_out(),
+    };
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--fast" => fast = true,
-            "--check" => check = true,
-            "--out" => match args.next() {
-                Some(p) => out = PathBuf::from(p),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
+            "--fast" => parsed.fast = true,
+            "--check" => parsed.check = true,
+            "--out" => match args.next().filter(|p| !p.starts_with("--")) {
+                Some(p) => parsed.out = PathBuf::from(p),
+                None => return Err("--out wants a path".into()),
             },
-            other => {
-                eprintln!("unknown flag {other}; valid: --fast --check --out PATH");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    Ok(parsed)
+}
+
+fn main() -> ExitCode {
+    let Args { fast, check, out } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("bench_world: {e}; valid: --fast --check --out PATH");
+            return ExitCode::from(2);
+        }
+    };
 
     let mode = if fast { "fast" } else { "full" };
     let baseline = if check {
@@ -169,4 +187,42 @@ fn main() -> ExitCode {
         println!("check passed: no scenario regressed more than 2x");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{default_out, parse_args, Args};
+    use std::path::PathBuf;
+
+    fn parse(list: &[&str]) -> Result<Args, String> {
+        parse_args(list.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn known_flags_parse() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Args {
+                fast: false,
+                check: false,
+                out: default_out()
+            })
+        );
+        assert_eq!(
+            parse(&["--check", "--out", "b.json", "--fast"]),
+            Ok(Args {
+                fast: true,
+                check: true,
+                out: PathBuf::from("b.json")
+            })
+        );
+    }
+
+    #[test]
+    fn usage_errors_are_reported() {
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["fast"]).is_err());
+        assert!(parse(&["--out"]).is_err());
+        assert!(parse(&["--out", "--fast"]).is_err());
+    }
 }

@@ -17,8 +17,9 @@
 //!                [--forkstats PATH] [--replay PATH] [--matrix]
 //! ```
 //!
-//! Any other argument, or a value flag without its value, exits 2 with
-//! the list of valid flags. The sweep runs on `SPIDER_JOBS` workers
+//! Any other argument, a value flag without its value, a number flag
+//! with a non-number, or an unknown `--tight-class` exits 2 with the
+//! list of valid flags. The sweep runs on `SPIDER_JOBS` workers
 //! (default: every core).
 //!
 //! * default mode exits non-zero when any trial violates an SLO or
@@ -54,6 +55,7 @@
 use spider_baselines::{FatVapConfig, FatVapDriver, StockConfig, StockDriver};
 use spider_bench::{write_json, OutDir};
 use spider_core::{OperationMode, SpiderConfig, SpiderDriver};
+use spider_mac80211::ClientSystem;
 use spider_simcore::{Json, SimDuration};
 use spider_wire::Channel;
 use spider_workloads::campaign::{
@@ -103,12 +105,12 @@ fn parse_flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
     match parse_flag(args, name) {
         Some(v) => v
             .parse()
-            .unwrap_or_else(|_| panic!("{name} wants a number, got {v:?}")),
-        None => default,
+            .map_err(|_| format!("{name} wants a number, got {v:?}")),
+        None => Ok(default),
     }
 }
 
@@ -169,27 +171,32 @@ fn tight_table() -> SloTable {
 /// The tight table narrowed to one class: only detections of `class`
 /// violate, so ddmin cannot trade the episode under study away for a
 /// faster-detected blackout.
-fn tight_class_table(class: &str) -> SloTable {
+fn tight_class_table(class: &str) -> Result<SloTable, String> {
     let class = match class {
         "blackout" => "blackout",
         "zombie" => "zombie",
         "arp-poison" => "arp-poison",
         "captive-portal" => "captive-portal",
         "asymmetric-loss" => "asymmetric-loss",
-        other => panic!("--tight-class {other}: not a detectable fault class"),
+        other => {
+            return Err(format!(
+                "--tight-class {other}: not a detectable fault class"
+            ))
+        }
     };
-    SloTable {
+    Ok(SloTable {
         rules: vec![SloRule {
             metric: SloMetric::MaxDetectS(class),
             budget: 0.0,
         }],
-    }
+    })
 }
 
-fn replay(args: &[String], path: &str) -> ExitCode {
+fn replay(args: &[String], path: &str) -> Result<ExitCode, String> {
     if parse_flag(args, "--duration-secs").is_some() {
-        eprintln!("--replay runs the drive length the artifact records; drop --duration-secs");
-        return ExitCode::from(2);
+        return Err(
+            "--replay runs the drive length the artifact records; drop --duration-secs".into(),
+        );
     }
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let doc = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
@@ -235,13 +242,13 @@ fn replay(args: &[String], path: &str) -> ExitCode {
     );
     if !violations.is_empty() && violations == repro.violations {
         println!("reproduced: every recorded violation re-measured exactly");
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         for v in &repro.violations {
             println!("  recorded: {v}");
         }
         println!("the recorded violations did NOT re-measure exactly");
-        ExitCode::from(1)
+        Ok(ExitCode::from(1))
     }
 }
 
@@ -312,12 +319,49 @@ fn triage_cell(cell: &MatrixCell) {
     }
 }
 
+/// A matrix run: the drive and campaign settings every cell shares,
+/// and the cells and their forkstats entries in run order.
+struct Matrix {
+    params: ScenarioParams,
+    cfg: CampaignConfig,
+    forked: bool,
+    cells: Vec<MatrixCell>,
+    stats: Vec<Json>,
+}
+
+impl Matrix {
+    /// Run one cell, `client()` on the town drive under every schedule,
+    /// and print its triage lines.
+    fn cell<C: ClientSystem + Clone + Send + Sync>(
+        &mut self,
+        mode: &str,
+        driver: &str,
+        margins: &SloMargins,
+        client: impl Fn() -> C + Sync,
+    ) {
+        let params = &self.params;
+        let make = |plan: &FaultPlan| {
+            let mut wc = town_scenario(params);
+            wc.faults = plan.clone();
+            World::new(wc, client())
+        };
+        let (cell, fs) = run_matrix_cell(mode, driver, &self.cfg, margins, self.forked, make);
+        triage_cell(&cell);
+        self.stats.push(Json::obj([
+            ("mode", Json::str(mode)),
+            ("driver", Json::str(driver)),
+            ("forkstats", fs.to_json()),
+        ]));
+        self.cells.push(cell);
+    }
+}
+
 /// The full campaign matrix: modes × drivers, every cell calibrated
 /// then judged against the same generated schedules.
-fn run_matrix(args: &[String]) -> ExitCode {
-    let trials = parse_num(args, "--trials", 4usize);
-    let seed = parse_num(args, "--seed", 1u64);
-    let duration = SimDuration::from_secs(parse_num(args, "--duration-secs", 120u64));
+fn run_matrix(args: &[String]) -> Result<ExitCode, String> {
+    let trials = parse_num(args, "--trials", 4usize)?;
+    let seed = parse_num(args, "--seed", 1u64)?;
+    let duration = SimDuration::from_secs(parse_num(args, "--duration-secs", 120u64)?);
     let no_fork = args.iter().any(|a| a == "--no-fork");
 
     let params = ScenarioParams {
@@ -360,65 +404,29 @@ fn run_matrix(args: &[String]) -> ExitCode {
         if no_fork { " (cold, no forking)" } else { "" }
     );
 
-    let mut cells = Vec::new();
-    let mut stats_json = Vec::new();
+    let mut matrix = Matrix {
+        params,
+        cfg,
+        forked: !no_fork,
+        cells: Vec::new(),
+        stats: Vec::new(),
+    };
     for mode in matrix_modes() {
         let label = mode.label();
-        {
-            let mode = mode.clone();
-            let make = |plan: &FaultPlan| {
-                let mut wc = town_scenario(&params);
-                wc.faults = plan.clone();
-                World::new(
-                    wc,
-                    SpiderDriver::new(SpiderConfig::for_mode(mode.clone(), 1)),
-                )
-            };
-            let (cell, fs) =
-                run_matrix_cell(&label, "spider", &cfg, &spider_margins, !no_fork, make);
-            triage_cell(&cell);
-            stats_json.push(Json::obj([
-                ("mode", Json::str(label.clone())),
-                ("driver", Json::str("spider")),
-                ("forkstats", fs.to_json()),
-            ]));
-            cells.push(cell);
-        }
-        {
-            let stock_cfg = stock_for_mode(&mode);
-            let make = |plan: &FaultPlan| {
-                let mut wc = town_scenario(&params);
-                wc.faults = plan.clone();
-                World::new(wc, StockDriver::new(stock_cfg.clone()))
-            };
-            let (cell, fs) = run_matrix_cell(&label, "stock", &cfg, &stock_margins, !no_fork, make);
-            triage_cell(&cell);
-            stats_json.push(Json::obj([
-                ("mode", Json::str(label.clone())),
-                ("driver", Json::str("stock")),
-                ("forkstats", fs.to_json()),
-            ]));
-            cells.push(cell);
-        }
-        {
-            let fv_cfg = fatvap_for_mode(&mode);
-            let make = |plan: &FaultPlan| {
-                let mut wc = town_scenario(&params);
-                wc.faults = plan.clone();
-                World::new(wc, FatVapDriver::new(fv_cfg.clone()))
-            };
-            let (cell, fs) =
-                run_matrix_cell(&label, "fatvap", &cfg, &fatvap_margins, !no_fork, make);
-            triage_cell(&cell);
-            stats_json.push(Json::obj([
-                ("mode", Json::str(label.clone())),
-                ("driver", Json::str("fatvap")),
-                ("forkstats", fs.to_json()),
-            ]));
-            cells.push(cell);
-        }
+        let spider = SpiderConfig::for_mode(mode.clone(), 1);
+        let stock = stock_for_mode(&mode);
+        let fatvap = fatvap_for_mode(&mode);
+        matrix.cell(&label, "spider", &spider_margins, || {
+            SpiderDriver::new(spider.clone())
+        });
+        matrix.cell(&label, "stock", &stock_margins, || {
+            StockDriver::new(stock.clone())
+        });
+        matrix.cell(&label, "fatvap", &fatvap_margins, || {
+            FatVapDriver::new(fatvap.clone())
+        });
     }
-
+    let Matrix { cells, stats, .. } = matrix;
     let matrix = MatrixReport { seed, cells };
     let panicked: usize = matrix
         .cells
@@ -432,7 +440,7 @@ fn run_matrix(args: &[String]) -> ExitCode {
     if !no_fork {
         // Sidecar, never part of the byte-diffed report (CI compares
         // the forked and cold matrix reports byte for byte).
-        let stats_path = write_json("chaos_matrix_forkstats.json", &Json::Arr(stats_json));
+        let stats_path = write_json("chaos_matrix_forkstats.json", &Json::Arr(stats));
         println!("wrote {}", stats_path.display());
     }
 
@@ -442,38 +450,49 @@ fn run_matrix(args: &[String]) -> ExitCode {
         matrix.violating_cells(),
         panicked
     );
-    if panicked == 0 {
+    Ok(if panicked == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
-    }
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = check_args(&args) {
+    run(&args).unwrap_or_else(|e| {
         eprintln!(
             "chaos_campaign: {e}; valid: {} (each with a value), {}",
             VALUE_FLAGS.join(" "),
             SWITCHES.join(" ")
         );
-        return ExitCode::from(2);
-    }
-    if let Some(path) = parse_flag(&args, "--replay") {
-        return replay(&args, &path);
+        ExitCode::from(2)
+    })
+}
+
+/// Run the mode `args` select. `Err` is a usage error, found before
+/// anything is simulated.
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    check_args(args)?;
+    if let Some(path) = parse_flag(args, "--replay") {
+        return replay(args, &path);
     }
     if args.iter().any(|a| a == "--matrix") {
-        return run_matrix(&args);
+        return run_matrix(args);
     }
 
-    let trials = parse_num(&args, "--trials", 8usize);
-    let seed = parse_num(&args, "--seed", 1u64);
-    let duration = SimDuration::from_secs(parse_num(&args, "--duration-secs", 300u64));
-    let tight_class = parse_flag(&args, "--tight-class");
+    let trials = parse_num(args, "--trials", 8usize)?;
+    let seed = parse_num(args, "--seed", 1u64)?;
+    let duration = SimDuration::from_secs(parse_num(args, "--duration-secs", 300u64)?);
+    let tight_class = parse_flag(args, "--tight-class");
     let tight = args.iter().any(|a| a == "--tight") || tight_class.is_some();
     let adversarial = args.iter().any(|a| a == "--adversarial");
     let no_fork = args.iter().any(|a| a == "--no-fork");
-    let forkstats_path = parse_flag(&args, "--forkstats");
+    let forkstats_path = parse_flag(args, "--forkstats");
+    let slo = match &tight_class {
+        Some(class) => tight_class_table(class)?,
+        None if tight => tight_table(),
+        None => SloTable::paper_default(),
+    };
 
     let (num_aps, make) = make_factory(duration);
     let mut cfg = CampaignConfig {
@@ -486,11 +505,7 @@ fn main() -> ExitCode {
         } else {
             ChaosProfile::standard()
         },
-        slo: match &tight_class {
-            Some(class) => tight_class_table(class),
-            None if tight => tight_table(),
-            None => SloTable::paper_default(),
-        },
+        slo,
         shrink_budget: 120,
         max_shrinks: 4,
         workers: 0,
@@ -580,7 +595,7 @@ fn main() -> ExitCode {
     }
     let _ = out;
 
-    if report.is_clean() {
+    Ok(if report.is_clean() {
         println!("\ncampaign clean: {} trials, 0 violations", report.trials);
         ExitCode::SUCCESS
     } else {
@@ -590,12 +605,12 @@ fn main() -> ExitCode {
             report.job_failures.len()
         );
         ExitCode::from(1)
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::check_args;
+    use super::{check_args, parse_num, run, tight_class_table};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -628,5 +643,27 @@ mod tests {
         assert!(check_args(&args(&["--trials"])).is_err());
         assert!(check_args(&args(&["--trials", "--tight"])).is_err());
         assert!(check_args(&args(&["--tight", "--replay"])).is_err());
+    }
+
+    #[test]
+    fn bad_values_are_usage_errors() {
+        assert_eq!(
+            parse_num(&args(&["--trials", "3"]), "--trials", 8usize),
+            Ok(3)
+        );
+        assert_eq!(parse_num(&args(&[]), "--trials", 8usize), Ok(8));
+        assert!(parse_num(&args(&["--trials", "x"]), "--trials", 8usize).is_err());
+        assert!(parse_num(&args(&["--seed", "-1"]), "--seed", 1u64).is_err());
+        assert!(tight_class_table("arp-poison").is_ok());
+        assert!(tight_class_table("foo").is_err());
+        // Each is refused before anything is simulated.
+        for bad in [
+            &["--trials", "x"][..],
+            &["--tight-class", "foo", "--trials", "1"],
+            &["--matrix", "--duration-secs", "1.5"],
+            &["--replay", "corpus/none.json", "--duration-secs", "60"],
+        ] {
+            assert!(run(&args(bad)).is_err(), "{bad:?}");
+        }
     }
 }

@@ -10,6 +10,7 @@
 //!
 //! Set `SPIDER_BENCH_FAST=1` to cut sample counts for smoke runs (CI).
 
+use crate::output::{print_table, write_csv};
 use spider_simcore::Cdf;
 use std::hint::black_box;
 use std::time::Instant;
@@ -96,6 +97,45 @@ impl CdfRow {
     }
 }
 
+/// A figure of CDFs probed at fixed points (Figs. 11, 12 and 14–17).
+/// Each series becomes one console row (label, `n`, the fractions, the
+/// median in seconds) and one CSV row (label, the fractions).
+pub struct CdfFigure<'a> {
+    /// Console table title.
+    pub title: &'a str,
+    /// CSV file name under `target/experiments/`.
+    pub file: &'a str,
+    /// Console headers: label, `n`, one per probe, median.
+    pub table_headers: &'a [&'a str],
+    /// CSV headers: label, one per probe.
+    pub csv_headers: &'a [&'a str],
+    /// Probe points, in seconds.
+    pub probes: &'a [f64],
+    /// Decimal places of the console median.
+    pub median_digits: usize,
+}
+
+impl CdfFigure<'_> {
+    /// Probe every series, print the table and write the CSV.
+    pub fn emit<'s>(&self, series: impl IntoIterator<Item = (&'s str, Cdf)>) {
+        let mut rows = Vec::new();
+        let mut table = Vec::new();
+        for (label, mut cdf) in series {
+            let row = CdfRow::probe(&mut cdf, self.probes);
+            let mut cells = vec![label.to_string(), format!("{}", row.n)];
+            cells.extend(row.table_fractions());
+            cells.push(format!("{:.*}s", self.median_digits, row.median));
+            let mut csv = vec![label.to_string()];
+            csv.extend(row.csv_fractions());
+            rows.push(csv);
+            table.push(cells);
+        }
+        print_table(self.title, self.table_headers, &table);
+        let path = write_csv(self.file, self.csv_headers, rows);
+        println!("\nwrote {}", path.display());
+    }
+}
+
 /// Quantiles of a CDF, scaled — the fig-13 style row. Shares the
 /// `Cdf::quantile` convention with everything else in the harness.
 pub fn cdf_quantiles(cdf: &mut Cdf, quantiles: &[f64], scale: f64) -> Vec<f64> {
@@ -163,6 +203,23 @@ mod tests {
         assert_eq!(row.csv_fractions(), vec!["0.000", "0.500", "1.000"]);
         assert_eq!(row.table_fractions(), vec!["0.00", "0.50", "1.00"]);
         assert_eq!(row.median, cdf.median());
+    }
+
+    #[test]
+    fn cdf_figure_writes_one_row_per_series() {
+        CdfFigure {
+            title: "unit",
+            file: "unit_cdf_figure.csv",
+            table_headers: &["series", "n", "1s", "median"],
+            csv_headers: &["series", "le_1s"],
+            probes: &[1.0],
+            median_digits: 2,
+        }
+        .emit([("a", Cdf::from_samples(vec![0.5, 2.0])), ("b", Cdf::new())]);
+        let path = crate::output::OutDir::open().path("unit_cdf_figure.csv");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, "series,le_1s\na,0.500\nb,0.000\n");
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

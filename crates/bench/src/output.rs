@@ -5,7 +5,7 @@ use spider_simcore::Json;
 use std::fmt::Display;
 use std::fs;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The experiment output directory (`target/experiments`), created on
 /// first use.
@@ -95,11 +95,6 @@ pub fn print_table<C: Display>(title: &str, headers: &[&str], rows: &[Vec<C>]) {
     for row in &cells {
         println!("{}", fmt_row(row));
     }
-}
-
-/// Convenience: does a path exist (used by tests).
-pub fn exists(path: &Path) -> bool {
-    path.exists()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use spider_baselines::{StockConfig, StockDriver};
 use spider_core::{ChannelSchedule, OperationMode, SpiderConfig, SpiderDriver};
 use spider_mac80211::ClientSystem;
-use spider_simcore::{sweep, sweep_with, worker_count, Json, SimDuration};
+use spider_simcore::{sweep_with, worker_count, Json, SimDuration};
 use spider_wire::Channel;
 use spider_workloads::metrics::RunResult;
 use spider_workloads::scenarios::{boston_scenario, town_scenario, ScenarioParams};
@@ -84,10 +84,10 @@ impl StdConfigs {
         SimDuration::from_millis(600)
     }
 
-    /// Number of rows in [`StdConfigs::table2`].
+    /// Number of Table 2 rows (see [`StdConfigs::table2_row`]).
     pub const TABLE2_ROWS: usize = 6;
 
-    /// Label of Table 2 row `row` (see [`StdConfigs::table2`]).
+    /// Label of Table 2 row `row`.
     pub fn table2_label(row: usize) -> &'static str {
         match row {
             0 => "(1) Channel 1, Multi-AP",
@@ -130,21 +130,11 @@ impl StdConfigs {
         spider_run(town_scenario(&params), SpiderConfig::for_mode(mode, 1))
     }
 
-    /// Table 2's four Spider rows on the town drive (plus MadWiFi), with
-    /// the Cambridge rows from the Boston scenario. Rows run as one
-    /// parallel sweep; the returned order is always the row order.
-    pub fn table2(seed: u64) -> Vec<(String, RunResult)> {
-        let jobs: Vec<usize> = (0..Self::TABLE2_ROWS).collect();
-        let results = sweep(&jobs, |&row| Self::table2_row(row, seed));
-        jobs.iter()
-            .zip(results)
-            .map(|(&row, result)| (Self::table2_label(row).to_string(), result))
-            .collect()
-    }
-
-    /// [`StdConfigs::table2`] across several seeds as one flat sweep:
-    /// one entry per row, carrying that row's per-seed results in seed
-    /// order.
+    /// Table 2's rows across several seeds as one flat sweep: one entry
+    /// per row, labelled, carrying that row's per-seed results in seed
+    /// order. Rows 0–3 are the four Spider configurations on the town
+    /// drive, row 4 the Cambridge row on the Boston scenario, row 5
+    /// MadWiFi.
     pub fn table2_seeds(seeds: &[u64]) -> Vec<(String, Vec<RunResult>)> {
         Self::table2_seeds_with(seeds, worker_count())
     }

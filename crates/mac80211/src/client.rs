@@ -132,11 +132,6 @@ impl InterfaceMac {
         }
     }
 
-    /// Replace the link-layer configuration (timeout tuning experiments).
-    pub fn set_config(&mut self, cfg: ClientMacConfig) {
-        self.cfg = cfg;
-    }
-
     /// Current state.
     pub fn state(&self) -> AssocState {
         self.state

@@ -132,11 +132,6 @@ impl DhcpClient {
         }
     }
 
-    /// Replace the timing configuration.
-    pub fn set_config(&mut self, cfg: DhcpClientConfig) {
-        self.cfg = cfg;
-    }
-
     /// Current state.
     pub fn state(&self) -> DhcpClientState {
         self.state

@@ -9,9 +9,7 @@
 //! * [`SimRng`] — seeded, stream-splittable random number generation so a
 //!   whole experiment is a pure function of one `u64` seed,
 //! * statistics helpers ([`OnlineStats`], [`Cdf`], [`IntervalTracker`],
-//!   [`RateMeter`]) used by the evaluation harness,
-//! * [`TokenBucket`] — a rate limiter in simulated time, used to model AP
-//!   backhaul links.
+//!   [`RateMeter`]) used by the evaluation harness.
 //!
 //! The design follows the "sans-IO" idiom: nothing here performs real I/O
 //! or reads wall-clock time, which keeps every simulation fully
@@ -19,7 +17,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bucket;
 pub mod event;
 pub mod hashing;
 pub mod json;
@@ -28,7 +25,6 @@ pub mod stats;
 pub mod sweep;
 pub mod time;
 
-pub use bucket::TokenBucket;
 pub use event::{EventQueue, ScheduledEvent};
 pub use hashing::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use json::{Json, JsonError};

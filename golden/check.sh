@@ -5,6 +5,10 @@
 #   golden/check.sh            build, regenerate, compare; exit 1 on a mismatch
 #   golden/check.sh --record   build, regenerate, overwrite golden/
 #
+# The suite is every binary in crates/bench/src/bin/ except
+# chaos_campaign (run below) and bench_world (the engine benchmark), so
+# a new figure binary is checked as soon as it exists.
+#
 # fig06 and table2 are also run on one sweep worker, and the three
 # campaigns with --no-fork; those outputs must equal the same recorded
 # files, which proves scheduling (worker count, checkpoint forking)
@@ -36,17 +40,20 @@ cold="$tmp/cold"
 serial="$tmp/serial"
 mkdir -p "$fresh/suite" "$serial/suite"
 
-# The 24 figure, table and ablation binaries on two workers.
-for b in fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig10 fig11 fig12 \
-         fig13 fig14 fig15 fig16 fig17 table1 table2 table3 table4 \
-         appendix_a ablation_adaptive ablation_dividing ablation_psm \
-         ablation_utility; do
+# The figure, table and ablation binaries on two workers.
+ran=0
+for src in "$root"/crates/bench/src/bin/*.rs; do
+    b=$(basename "$src" .rs)
+    case "$b" in chaos_campaign | bench_world) continue ;; esac
     SPIDER_JOBS=2 CARGO_TARGET_DIR="$tmp/run/suite" "$bin/$b" > "$tmp/$b.log"
+    ran=$((ran + 1))
 done
+echo "golden: ran $ran suite binaries"
 cp "$tmp/run/suite/experiments/"* "$fresh/suite/"
 
 # fig06 and table2 again on one worker: the sweep's worker count must
-# not move a byte, so they must write the same recorded files.
+# not move a byte, so they must write the same recorded files (table2
+# writes Figs. 11-13 and 16-17 as well).
 for b in fig06 table2; do
     SPIDER_JOBS=1 CARGO_TARGET_DIR="$tmp/run/serial" "$bin/$b" > "$tmp/$b.serial.log"
 done
@@ -112,7 +119,8 @@ compare() {
 }
 (cd "$golden" && find suite campaign -type f | sort) > "$tmp/want"
 compare "$tmp/want" "$fresh" "the default runs"
-(cd "$golden" && find suite -type f \( -name 'fig06[._]*' -o -name 'table2[._]*' \) | sort) > "$tmp/want.serial"
+(cd "$golden" && find suite -type f \( -name 'fig06[._]*' -o -name 'table2[._]*' \
+    -o -name 'fig1[1-3].*' -o -name 'fig1[67].*' \) | sort) > "$tmp/want.serial"
 compare "$tmp/want.serial" "$serial" "the one-worker runs"
 (cd "$golden" && find campaign -type f | sort) > "$tmp/want.cold"
 compare "$tmp/want.cold" "$cold" "the --no-fork campaigns"
