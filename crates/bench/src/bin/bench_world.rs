@@ -160,10 +160,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     // Deterministic event accounting: the trie must actually share
-    // work across trials, not just break even.
-    if pt.campaign_events_ratio() < 1.3 {
+    // work across trials, forking each where its faults first become
+    // observable (3.47x in both modes).
+    if pt.campaign_events_ratio() < 3.4 {
         eprintln!(
-            "prefix-tree bench: campaign trie simulated only {:.2}x fewer events (target >=1.3x)",
+            "prefix-tree bench: campaign trie simulated only {:.2}x fewer events (target >=3.4x)",
             pt.campaign_events_ratio()
         );
         return ExitCode::FAILURE;

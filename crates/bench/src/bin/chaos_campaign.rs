@@ -64,7 +64,7 @@ use spider_workloads::campaign::{
     SloTable,
 };
 use spider_workloads::scenarios::{town_scenario, ScenarioParams};
-use spider_workloads::{FaultPlan, World};
+use spider_workloads::{FaultPlan, RunResult, World};
 use std::process::ExitCode;
 
 /// World seed for the campaign's drive (fixed: the campaign explores
@@ -192,23 +192,32 @@ fn tight_class_table(class: &str) -> Result<SloTable, String> {
     })
 }
 
+/// Read the minimized artifact at `path`. A file that cannot be read,
+/// is not JSON, or is not a repro artifact is a usage error.
+fn read_artifact(path: &str) -> Result<MinimizedRepro, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("--replay {path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("--replay {path}: not JSON: {e}"))?;
+    MinimizedRepro::from_json(&doc).ok_or_else(|| {
+        format!("--replay {path}: not a spider-chaos-repro artifact (or lacks its duration_us)")
+    })
+}
+
 fn replay(args: &[String], path: &str) -> Result<ExitCode, String> {
     if parse_flag(args, "--duration-secs").is_some() {
         return Err(
             "--replay runs the drive length the artifact records; drop --duration-secs".into(),
         );
     }
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
-    let repro = MinimizedRepro::from_json(&doc).unwrap_or_else(|| {
-        panic!("{path} is not a spider-chaos-repro artifact (or lacks its duration_us)")
-    });
+    let repro = read_artifact(path)?;
     let (_, make) = make_factory(repro.duration);
     // Both the replay and its no-fault baseline resume from the
     // fault-free prefix's checkpoint rather than running cold — same
-    // results, one shared prefix.
+    // results, one shared prefix, advanced in share-point order.
     let mut trie = CheckpointTrie::new(&make);
-    let result = trie.run(&repro.plan);
+    let [result, baseline]: [RunResult; 2] = trie
+        .run_all(&[repro.plan.clone(), FaultPlan::none()])
+        .try_into()
+        .expect("one result per plan");
     // Judge by the rules the artifact recorded: a reproducer found
     // under a tight table must not be re-judged by the default one.
     let table = SloTable {
@@ -227,7 +236,6 @@ fn replay(args: &[String], path: &str) -> Result<ExitCode, String> {
     // Triage aid: the same drive with no faults at all. A "recovery"
     // time close to a natural disruption means the client was simply
     // out of coverage — a mobility bound, not a recovery defect.
-    let baseline = trie.run(&FaultPlan::none());
     let natural_max = baseline
         .intervals
         .off_durations
@@ -610,7 +618,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_args, parse_num, run, tight_class_table};
+    use super::{check_args, parse_num, read_artifact, run, tight_class_table};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -665,5 +673,25 @@ mod tests {
         ] {
             assert!(run(&args(bad)).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn unreadable_replay_artifacts_are_usage_errors() {
+        let missing = read_artifact("/missing.json").unwrap_err();
+        assert!(missing.contains("/missing.json"), "{missing}");
+        let dir = std::env::temp_dir().join(format!("chaos_campaign_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let empty_obj = dir.join("empty.json");
+        let not_json = dir.join("garbage.json");
+        std::fs::write(&empty_obj, "{}").unwrap();
+        std::fs::write(&not_json, "not json").unwrap();
+        for path in [&empty_obj, &not_json] {
+            let path = path.to_str().unwrap();
+            assert!(read_artifact(path).is_err(), "{path}");
+            // Refused before anything is simulated.
+            assert!(run(&args(&["--replay", path])).is_err(), "{path}");
+        }
+        assert!(run(&args(&["--replay", "/missing.json"])).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

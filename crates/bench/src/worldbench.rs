@@ -331,6 +331,9 @@ pub struct CheckpointResult {
     /// Both legs minimized to the identical schedule in the same
     /// number of evaluations.
     pub minimized_identical: bool,
+    /// [`shrink_events_simulated`](Self::shrink_events_simulated)
+    /// under the earliest-start divergence rule, as recorded.
+    pub shrink_events_before: u64,
 }
 
 impl CheckpointResult {
@@ -373,6 +376,10 @@ impl CheckpointResult {
                     ("events_simulated", Json::UInt(self.shrink_events_simulated)),
                     ("events_ratio", Json::Num(self.events_ratio())),
                     ("minimized_identical", Json::Bool(self.minimized_identical)),
+                    (
+                        "before",
+                        before_json(self.shrink_events_before, self.shrink_events_cold),
+                    ),
                 ]),
             ),
         ])
@@ -381,6 +388,34 @@ impl CheckpointResult {
 
 /// Seed for the checkpoint benchmark's world (campaign-style town).
 const CHECKPOINT_WORLD_SEED: u64 = 7;
+
+/// Events the two trie legs simulated, `(shrink, campaign)`, when a
+/// plan diverged at its earliest episode start (commit 95d4f4b) rather
+/// than where a difference is first observable (DESIGN.md §13.2). Cold
+/// counts are the same under both rules.
+fn events_before(fast: bool) -> (u64, u64) {
+    if fast {
+        (144_756, 1_225_125)
+    } else {
+        (458_851, 6_338_394)
+    }
+}
+
+/// The `before` object of a trie leg: what it simulated under the
+/// earliest-start rule, against the same cold count.
+fn before_json(simulated: u64, cold: u64) -> Json {
+    Json::obj([
+        (
+            "rule",
+            Json::str("divergence at the earliest episode start (commit 95d4f4b)"),
+        ),
+        ("events_simulated", Json::UInt(simulated)),
+        (
+            "events_ratio",
+            Json::Num(cold as f64 / simulated.max(1) as f64),
+        ),
+    ])
+}
 
 /// The failing schedule the checkpoint benchmark shrinks: compound
 /// faults concentrated in the final tenth of the drive. This is the
@@ -510,6 +545,7 @@ pub fn run_checkpoint_bench(fast: bool) -> CheckpointResult {
         shrink_events_simulated: trie.stats.events_simulated,
         minimized_identical: cold_outcome.plan == forked_outcome.plan
             && cold_outcome.evals == forked_outcome.evals,
+        shrink_events_before: events_before(fast).0,
     }
 }
 
@@ -534,12 +570,15 @@ pub struct PrefixTreeResult {
     pub campaign_identical: bool,
     /// Checkpoints the forked campaign materialized.
     pub checkpoints: usize,
+    /// [`campaign_events_simulated`](Self::campaign_events_simulated)
+    /// under the earliest-start divergence rule, as recorded.
+    pub campaign_events_before: u64,
 }
 
 impl PrefixTreeResult {
     /// Simulated-event reduction of the forked campaign — the
     /// machine-independent headline the `bench_world` gate enforces
-    /// (>= 1.3 in both modes).
+    /// (>= 3.4 in both modes).
     pub fn campaign_events_ratio(&self) -> f64 {
         self.campaign_events_cold as f64 / self.campaign_events_simulated.max(1) as f64
     }
@@ -571,6 +610,10 @@ impl PrefixTreeResult {
                     ("events_ratio", Json::Num(self.campaign_events_ratio())),
                     ("report_identical", Json::Bool(self.campaign_identical)),
                     ("checkpoints", Json::UInt(self.checkpoints as u64)),
+                    (
+                        "before",
+                        before_json(self.campaign_events_before, self.campaign_events_cold),
+                    ),
                 ]),
             ),
         ])
@@ -645,6 +688,7 @@ pub fn run_prefix_tree_bench(fast: bool) -> PrefixTreeResult {
         campaign_events_simulated: stats.events_simulated,
         campaign_identical: report_forked.to_json().pretty() == report_cold.to_json().pretty(),
         checkpoints: stats.checkpoints,
+        campaign_events_before: events_before(fast).1,
     }
 }
 
@@ -788,6 +832,7 @@ mod tests {
             shrink_events_cold: 3_000_000,
             shrink_events_simulated: 900_000,
             minimized_identical: true,
+            shrink_events_before: 1_000_000,
         }
     }
 
@@ -800,6 +845,7 @@ mod tests {
             campaign_events_simulated: 2_000_000,
             campaign_identical: true,
             checkpoints: 9,
+            campaign_events_before: 2_600_000,
         }
     }
 
@@ -847,6 +893,9 @@ mod tests {
         assert_eq!(resume.get("bit_identical"), Some(&Json::Bool(true)));
         let shrink = section.get("shrink_campaign").expect("shrink leg");
         assert!(shrink.get("events_ratio").and_then(Json::as_f64).is_some());
+        let before = shrink.get("before").expect("before side");
+        assert_eq!(before.get("events_simulated"), Some(&Json::UInt(1_000_000)));
+        assert_eq!(before.get("events_ratio"), Some(&Json::Num(3.0)));
     }
 
     #[test]
@@ -859,6 +908,8 @@ mod tests {
             .expect("campaign_trie leg");
         assert_eq!(trie.get("report_identical"), Some(&Json::Bool(true)));
         assert_eq!(trie.get("checkpoints"), Some(&Json::UInt(9)));
+        let before = trie.get("before").expect("before side");
+        assert_eq!(before.get("events_ratio"), Some(&Json::Num(1.0)));
     }
 
     #[test]

@@ -347,7 +347,8 @@ impl ApMac {
 
     /// Wipe all association state without notifying anyone — an AP
     /// power-cycle. Clients still believing themselves associated must
-    /// re-join from scratch (their data frames will be ignored).
+    /// re-join from scratch (their data frames will be ignored). On an
+    /// AP that has never associated a client this changes nothing.
     pub fn reset_associations(&mut self) {
         self.clients.clear();
         self.next_aid = 1;

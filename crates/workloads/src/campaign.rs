@@ -926,11 +926,15 @@ struct Checkpoint<C: ClientSystem> {
 ///
 /// The trie holds *keys* — the fault-free plan, then every plan
 /// [`insert`](CheckpointTrie::insert)ed — and the world checkpoints it
-/// has built, each tagged with the key it was advanced under. To run a
-/// plan `q` it
+/// has built, each tagged with the key it was advanced under. Every
+/// divergence it ranks is activation-aware: it builds the drive's
+/// [`World::first_activations`] table once, from the fault-free world,
+/// so a difference on an AP the client has not reached yet is shared.
+/// To run a plan `q` it
 ///
 /// 1. picks the key with the greatest [`FaultPlan::divergence_rank`]
-///    against `q` (ties go to the key inserted first); call that rank `d`,
+///    against `q` (ties go to the key inserted first); call that rank
+///    `d`, `q`'s [share point](CheckpointTrie::share_point),
 /// 2. takes the deepest checkpoint valid for both that key and `q`
 ///    whose [`World::plan_horizon`] is before `d`,
 /// 3. if advancing gains ground, advances it under the key to just
@@ -946,6 +950,9 @@ struct Checkpoint<C: ClientSystem> {
 /// at `t = 0`: the oracle runs this same code with sharing off.
 pub struct CheckpointTrie<C: ClientSystem, F> {
     make: F,
+    /// [`World::first_activations`] of the drive (empty on a cold trie,
+    /// which ranks nothing).
+    activations: Vec<SimTime>,
     keys: Vec<FaultPlan>,
     checkpoints: Vec<Checkpoint<C>>,
     /// Work ledger of every run served so far.
@@ -960,20 +967,23 @@ where
     /// A sharing trie over worlds built by `make` (a pure function of
     /// the plan); its first key is the fault-free plan.
     pub fn new(make: F) -> CheckpointTrie<C, F> {
+        let activations = make(&FaultPlan::none()).first_activations();
         CheckpointTrie {
-            make,
+            activations,
             keys: vec![FaultPlan::none()],
-            checkpoints: Vec::new(),
-            stats: ForkStats::default(),
+            ..CheckpointTrie::cold(make)
         }
     }
 
-    /// A trie with no keys: it never builds a checkpoint, and every run
-    /// is `make(plan).finish()`.
+    /// A trie with no keys: it builds nothing, neither a checkpoint nor
+    /// the activation table, and every run is `make(plan).finish()`.
     pub fn cold(make: F) -> CheckpointTrie<C, F> {
         CheckpointTrie {
+            make,
+            activations: Vec::new(),
             keys: Vec::new(),
-            ..CheckpointTrie::new(make)
+            checkpoints: Vec::new(),
+            stats: ForkStats::default(),
         }
     }
 
@@ -991,6 +1001,44 @@ where
         let (result, simulated) = self.resume(base, plan);
         self.stats.count_run(base.is_some(), &result, simulated);
         result
+    }
+
+    /// [`CheckpointTrie::run`] every plan, in ascending order of share
+    /// point so that the chains the runs fork from only ever advance;
+    /// results come back in the order of `plans`.
+    pub fn run_all(&mut self, plans: &[FaultPlan]) -> Vec<RunResult> {
+        let mut order: Vec<usize> = (0..plans.len()).collect();
+        order.sort_by_cached_key(|&i| (self.share_point(&plans[i]), i));
+        let mut results: Vec<Option<RunResult>> = vec![None; plans.len()];
+        for i in order {
+            results[i] = Some(self.run(&plans[i]));
+        }
+        results.into_iter().flatten().collect()
+    }
+
+    /// The end of the longest prefix `plan` shares with a key: the
+    /// instant its run may fork at ([`SimTime::MAX`] when a key is
+    /// behaviourally identical, zero on a cold trie).
+    pub fn share_point(&self, plan: &FaultPlan) -> SimTime {
+        self.nearest_key(plan).map_or(SimTime::ZERO, |(_, d)| d)
+    }
+
+    /// Step 1: the key with the greatest divergence rank against `plan`
+    /// (ties to the key inserted first), and that rank.
+    fn nearest_key(&self, plan: &FaultPlan) -> Option<(usize, SimTime)> {
+        self.keys
+            .iter()
+            .map(|k| self.rank(k, plan))
+            .enumerate()
+            .fold(None, |best, (i, d)| match best {
+                Some((_, best_d)) if best_d >= d => best,
+                _ => Some((i, d)),
+            })
+    }
+
+    /// [`FaultPlan::divergence_rank`] over this drive's activations.
+    fn rank(&self, a: &FaultPlan, b: &FaultPlan) -> SimTime {
+        a.divergence_rank(b, &self.activations)
     }
 
     /// [`shrink_schedule`] with every candidate run through this trie
@@ -1011,15 +1059,7 @@ where
     /// shares no prefix and runs cold. A checkpoint is stored only once
     /// it is built, so a panicking prefix leaves the trie consistent.
     fn base(&mut self, plan: &FaultPlan) -> Option<usize> {
-        let (key, d) = self
-            .keys
-            .iter()
-            .map(|k| k.divergence_rank(plan))
-            .enumerate()
-            .fold(None, |best, (i, d)| match best {
-                Some((_, best_d)) if best_d >= d => best,
-                _ => Some((i, d)),
-            })?;
+        let (key, d) = self.nearest_key(plan)?;
         if d == SimTime::ZERO {
             return None;
         }
@@ -1029,8 +1069,7 @@ where
             let tag = &self.keys[cp.key];
             horizon < d
                 && (cp.key == key
-                    || tag.divergence_rank(key_plan) > horizon
-                        && tag.divergence_rank(plan) > horizon)
+                    || self.rank(tag, key_plan) > horizon && self.rank(tag, plan) > horizon)
         };
         let found = self
             .checkpoints
@@ -1049,7 +1088,7 @@ where
         // plan to where it leaves the key, so the branch point becomes a
         // checkpoint of its own. A fresh world is the fault-free root.
         let tag = found.map_or(0, |i| self.checkpoints[i].key);
-        let branch = self.keys[tag].divergence_rank(key_plan).min(d);
+        let branch = self.rank(&self.keys[tag], key_plan).min(d);
         let found = if branch < d {
             self.grow(found, tag, branch)
         } else {
@@ -1146,10 +1185,11 @@ where
 /// The campaign body both entries share; `trie` serves every run.
 ///
 /// * **Trial phase**: the only key is the fault-free plan. Each trial's
-///   base is built serially in ascending order of its fault-free share
-///   point, so the fault-free chain advances once. The trials then fork
-///   in parallel, reading the trie immutably. Trials never fork off
-///   each other: no two generated schedules share a faulty episode.
+///   base is built serially in ascending order of its share point (the
+///   first instant one of its episodes can be observed), so the
+///   fault-free chain advances once. The trials then fork in parallel,
+///   reading the trie immutably. Trials never fork off each other: no
+///   two generated schedules share a faulty episode.
 /// * **Shrink phase**: a failing trial's plan becomes a key, then every
 ///   candidate is a plain query; a candidate that still fails becomes a
 ///   key too, as the shrinker's next reference.
@@ -1175,9 +1215,8 @@ where
 
     // A panicking prefix leaves its trial cold, where the sweep
     // quarantines the panic with the trial's fingerprint.
-    let none = FaultPlan::none();
     let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_cached_key(|&i| (none.divergence_rank(&jobs[i].plan), i));
+    order.sort_by_cached_key(|&i| (trie.share_point(&jobs[i].plan), i));
     let mut bases: Vec<Option<usize>> = vec![None; jobs.len()];
     for &i in &order {
         bases[i] =

@@ -290,19 +290,29 @@ impl FaultPlan {
     /// advanced under the other, so a shrink candidate can fork from a
     /// reference checkpoint instead of re-simulating t=0..divergence.
     ///
+    /// `activations` is the drive's [`World::first_activations`] table:
+    /// AP `i` cannot be observed before `activations[i]` (an AP missing
+    /// from the table counts as active from `t = 0`).
+    ///
     /// The bound is conservative (never later than the true divergence,
     /// sometimes earlier). Episodes common to both plans are matched
     /// greedily *in order* — detect-time attribution breaks onset ties
     /// in plan order, so a reordered pair of equal-start episodes must
     /// count as divergent even though the drop pattern is identical.
-    /// Of the unmatched leftovers, a pair differing only in `end`
-    /// diverges at the earlier `end` (behaviour agrees while both are
-    /// active — the window-narrowing shrink phase leans on this) unless
-    /// another episode shares the pair's `start` (a reorder among
-    /// equal-start episodes can masquerade as an end trim, so the pair
-    /// falls back to `start`); any other leftover diverges at its
+    /// Each unmatched leftover is a difference over a window: a pair
+    /// differing only in `end` differs over `[earlier end, later end)`
+    /// (behaviour agrees while both are active — the window-narrowing
+    /// shrink phase leans on this), any other leftover over its own
+    /// `[start, end)`. A window on an episode pinned to AP `i` diverges
+    /// at `max(window start, activations[i])`, and not at all when the
+    /// AP is first activated at or after the window's end. Area-wide
+    /// episodes, and episodes sharing their `start` with another (a
+    /// reorder among them can masquerade as an end trim), diverge at
+    /// the raw instant: the window start, or for a tied pair its
     /// `start`.
-    pub fn first_divergence(&self, other: &FaultPlan) -> Option<SimTime> {
+    ///
+    /// [`World::first_activations`]: crate::World::first_activations
+    pub fn first_divergence(&self, other: &FaultPlan, activations: &[SimTime]) -> Option<SimTime> {
         // Order-preserving greedy match of exactly-equal episodes; the
         // matched pairs form a common subsequence of both plans, so any
         // reordering lands in the leftovers.
@@ -325,11 +335,29 @@ impl FaultPlan {
             .filter(|(_, c)| !**c)
             .map(|(o, _)| o)
             .collect();
-        let mut div: Option<SimTime> = None;
-        let mut note = |t: SimTime| div = Some(div.map_or(t, |d: SimTime| d.min(t)));
         let start_shared = |s: SimTime| {
             self.episodes.iter().filter(|x| x.start == s).count() > 1
                 || other.episodes.iter().filter(|x| x.start == s).count() > 1
+        };
+        // When a difference on `e`'s target over `[from, until)` first
+        // shows: never before the target AP is first activated.
+        let visible = |e: &FaultEpisode, from: SimTime, until: SimTime| {
+            if start_shared(e.start) {
+                return Some(e.start);
+            }
+            match e.ap {
+                Some(i) => {
+                    let active = activations.get(i).copied().unwrap_or(SimTime::ZERO);
+                    (active < until).then(|| from.max(active))
+                }
+                None => Some(from),
+            }
+        };
+        let mut div: Option<SimTime> = None;
+        let mut note = |t: Option<SimTime>| {
+            if let Some(t) = t {
+                div = Some(div.map_or(t, |d: SimTime| d.min(t)));
+            }
         };
         for e in mine {
             match theirs
@@ -337,18 +365,14 @@ impl FaultPlan {
                 .position(|o| o.ap == e.ap && o.kind == e.kind && o.start == e.start)
             {
                 Some(i) => {
-                    if start_shared(e.start) {
-                        note(e.start);
-                    } else {
-                        note(e.end.min(theirs[i].end));
-                    }
-                    theirs.remove(i);
+                    let o = theirs.remove(i);
+                    note(visible(e, e.end.min(o.end), e.end.max(o.end)));
                 }
-                None => note(e.start),
+                None => note(visible(e, e.start, e.end)),
             }
         }
         for o in theirs {
-            note(o.start);
+            note(visible(o, o.start, o.end));
         }
         div
     }
@@ -358,8 +382,9 @@ impl FaultPlan {
     /// identical" (`None`) collapsed to [`SimTime::MAX`], so candidate
     /// checkpoints can be ranked on one total order — a later
     /// divergence means a deeper shareable prefix (DESIGN.md §13).
-    pub fn divergence_rank(&self, other: &FaultPlan) -> SimTime {
-        self.first_divergence(other).unwrap_or(SimTime::MAX)
+    pub fn divergence_rank(&self, other: &FaultPlan, activations: &[SimTime]) -> SimTime {
+        self.first_divergence(other, activations)
+            .unwrap_or(SimTime::MAX)
     }
 
     /// Serialize to the artifact JSON form (replays exactly:
@@ -460,6 +485,41 @@ impl FaultIndex {
     /// Is `ap` fully blacked out at `now`?
     pub fn blackout(&self, now: SimTime, ap: usize) -> bool {
         self.active(now, ap, |k| k == FaultKind::Blackout)
+    }
+
+    /// Does `ap` reboot at the sweep tick `now` of a sweep that runs
+    /// every `tick` from `t = 0`: blacked out at the previous tick and
+    /// powered at this one? The first tick has no predecessor.
+    pub fn reboots_at(&self, now: SimTime, tick: SimDuration, ap: usize) -> bool {
+        now.as_micros() >= tick.as_micros()
+            && self.blackout(now - tick, ap)
+            && !self.blackout(now, ap)
+    }
+
+    /// Reboots over a run whose sweeps tick every `tick` from `t = 0`
+    /// through `end`: one per AP and tick at which
+    /// [`FaultIndex::reboots_at`] holds. Such a tick is the first at or
+    /// after the end of a blackout covering the tick before it, so only
+    /// those candidates are visited.
+    pub fn reboot_count(&self, end: SimTime, tick: SimDuration) -> u64 {
+        let tick_us = tick.as_micros().max(1);
+        let mut ticks: Vec<u64> = Vec::new();
+        let mut count = 0;
+        for &ap in &self.faulty {
+            ticks.clear();
+            ticks.extend(
+                self.per_ap[ap]
+                    .iter()
+                    .filter(|e| e.kind == FaultKind::Blackout)
+                    .filter_map(|e| e.end.as_micros().div_ceil(tick_us).checked_mul(tick_us))
+                    .filter(|&t| t <= end.as_micros())
+                    .filter(|&t| self.reboots_at(SimTime::from_micros(t), tick, ap)),
+            );
+            ticks.sort_unstable();
+            ticks.dedup();
+            count += ticks.len() as u64;
+        }
+        count
     }
 
     /// Is `ap` a zombie (associates but forwards nothing) at `now`?
@@ -583,7 +643,11 @@ pub struct FaultStats {
     /// AP → client frames dropped while a directional-loss episode was
     /// active on the link.
     pub downlink_dropped_asym: u64,
-    /// AP reboots performed at the end of blackout episodes.
+    /// AP reboots performed at the end of blackout episodes, one per
+    /// AP and sweep tick at which its power came back. A pure function
+    /// of the plan and the drive length, counted when the run finishes
+    /// ([`FaultIndex::reboot_count`]), whether or not the client ever
+    /// came near the AP.
     pub ap_reboots: u64,
     /// Time from data-plane fault onset to the client tearing the link
     /// down (deauth), seconds — the ping monitor's detection latency.
@@ -872,8 +936,11 @@ mod tests {
     #[test]
     fn first_divergence_identical_plans_share_everything() {
         let plan = FaultPlan::stormy(7, 20, SimDuration::from_secs(600));
-        assert_eq!(plan.first_divergence(&plan.clone()), None);
-        assert_eq!(FaultPlan::none().first_divergence(&FaultPlan::none()), None);
+        assert_eq!(plan.first_divergence(&plan.clone(), &[]), None);
+        assert_eq!(
+            FaultPlan::none().first_divergence(&FaultPlan::none(), &[]),
+            None
+        );
     }
 
     #[test]
@@ -883,11 +950,11 @@ mod tests {
         let full = FaultPlan::scripted(vec![a, b]);
         let tail_only = FaultPlan::scripted(vec![b]);
         // Symmetric: the dropped episode's start, from either side.
-        assert_eq!(full.first_divergence(&tail_only), Some(t(10.0)));
-        assert_eq!(tail_only.first_divergence(&full), Some(t(10.0)));
+        assert_eq!(full.first_divergence(&tail_only, &[]), Some(t(10.0)));
+        assert_eq!(tail_only.first_divergence(&full, &[]), Some(t(10.0)));
         // Against the empty plan: the earliest remaining start.
         assert_eq!(
-            tail_only.first_divergence(&FaultPlan::none()),
+            tail_only.first_divergence(&FaultPlan::none(), &[]),
             Some(t(40.0))
         );
     }
@@ -898,12 +965,12 @@ mod tests {
         let short = ep(Some(1), FaultKind::Blackout, 10.0, 35.0);
         let before = FaultPlan::scripted(vec![long]);
         let after = FaultPlan::scripted(vec![short]);
-        assert_eq!(before.first_divergence(&after), Some(t(35.0)));
-        assert_eq!(after.first_divergence(&before), Some(t(35.0)));
+        assert_eq!(before.first_divergence(&after, &[]), Some(t(35.0)));
+        assert_eq!(after.first_divergence(&before, &[]), Some(t(35.0)));
         // A start trim falls back to the earlier start, conservatively.
         let late_start = ep(Some(1), FaultKind::Blackout, 25.0, 60.0);
         let moved = FaultPlan::scripted(vec![late_start]);
-        assert_eq!(before.first_divergence(&moved), Some(t(10.0)));
+        assert_eq!(before.first_divergence(&moved, &[]), Some(t(10.0)));
     }
 
     #[test]
@@ -915,12 +982,131 @@ mod tests {
         let b = ep(Some(1), FaultKind::Zombie, 10.0, 30.0);
         let ab = FaultPlan::scripted(vec![a, b]);
         let ba = FaultPlan::scripted(vec![b, a]);
-        assert_eq!(ab.first_divergence(&ba), Some(t(10.0)));
+        assert_eq!(ab.first_divergence(&ba, &[]), Some(t(10.0)));
         // And an end trim of one of the tied pair must not report the
         // trimmed end: the reorder could hide behind it.
         let a_trim = ep(Some(1), FaultKind::Blackout, 10.0, 15.0);
         let ba_trim = FaultPlan::scripted(vec![b, a_trim]);
-        assert_eq!(ab.first_divergence(&ba_trim), Some(t(10.0)));
+        assert_eq!(ab.first_divergence(&ba_trim, &[]), Some(t(10.0)));
+    }
+
+    /// A drive on which AP 0 is active from the start, AP 1 is first
+    /// reached at 40 s and AP 2 never.
+    fn reached() -> Vec<SimTime> {
+        vec![t(0.0), t(40.0), SimTime::MAX]
+    }
+
+    #[test]
+    fn first_divergence_ignores_episodes_on_aps_not_reached_in_time() {
+        // Over before AP 1 is reached, or on an AP never reached: inert.
+        let before = ep(Some(1), FaultKind::Blackout, 10.0, 40.0);
+        let never = ep(Some(2), FaultKind::Zombie, 5.0, 60.0);
+        let none = FaultPlan::none();
+        for e in [before, never] {
+            let plan = FaultPlan::scripted(vec![e]);
+            assert_eq!(plan.first_divergence(&none, &reached()), None, "{e:?}");
+            assert_eq!(none.first_divergence(&plan, &reached()), None, "{e:?}");
+            assert_eq!(plan.divergence_rank(&none, &reached()), SimTime::MAX);
+        }
+        // Without the table every AP counts as active from t = 0.
+        let plan = FaultPlan::scripted(vec![before]);
+        assert_eq!(plan.first_divergence(&none, &[]), Some(t(10.0)));
+    }
+
+    #[test]
+    fn first_divergence_clips_to_the_first_activation() {
+        let none = FaultPlan::none();
+        // Straddling AP 1's activation: visible from 40 s on.
+        let straddle = FaultPlan::scripted(vec![ep(Some(1), FaultKind::Blackout, 30.0, 50.0)]);
+        assert_eq!(straddle.first_divergence(&none, &reached()), Some(t(40.0)));
+        // Starting after it, or on an AP active from the start: raw.
+        let late = FaultPlan::scripted(vec![ep(Some(1), FaultKind::Zombie, 45.0, 50.0)]);
+        assert_eq!(late.first_divergence(&none, &reached()), Some(t(45.0)));
+        let early = FaultPlan::scripted(vec![ep(Some(0), FaultKind::Zombie, 5.0, 50.0)]);
+        assert_eq!(early.first_divergence(&none, &reached()), Some(t(5.0)));
+        // The earliest visible difference wins, not the earliest start.
+        let both = FaultPlan::scripted(vec![
+            ep(Some(1), FaultKind::Blackout, 10.0, 50.0),
+            ep(Some(0), FaultKind::Zombie, 20.0, 25.0),
+        ]);
+        assert_eq!(both.first_divergence(&none, &reached()), Some(t(20.0)));
+    }
+
+    #[test]
+    fn first_divergence_clips_end_trims_to_the_first_activation() {
+        let long = FaultPlan::scripted(vec![ep(Some(1), FaultKind::Blackout, 10.0, 60.0)]);
+        // Both ends after the activation: the earlier end, as before.
+        let short = FaultPlan::scripted(vec![ep(Some(1), FaultKind::Blackout, 10.0, 45.0)]);
+        assert_eq!(long.first_divergence(&short, &reached()), Some(t(45.0)));
+        // Trimmed to before the activation: visible from 40 s.
+        let stub = FaultPlan::scripted(vec![ep(Some(1), FaultKind::Blackout, 10.0, 20.0)]);
+        assert_eq!(long.first_divergence(&stub, &reached()), Some(t(40.0)));
+        // Both ends before it: the trim is never visible.
+        let a = FaultPlan::scripted(vec![ep(Some(1), FaultKind::Blackout, 10.0, 35.0)]);
+        assert_eq!(a.first_divergence(&stub, &reached()), None);
+    }
+
+    #[test]
+    fn first_divergence_keeps_raw_instants_for_area_wide_episodes_and_ties() {
+        let none = FaultPlan::none();
+        // Area-wide: some AP may be active, so the raw start.
+        let global = FaultPlan::scripted(vec![ep(None, FaultKind::Blackout, 10.0, 30.0)]);
+        assert_eq!(global.first_divergence(&none, &reached()), Some(t(10.0)));
+        let trimmed = FaultPlan::scripted(vec![ep(None, FaultKind::Blackout, 10.0, 20.0)]);
+        assert_eq!(global.first_divergence(&trimmed, &reached()), Some(t(20.0)));
+        // Equal-start ties on an AP never reached still diverge at
+        // their start: a reorder, or an end trim of one of the pair.
+        let a = ep(Some(2), FaultKind::Blackout, 10.0, 20.0);
+        let b = ep(Some(2), FaultKind::Zombie, 10.0, 30.0);
+        let ab = FaultPlan::scripted(vec![a, b]);
+        let ba = FaultPlan::scripted(vec![b, a]);
+        assert_eq!(ab.first_divergence(&ba, &reached()), Some(t(10.0)));
+        let a_trim = ep(Some(2), FaultKind::Blackout, 10.0, 15.0);
+        let ba_trim = FaultPlan::scripted(vec![b, a_trim]);
+        assert_eq!(ab.first_divergence(&ba_trim, &reached()), Some(t(10.0)));
+    }
+
+    #[test]
+    fn reboots_are_counted_once_per_ap_and_tick() {
+        let tick = SimDuration::from_millis(250);
+        let plan = FaultPlan::scripted(vec![
+            // Ends mid-gap: one reboot at the 20.25 s tick.
+            ep(Some(0), FaultKind::Blackout, 10.0, 20.1),
+            // Ends in the same gap on the same AP: the same reboot.
+            ep(Some(0), FaultKind::Blackout, 15.0, 20.2),
+            // Covers no tick: never observed, never rebooted.
+            ep(Some(1), FaultKind::Blackout, 30.05, 30.2),
+            // Overlapped by a later blackout: one reboot, at its end.
+            ep(Some(1), FaultKind::Blackout, 40.0, 50.0),
+            ep(Some(1), FaultKind::Blackout, 45.0, 55.0),
+            // Area-wide, ending past the drive: no tick to reboot at.
+            ep(None, FaultKind::Blackout, 58.0, 70.0),
+            // Not a blackout.
+            ep(Some(2), FaultKind::Zombie, 1.0, 2.0),
+        ]);
+        let index = FaultIndex::build(&plan, 3);
+        assert!(index.reboots_at(t(20.25), tick, 0));
+        assert!(!index.reboots_at(t(20.0), tick, 0));
+        assert!(index.reboots_at(t(55.0), tick, 1));
+        assert!(!index.reboots_at(t(50.0), tick, 1));
+        assert!(
+            !index.reboots_at(t(0.0), tick, 0),
+            "t = 0 has no previous tick"
+        );
+        // Brute force over every tick of a 60 s drive.
+        let mut brute = 0;
+        for k in 0..=240u64 {
+            for ap in 0..3 {
+                brute += u64::from(index.reboots_at(SimTime::from_millis(k * 250), tick, ap));
+            }
+        }
+        assert_eq!(brute, 2);
+        assert_eq!(index.reboot_count(t(60.0), tick), brute);
+        // A drive that ends first sees only the reboots before its end.
+        assert_eq!(index.reboot_count(t(30.0), tick), 1);
+        // The area-wide blackout reboots every AP once the drive is
+        // long enough to see its end.
+        assert_eq!(index.reboot_count(t(80.0), tick), 2 + 3);
     }
 
     #[test]

@@ -37,9 +37,12 @@ pub use spider_core::iface::{SERVER_IP, SERVER_PORT};
 const PHY: PhyParams = PhyParams::b11();
 /// Outdoor suburban propagation with the 100 m practical range (§2.1.3).
 const PROPAGATION: Propagation = Propagation::outdoor();
-/// Extra margin beyond radio range within which APs are actively
-/// simulated (beaconing), in metres.
-const ACTIVATION_MARGIN_M: f64 = 30.0;
+/// Radius around the client within which APs are actively simulated
+/// (beaconing), in metres: radio range plus a 30 m margin.
+const ACTIVATION_HORIZON_M: f64 = PROPAGATION.range_m + 30.0;
+/// Period of the mobility / AP-activation sweep ([`Ev::MobilityCheck`]),
+/// which runs at every multiple of it from `t = 0` through the end.
+const MOBILITY_TICK: SimDuration = SimDuration::from_millis(250);
 /// Maximum backhaul queueing delay before drop-tail (bufferbloat guard
 /// that keeps TCP honest).
 const BACKHAUL_QUEUE_CAP: SimDuration = SimDuration::from_millis(200);
@@ -295,8 +298,6 @@ pub struct World<C: ClientSystem> {
     fstats: FaultStats,
     #[cfg(debug_assertions)]
     air: AirLedger,
-    /// Per-AP "was blacked out at the last sweep" (reboot edge detector).
-    in_blackout: Vec<bool>,
     /// APs with an armed time-to-detect measurement:
     /// ap → (episode start, detection clock start, fault class). A
     /// `None` clock is lazy: it starts at the first packet the fault
@@ -345,11 +346,12 @@ impl<C: ClientSystem + Clone> World<C> {
     /// (DESIGN.md §13). Valid only when `faults` agrees with this
     /// world's plan strictly beyond [`World::plan_horizon`] —
     /// everything simulated so far must be plan-independent, which
-    /// [`FaultPlan::first_divergence`] bounds conservatively. Before the
-    /// first divergent episode the fault engine performs no state
-    /// changes and draws no RNG, so swapping the plan and rebuilding the
-    /// episode index yields exactly the world a cold run under `faults`
-    /// would have reached.
+    /// [`FaultPlan::first_divergence`] over this drive's
+    /// [`World::first_activations`] bounds conservatively. Before the
+    /// first divergence the fault engine performs no state changes and
+    /// draws no RNG, and it keeps no state derived from the plan, so
+    /// swapping the plan and rebuilding the episode index yields
+    /// exactly the world a cold run under `faults` would have reached.
     pub fn fork_with_plan(&self, faults: FaultPlan) -> World<C> {
         let mut w = self.clone();
         w.rebase_plan(faults);
@@ -363,7 +365,7 @@ impl<C: ClientSystem + Clone> World<C> {
         debug_assert!(
             self.cfg
                 .faults
-                .first_divergence(&faults)
+                .first_divergence(&faults, &self.first_activations())
                 .is_none_or(|d| d > self.plan_horizon()),
             "rebase_plan: candidate plan diverges at or before the plan horizon ({})",
             self.plan_horizon(),
@@ -501,8 +503,7 @@ impl<C: ClientSystem> World<C> {
         // Cell size near the query radius keeps lookups to a 3×3 cell
         // neighbourhood; both sweep (horizon) and fan-out (range) radii
         // are within one cell of it.
-        let horizon = PROPAGATION.range_m + ACTIVATION_MARGIN_M;
-        let grid = cfg.deployment.grid(horizon.max(1.0));
+        let grid = cfg.deployment.grid(ACTIVATION_HORIZON_M.max(1.0));
         let path = CachedPath::new(cfg.mobility.clone());
         let findex = FaultIndex::build(&cfg.faults, num_aps);
         World {
@@ -536,7 +537,6 @@ impl<C: ClientSystem> World<C> {
             fstats: FaultStats::default(),
             #[cfg(debug_assertions)]
             air: AirLedger::default(),
-            in_blackout: vec![false; num_aps],
             pending_detect: FxHashMap::default(),
             detect_done: FxHashSet::default(),
             fault_outage: None,
@@ -640,6 +640,7 @@ impl<C: ClientSystem> World<C> {
     pub fn finish(mut self) -> (RunResult, C) {
         let end = SimTime::ZERO + self.cfg.duration;
         self.run_until(end);
+        self.fstats.ap_reboots = self.findex.reboot_count(end, MOBILITY_TICK);
         let duration = self.cfg.duration;
         let bytes = self.client.delivered_bytes();
         let mut tcp_timeouts = 0;
@@ -910,7 +911,7 @@ impl<C: ClientSystem> World<C> {
             }
             Ev::MobilityCheck => {
                 self.mobility_check(now);
-                let next = now + SimDuration::from_millis(250);
+                let next = now + MOBILITY_TICK;
                 if next <= SimTime::ZERO + self.cfg.duration {
                     self.queue.schedule(next, Ev::MobilityCheck);
                 }
@@ -919,16 +920,46 @@ impl<C: ClientSystem> World<C> {
         }
     }
 
-    fn mobility_check(&mut self, now: SimTime) {
+    /// The APs inside the activation horizon at `now`, ascending, into
+    /// `out`; returns the client's position. The one query behind both
+    /// the mobility sweep and [`World::first_activations`].
+    fn activation_query(&self, now: SimTime, out: &mut Vec<usize>) -> Position {
         // Grid query instead of a scan over every site: cost scales with
         // the APs near the client, not the deployment size. The query
         // returns ascending ids — the same order the old linear scan
         // visited them — so activation-driven scheduling (and therefore
         // event sequence numbers) is unchanged.
-        let horizon = PROPAGATION.range_m + ACTIVATION_MARGIN_M;
         let pos = self.client_pos(now);
+        self.grid.within_into(pos, ACTIVATION_HORIZON_M, out);
+        pos
+    }
+
+    /// For each AP, the first mobility-sweep tick at which the sweep
+    /// activates it, or [`SimTime::MAX`] if the drive never comes within
+    /// the activation horizon. The client's path is a pure function of
+    /// the configuration, so no fault plan can move these instants, and
+    /// before its activation nothing can observe an AP's fault state
+    /// (DESIGN.md §13.2): [`FaultPlan::first_divergence`] clips every
+    /// AP-pinned difference to this table. Computed on demand by
+    /// walking the sweep's ticks; `World::new` never pays for it.
+    pub fn first_activations(&self) -> Vec<SimTime> {
+        let mut first = vec![SimTime::MAX; self.aps.len()];
+        let mut nearby = Vec::new();
+        let end = SimTime::ZERO + self.cfg.duration;
+        let mut now = SimTime::ZERO;
+        while now <= end {
+            self.activation_query(now, &mut nearby);
+            for &i in &nearby {
+                first[i] = first[i].min(now);
+            }
+            now += MOBILITY_TICK;
+        }
+        first
+    }
+
+    fn mobility_check(&mut self, now: SimTime) {
         let mut nearby = std::mem::take(&mut self.nearby_scratch);
-        self.grid.within_into(pos, horizon, &mut nearby);
+        let pos = self.activation_query(now, &mut nearby);
         // Deactivate APs that left the horizon: only the previously
         // active set needs checking, and membership in the new nearby
         // set is a merge of two ascending lists.
@@ -998,6 +1029,12 @@ impl<C: ClientSystem> World<C> {
     /// Periodic fault bookkeeping: AP reboots at blackout end, and
     /// arming of time-to-detect measurements while a data-plane fault
     /// covers an AP with associated clients.
+    ///
+    /// Both read the plan only, never state of their own, so an AP the
+    /// client has not reached yet is left untouched: it has no
+    /// association to reset, is not active, and has no client to arm a
+    /// measurement for. The reboot count is a function of the plan too,
+    /// taken when the run finishes.
     fn fault_sweep(&mut self, now: SimTime) {
         // Only APs with scheduled episodes can change fault state; the
         // index lists them in ascending order, so the sweep's scheduling
@@ -1005,18 +1042,15 @@ impl<C: ClientSystem> World<C> {
         // produce (episode-free APs schedule nothing).
         for idx in 0..self.findex.faulty_aps().len() {
             let i = self.findex.faulty_aps()[idx];
-            let black = self.findex.blackout(now, i);
-            if self.in_blackout[i] && !black {
+            if self.findex.reboots_at(now, MOBILITY_TICK, i) {
                 // Power restored: the AP reboots with empty association
                 // state, so lingering clients must re-join from scratch.
                 self.aps[i].mac.reset_associations();
-                self.fstats.ap_reboots += 1;
                 if self.aps[i].active {
                     self.aps[i].mac.resync_beacons(now);
                     self.schedule_ap_wake(now, i, now);
                 }
             }
-            self.in_blackout[i] = black;
             match self.findex.data_fault_at(now, i) {
                 Some((start, kind)) => {
                     if self.aps[i].mac.client_count() > 0

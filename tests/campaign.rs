@@ -14,7 +14,7 @@ use spider_repro::workloads::campaign::{
     ChaosProfile, CheckpointTrie, MatrixReport, MinimizedRepro, SloMargins, SloMetric, SloRule,
     SloTable,
 };
-use spider_repro::workloads::scenarios::lab_scenario;
+use spider_repro::workloads::scenarios::{lab_scenario, town_scenario, ScenarioParams};
 use spider_repro::workloads::{FaultEpisode, FaultKind, FaultPlan, RunResult, World};
 
 /// A cheap, fault-sensitive world: two same-channel APs, 40 s session.
@@ -314,7 +314,7 @@ fn checkpoint_trie_runs_are_bit_identical_to_cold() {
     // (b) A behaviourally identical plan needs no new checkpoint: it
     // forks from the deepest one its key already has.
     let same = FaultPlan::scripted(plan.episodes.clone());
-    assert_eq!(plan.first_divergence(&same), None);
+    assert_eq!(plan.first_divergence(&same, &[]), None);
     assert_eq!(
         trie.run(&same),
         run_lab(&same),
@@ -335,4 +335,94 @@ fn checkpoint_trie_runs_are_bit_identical_to_cold() {
     }
     assert_eq!((cold.stats.checkpoints, cold.stats.forks), (0, 0));
     assert_eq!(cold.stats.events_simulated, cold.stats.events_cold);
+}
+
+/// The campaign's town drive (world seed 7, Spider on channel 6),
+/// shortened to 150 s: APs along the loop are first reached at
+/// staggered times, some never.
+fn make_town(plan: &FaultPlan) -> World<SpiderDriver> {
+    let params = ScenarioParams {
+        duration: SimDuration::from_secs(150),
+        seed: 7,
+        ..Default::default()
+    };
+    let mut cfg = town_scenario(&params);
+    cfg.faults = plan.clone();
+    World::new(
+        cfg,
+        SpiderDriver::new(SpiderConfig::for_mode(
+            OperationMode::SingleChannelMultiAp(Channel::CH6),
+            1,
+        )),
+    )
+}
+
+#[test]
+fn episodes_on_an_ap_reached_late_fork_where_they_become_visible() {
+    // Pick the first AP the drive reaches 60 s in or later.
+    let reached = make_town(&FaultPlan::none()).first_activations();
+    let (ap, reach) = reached
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, at)| at >= SimTime::from_secs(60) && at < SimTime::MAX)
+        .min_by_key(|&(_, at)| at)
+        .expect("the drive reaches some AP after 60 s");
+    assert!(
+        reach <= SimTime::from_secs(110),
+        "AP {ap} is reached at {reach}"
+    );
+    let ep = |kind: FaultKind, from: i64, to: i64| {
+        let at = |s: i64| SimTime::from_micros((reach.as_micros() as i64 + s * 1_000_000) as u64);
+        FaultEpisode {
+            ap: Some(ap),
+            kind,
+            start: at(from),
+            end: at(to),
+        }
+    };
+    // Wholly before the AP is reached, straddling that point, and after.
+    let before = ep(FaultKind::Blackout, -40, -10);
+    let straddle = ep(FaultKind::Blackout, -5, 20);
+    let zombie = ep(FaultKind::Zombie, 25, 35);
+    let plan = FaultPlan::scripted(vec![before, straddle, zombie]);
+    let inert = FaultPlan::scripted(vec![before]);
+
+    let mut trie = CheckpointTrie::new(make_town);
+    assert_eq!(trie.share_point(&plan), reach);
+    assert_eq!(trie.share_point(&inert), SimTime::MAX);
+
+    let cold = make_town(&plan).run();
+    assert_eq!(trie.run(&plan), cold, "forked run diverged from cold");
+    assert_eq!(cold.faults.ap_reboots, 2, "{:?}", cold.faults);
+    // Run again, the plan forks off the checkpoint its first run grew,
+    // so what it simulates is (at most) its suffix: the fork landed
+    // after the straddling blackout began.
+    let simulated = trie.stats.events_simulated;
+    assert_eq!(trie.run(&plan), cold, "second forked run diverged");
+    let suffix = trie.stats.events_simulated - simulated;
+    let mut prefix = make_town(&FaultPlan::none());
+    prefix.run_until(straddle.start);
+    assert!(
+        cold.events - suffix > prefix.events_processed(),
+        "forked at event {} of {}, not past the episode start (event {})",
+        cold.events - suffix,
+        cold.events,
+        prefix.events_processed()
+    );
+
+    // A blackout over before the AP is reached changes nothing but the
+    // reboot count, which is taken from the plan.
+    let inert_cold = make_town(&inert).run();
+    assert_eq!(
+        trie.run(&inert),
+        inert_cold,
+        "inert plan diverged from cold"
+    );
+    assert_eq!(inert_cold.faults.ap_reboots, 1);
+    let clean = make_town(&FaultPlan::none()).run();
+    assert_eq!(
+        (inert_cold.events, inert_cold.bytes, &inert_cold.join_log),
+        (clean.events, clean.bytes, &clean.join_log)
+    );
 }

@@ -9,8 +9,9 @@
 
 use spider_repro::baselines::{FatVapConfig, FatVapDriver, StockConfig, StockDriver};
 use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
-use spider_repro::simcore::{SimDuration, SimTime};
+use spider_repro::simcore::{Json, SimDuration, SimTime};
 use spider_repro::wire::Channel;
+use spider_repro::workloads::campaign::{chaos_plan, ChaosProfile};
 use spider_repro::workloads::scenarios::{lab_scenario, town_scenario, ScenarioParams};
 use spider_repro::workloads::{FaultEpisode, FaultKind, FaultPlan, World};
 
@@ -478,6 +479,19 @@ fn drivers_survive_a_seeded_fault_storm() {
         spider_run.bytes > 0,
         "Spider moved no data through the storm: {spider_run}"
     );
+    // Every fault counter, the reboot count included (taken from the
+    // plan when the run finishes), as recorded when reboots were still
+    // counted sweep by sweep.
+    assert_eq!(
+        compact(&spider_run.faults.to_json()),
+        "{\"frames_dropped_blackout\":2266,\"packets_dropped_zombie\":227,\
+         \"dhcp_dropped_silent\":60,\"dhcp_naks_exhausted\":0,\"icmp_dropped_filtered\":30,\
+         \"frames_blackholed_arp\":0,\"packets_hijacked_portal\":0,\"uplink_dropped_asym\":0,\
+         \"downlink_dropped_asym\":0,\"ap_reboots\":37,\
+         \"detect_times_s\":[2.999519,0.0,0.0,3.043577,2.999519],\
+         \"detect_kinds\":[\"zombie\",\"zombie\",\"zombie\",\"zombie\",\"zombie\"],\
+         \"recover_times_s\":[7.612815,28.744676]}"
+    );
 
     // The baselines must at least run to completion under the same
     // storm (their robustness is what Spider is compared against).
@@ -490,6 +504,66 @@ fn drivers_survive_a_seeded_fault_storm() {
     stormy(&mut cfg);
     let fatvap = World::new(cfg, FatVapDriver::new(FatVapConfig::default())).run();
     assert_eq!(fatvap.duration, SimDuration::from_secs(300));
+}
+
+/// One-line form of a JSON document, for pinning it in a string.
+fn compact(doc: &Json) -> String {
+    doc.pretty()
+        .lines()
+        .map(str::trim)
+        .collect::<Vec<_>>()
+        .join("")
+        .replace("\": ", "\":")
+}
+
+#[test]
+fn chaos_plan_fault_stats_match_the_recorded_runs() {
+    // The campaign's town drive under two adversarial chaos plans, with
+    // every fault counter as recorded when reboots were still counted
+    // sweep by sweep. Seed 5's blackout on AP 31 straddles the drive's
+    // first approach to that AP (223.25 s). Seed 11 has a blackout on an
+    // AP in range from the start (66), one over before its AP is first
+    // reached (13, at 104.25 s) and one on an AP never reached (51):
+    // all three still reboot.
+    let params = ScenarioParams {
+        duration: SimDuration::from_secs(300),
+        seed: 7,
+        ..Default::default()
+    };
+    let num_aps = town_scenario(&params).deployment.len();
+    let faults = |plan_seed| {
+        let mut cfg = town_scenario(&params);
+        cfg.faults = chaos_plan(
+            plan_seed,
+            num_aps,
+            cfg.duration,
+            &ChaosProfile::adversarial(),
+        );
+        let run = World::new(
+            cfg,
+            spider(OperationMode::SingleChannelMultiAp(Channel::CH6)),
+        )
+        .run();
+        compact(&run.faults.to_json())
+    };
+    assert_eq!(
+        faults(5),
+        "{\"frames_dropped_blackout\":76,\"packets_dropped_zombie\":0,\
+         \"dhcp_dropped_silent\":0,\"dhcp_naks_exhausted\":0,\"icmp_dropped_filtered\":32,\
+         \"frames_blackholed_arp\":183,\"packets_hijacked_portal\":0,\"uplink_dropped_asym\":0,\
+         \"downlink_dropped_asym\":0,\"ap_reboots\":1,\
+         \"detect_times_s\":[3.040157,2.999519,2.999519,2.999519],\
+         \"detect_kinds\":[\"arp-poison\",\"arp-poison\",\"arp-poison\",\"arp-poison\"],\
+         \"recover_times_s\":[]}"
+    );
+    assert_eq!(
+        faults(11),
+        "{\"frames_dropped_blackout\":0,\"packets_dropped_zombie\":0,\
+         \"dhcp_dropped_silent\":0,\"dhcp_naks_exhausted\":0,\"icmp_dropped_filtered\":0,\
+         \"frames_blackholed_arp\":0,\"packets_hijacked_portal\":0,\"uplink_dropped_asym\":0,\
+         \"downlink_dropped_asym\":0,\"ap_reboots\":3,\
+         \"detect_times_s\":[],\"detect_kinds\":[],\"recover_times_s\":[]}"
+    );
 }
 
 #[test]

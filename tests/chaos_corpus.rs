@@ -111,44 +111,45 @@ fn corpus_artifacts_replay_identically_from_checkpoints() {
     );
 
     // One trie per recorded drive length: its fault-free key means every
-    // artifact forks at its own first episode, and artifacts share
-    // whatever prefix checkpoints earlier ones already paid for.
-    // Replaying in divergence order keeps the chain advancing
-    // incrementally — an early-diverging artifact after a late one
-    // would find no usable earlier snapshot and rebuild from scratch.
-    let mut artifacts = artifacts;
-    artifacts.sort_by_key(|(_, r)| {
-        r.plan
-            .episodes
-            .iter()
-            .map(|e| e.start)
-            .min()
-            .expect("minimized plans keep at least one episode")
-    });
+    // artifact forks where its first episode can first be observed, and
+    // artifacts share whatever prefix checkpoints earlier ones already
+    // paid for. `run_all` replays in share-point order, which keeps the
+    // chain advancing incrementally — an early-diverging artifact after
+    // a late one would find no usable earlier snapshot and rebuild from
+    // scratch.
     let table = tight_table();
     let world_for = |duration| move |plan: &FaultPlan| corpus_world(plan, duration);
-    let mut tries = BTreeMap::new();
-    for (name, repro) in &artifacts {
-        assert!(
-            repro.plan.episodes.len() <= repro.original_episodes,
-            "{name}: minimized plan grew past its original schedule"
-        );
-        let trie = tries
-            .entry(repro.duration)
-            .or_insert_with(|| CheckpointTrie::new(world_for(repro.duration)));
-        let result = trie.run(&repro.plan);
-        let measured = table.evaluate(&result);
-        assert_eq!(
-            measured, repro.violations,
-            "{name}: replay from checkpoint measured different violations \
-             than the artifact recorded"
-        );
+    let mut by_duration: BTreeMap<SimDuration, Vec<&(String, MinimizedRepro)>> = BTreeMap::new();
+    for artifact in &artifacts {
+        by_duration
+            .entry(artifact.1.duration)
+            .or_default()
+            .push(artifact);
+    }
+    let mut tries = Vec::new();
+    for (duration, group) in by_duration {
+        let mut trie = CheckpointTrie::new(world_for(duration));
+        let plans: Vec<FaultPlan> = group.iter().map(|(_, r)| r.plan.clone()).collect();
+        let results = trie.run_all(&plans);
+        for ((name, repro), result) in group.into_iter().zip(&results) {
+            assert!(
+                repro.plan.episodes.len() <= repro.original_episodes,
+                "{name}: minimized plan grew past its original schedule"
+            );
+            let measured = table.evaluate(result);
+            assert_eq!(
+                measured, repro.violations,
+                "{name}: replay from checkpoint measured different violations \
+                 than the artifact recorded"
+            );
+        }
+        tries.push(trie);
     }
 
     // The engine must actually have shared prefixes, not just agreed.
-    let forks: usize = tries.values().map(|t| t.stats.forks).sum();
-    let simulated: u64 = tries.values().map(|t| t.stats.events_simulated).sum();
-    let cold: u64 = tries.values().map(|t| t.stats.events_cold).sum();
+    let forks: usize = tries.iter().map(|t| t.stats.forks).sum();
+    let simulated: u64 = tries.iter().map(|t| t.stats.events_simulated).sum();
+    let cold: u64 = tries.iter().map(|t| t.stats.events_cold).sum();
     assert!(
         forks >= artifacts.len(),
         "every artifact replays via a fork"
