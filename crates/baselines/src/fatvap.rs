@@ -463,7 +463,7 @@ mod tests {
             &beacon(101, Channel::CH6, -65.0).rx(),
         );
         let actions = drive(&mut d, 2, 600);
-        let auths: std::collections::HashSet<MacAddr> = actions
+        let auths: std::collections::BTreeSet<MacAddr> = actions
             .iter()
             .filter_map(|a| match a {
                 DriverAction::Transmit { frame, .. }

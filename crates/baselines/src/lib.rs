@@ -12,6 +12,8 @@
 //!   Design Choice 1).
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod fatvap;
 pub mod stock;

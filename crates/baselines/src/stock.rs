@@ -418,7 +418,7 @@ mod tests {
     #[test]
     fn scans_sweep_all_channels() {
         let mut d = StockDriver::new(StockConfig::stock(1));
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = std::collections::BTreeSet::new();
         let mut t = SimTime::ZERO;
         for _ in 0..100 {
             if let Some(ch) = d.current {

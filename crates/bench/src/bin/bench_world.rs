@@ -11,10 +11,12 @@
 //!
 //! * `--fast`  — shorten simulated durations for CI smoke runs
 //!   (identical deployments, so events/sec stays comparable).
-//! * `--check` — before overwriting the JSON, compare fresh events/sec
-//!   (each scenario's median of three runs) against the checked-in
-//!   copy and exit non-zero if any scenario regressed by more than 2x.
-//! * `--out PATH` — write the JSON somewhere else.
+//! * `--check` — compare fresh events/sec (each scenario's median of
+//!   three runs) against the checked-in `BENCH_world.json` and exit
+//!   non-zero if any scenario regressed by more than 2x. A check is a
+//!   read-only gate: it writes no JSON unless `--out` is given.
+//! * `--out PATH` — write the JSON to PATH instead of
+//!   `BENCH_world.json`.
 //!
 //! Any other argument, or `--out` without its path, exits 2 with the
 //! list of valid flags.
@@ -31,19 +33,20 @@ fn default_out() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_world.json")
 }
 
-/// The command line: `--fast`, `--check`, and where to write.
+/// The command line: `--fast`, `--check`, and where to write (`None`:
+/// nowhere, for a check without `--out`).
 #[derive(Debug, PartialEq)]
 struct Args {
     fast: bool,
     check: bool,
-    out: PathBuf,
+    out: Option<PathBuf>,
 }
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut parsed = Args {
         fast: false,
         check: false,
-        out: default_out(),
+        out: None,
     };
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
@@ -51,15 +54,23 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--fast" => parsed.fast = true,
             "--check" => parsed.check = true,
             "--out" => match args.next().filter(|p| !p.starts_with("--")) {
-                Some(p) => parsed.out = PathBuf::from(p),
+                Some(p) => parsed.out = Some(PathBuf::from(p)),
                 None => return Err("--out wants a path".into()),
             },
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    // A recording run writes the checked-in file; a check only reads it.
+    if !parsed.check && parsed.out.is_none() {
+        parsed.out = Some(default_out());
+    }
     Ok(parsed)
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a binary: reads the checked-in baseline and writes the report"
+)]
 fn main() -> ExitCode {
     let Args { fast, check, out } = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
@@ -71,12 +82,15 @@ fn main() -> ExitCode {
 
     let mode = if fast { "fast" } else { "full" };
     let baseline = if check {
-        std::fs::read_to_string(&out).ok()
+        std::fs::read_to_string(default_out()).ok()
     } else {
         None
     };
     if check && baseline.is_none() {
-        eprintln!("--check: no baseline at {}; gate skipped", out.display());
+        eprintln!(
+            "--check: no baseline at {}; gate skipped",
+            default_out().display()
+        );
     }
 
     println!("world benchmark ({mode} mode)");
@@ -170,12 +184,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let json = document(mode, &results, &suite, &cp, &pt).pretty();
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("failed to write {}: {e}", out.display());
-        return ExitCode::FAILURE;
+    if let Some(out) = out {
+        let json = document(mode, &results, &suite, &cp, &pt).pretty();
+        if let Err(e) = std::fs::write(&out, json) {
+            eprintln!("failed to write {}: {e}", out.display());
+            return ExitCode::FAILURE;
+        }
+        println!("wrote {}", out.display());
     }
-    println!("wrote {}", out.display());
 
     if let Some(baseline) = baseline {
         let failures = check_regressions(&baseline, &results);
@@ -206,7 +222,7 @@ mod tests {
             Ok(Args {
                 fast: false,
                 check: false,
-                out: default_out()
+                out: Some(default_out())
             })
         );
         assert_eq!(
@@ -214,7 +230,21 @@ mod tests {
             Ok(Args {
                 fast: true,
                 check: true,
-                out: PathBuf::from("b.json")
+                out: Some(PathBuf::from("b.json"))
+            })
+        );
+    }
+
+    #[test]
+    fn a_check_without_out_writes_nothing() {
+        // The gate reads the checked-in baseline; it must not replace
+        // it with its own (fast-mode) results.
+        assert_eq!(
+            parse(&["--fast", "--check"]),
+            Ok(Args {
+                fast: true,
+                check: true,
+                out: None
             })
         );
     }

@@ -194,6 +194,10 @@ fn tight_class_table(class: &str) -> Result<SloTable, String> {
 
 /// Read the minimized artifact at `path`. A file that cannot be read,
 /// is not JSON, or is not a repro artifact is a usage error.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a binary: reads a repro artifact"
+)]
 fn read_artifact(path: &str) -> Result<MinimizedRepro, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("--replay {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("--replay {path}: not JSON: {e}"))?;
@@ -479,6 +483,10 @@ fn main() -> ExitCode {
 
 /// Run the mode `args` select. `Err` is a usage error, found before
 /// anything is simulated.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a binary: writes the fork statistics"
+)]
 fn run(args: &[String]) -> Result<ExitCode, String> {
     check_args(args)?;
     if let Some(path) = parse_flag(args, "--replay") {
@@ -676,6 +684,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "writes bad artifacts to a temp dir"
+    )]
     fn unreadable_replay_artifacts_are_usage_errors() {
         let missing = read_artifact("/missing.json").unwrap_err();
         assert!(missing.contains("/missing.json"), "{missing}");

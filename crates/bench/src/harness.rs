@@ -10,6 +10,12 @@
 //!
 //! Set `SPIDER_BENCH_FAST=1` to cut sample counts for smoke runs (CI).
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a timing harness: reads the wall clock, SPIDER_BENCH_FAST and baseline files"
+)]
+
 use crate::output::{print_table, write_csv};
 use spider_simcore::Cdf;
 use std::hint::black_box;

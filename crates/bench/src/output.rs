@@ -1,6 +1,12 @@
 //! Result output: aligned console tables, CSV files, and JSON
 //! artifacts.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "writes the experiment outputs under CARGO_TARGET_DIR"
+)]
+
 use spider_simcore::Json;
 use std::fmt::Display;
 use std::fs;

@@ -19,6 +19,12 @@
 //! `--check` mode of the `bench_world` binary compares fresh
 //! events/sec against the checked-in JSON and fails on a >2x drop.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a macro benchmark: wall-clock timing is what it measures"
+)]
+
 use crate::runs::StdConfigs;
 use spider_baselines::{StockConfig, StockDriver};
 use spider_core::{OperationMode, SpiderConfig, SpiderDriver};

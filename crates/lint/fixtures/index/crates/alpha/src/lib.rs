@@ -49,3 +49,10 @@ impl Clone for Phase {
         self.replay()
     }
 }
+
+/// A clippy ban escape on a field is recorded at the attribute's line.
+#[derive(Clone)]
+pub struct Timed {
+    #[allow(clippy::disallowed_types, reason = "fixture")]
+    pub started: Instant,
+}

@@ -13,3 +13,13 @@ pub fn escaped(seed: u64) -> SimRng {
     // lint:allow(rng-derivation) -- fixture: escaped cooked seed must not fire
     SimRng::new(seed ^ 0xDEAD_BEEF)
 }
+
+/// Multi-line statement under a standalone allow: the escape must
+/// cover the continuation line the token lands on (regression test
+/// for statement-span allow scoping). Must NOT fire.
+pub fn escaped_multiline(seed: u64) -> SimRng {
+    // test hook, documented: lint:allow(rng-derivation)
+    Some(seed)
+        .map(|s| SimRng::new(s ^ 0xF00D))
+        .unwrap()
+}

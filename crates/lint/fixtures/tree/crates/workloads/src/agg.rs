@@ -1,5 +1,5 @@
-//! Fixture: unordered hash-map iteration feeding an aggregation path
-//! in a checked crate (`workloads`), with no sort and no allow.
+//! Fixture: an unordered hash-map iterator chain feeding an
+//! aggregation path, with no sort and no allow.
 
 pub struct Tally {
     pub counts: FxHashMap<u16, u64>,
@@ -18,4 +18,11 @@ pub fn good_rows(t: &Tally) -> Vec<u16> {
 pub fn summed(t: &Tally) -> u64 {
     // Commutative fold, order cannot leak: lint:allow(hash-iter)
     t.counts.values().sum()
+}
+
+/// A `for` loop is clippy's `iter_over_hash_type`; must NOT fire here.
+pub fn looped(t: &Tally, out: &mut Vec<u64>) {
+    for v in t.counts.values() {
+        out.push(*v);
+    }
 }

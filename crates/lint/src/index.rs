@@ -5,10 +5,10 @@
 //!
 //! * **Types** — every `struct`/`enum` with its name, generic
 //!   parameters, `#[derive(..)]` list, named fields (name + type text +
-//!   the identifiers inside the type, for reachability edges), and the
-//!   type identifiers inside tuple-struct / enum-variant payloads.
-//! * **Impl blocks** — `impl [Trait for] Type`, so `clone-nondet` can
-//!   find a hand-written `Clone`.
+//!   the identifiers inside the type, for reachability edges), the
+//!   type identifiers inside tuple-struct / enum-variant payloads, and
+//!   the lines of any `#[allow(clippy::disallowed_*)]` escape on the
+//!   type or its fields.
 //! * **Stream derivations** — every `.stream(..)` / `.stream_indexed(..)`
 //!   call site with its label (when literal), receiver expression text,
 //!   and enclosing function, for the `stream-label` aliasing rule.
@@ -60,20 +60,10 @@ pub struct TypeInfo {
     pub payload_idents: Vec<(String, usize)>,
     /// Defined inside a `#[cfg(test)]` region.
     pub in_test: bool,
-}
-
-/// One `impl` block.
-#[derive(Debug, Clone)]
-pub struct ImplInfo {
-    /// Trait being implemented (`impl Clone for X` → `Some("Clone")`),
-    /// `None` for inherent impls.
-    pub trait_name: Option<String>,
-    /// Base name of the self type (`World<C>` → `World`).
-    pub type_name: String,
-    pub crate_name: String,
-    pub file: PathBuf,
-    /// 0-based line of the `impl` keyword.
-    pub line: usize,
+    /// 0-based lines of attributes on the type, its fields or variants
+    /// that escape a clippy determinism ban (`disallowed_types` /
+    /// `disallowed_methods`).
+    pub escapes: Vec<usize>,
 }
 
 /// One `.stream("…")` / `.stream_indexed("…", _)` derivation call site.
@@ -96,10 +86,9 @@ pub struct StreamCall {
 }
 
 /// Everything indexed from one file.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct FileItems {
     pub types: Vec<TypeInfo>,
-    pub impls: Vec<ImplInfo>,
     pub streams: Vec<StreamCall>,
     /// `(name, start_line, end_line)` of every `fn` body, 0-based,
     /// innermost-last for nested functions/closures are not tracked.
@@ -110,7 +99,6 @@ pub struct FileItems {
 #[derive(Debug, Default)]
 pub struct ItemIndex {
     pub types: Vec<TypeInfo>,
-    pub impls: Vec<ImplInfo>,
     pub streams: Vec<StreamCall>,
     /// name → indexes into `types`.
     by_name: BTreeMap<String, Vec<usize>>,
@@ -128,7 +116,6 @@ impl ItemIndex {
                     .push(ix.types.len());
                 ix.types.push(t);
             }
-            ix.impls.extend(fi.impls);
             ix.streams.extend(fi.streams);
         }
         ix
@@ -215,6 +202,14 @@ fn compact_lossless(toks: &[Tok]) -> String {
         out.push_str(&rendered);
     }
     out
+}
+
+/// Does this attribute token group escape a clippy determinism ban?
+fn escapes_ban(attr: &[Tok]) -> bool {
+    attr.iter().any(|t| {
+        t.kind == TokKind::Ident
+            && matches!(t.text.as_str(), "disallowed_types" | "disallowed_methods")
+    })
 }
 
 fn is_punct(t: &Tok, s: &str) -> bool {
@@ -372,8 +367,9 @@ pub fn parse_file(rel: &Path, crate_name: &str, toks: &[Tok], in_test: &[bool]) 
         best.map(|(_, idx)| idx).unwrap_or(usize::MAX)
     };
 
-    // ---- Pass 2: types, impls, stream calls. ----
+    // ---- Pass 2: types and stream calls. ----
     let mut pending_derives: Vec<String> = Vec::new();
+    let mut pending_escapes: Vec<usize> = Vec::new();
     let mut i = 0;
     while i < toks.len() {
         let t = &toks[i];
@@ -394,6 +390,9 @@ pub fn parse_file(rel: &Path, crate_name: &str, toks: &[Tok], in_test: &[bool]) 
                             .map(|a| a.text.clone()),
                     );
                 }
+                if escapes_ban(attr) {
+                    pending_escapes.push(t.line);
+                }
                 i = end;
                 continue;
             }
@@ -404,7 +403,7 @@ pub fn parse_file(rel: &Path, crate_name: &str, toks: &[Tok], in_test: &[bool]) 
             } else {
                 TypeKind::Enum
             };
-            if let Some((ty, next)) = parse_type_def(
+            if let Some((mut ty, next)) = parse_type_def(
                 toks,
                 i,
                 kind,
@@ -413,19 +412,13 @@ pub fn parse_file(rel: &Path, crate_name: &str, toks: &[Tok], in_test: &[bool]) 
                 std::mem::take(&mut pending_derives),
                 test_at(t.line),
             ) {
+                ty.escapes.splice(0..0, pending_escapes.drain(..));
                 items.types.push(ty);
                 i = next;
                 continue;
             }
             pending_derives.clear();
-        } else if is_kw(t, "impl") {
-            if let Some((im, body_open)) = parse_impl_header(toks, i, rel, crate_name) {
-                items.impls.push(im);
-                // Walk *into* the body so nested items are indexed too.
-                i = body_open + 1;
-                pending_derives.clear();
-                continue;
-            }
+            pending_escapes.clear();
         } else if t.kind == TokKind::Ident
             && (t.text == "stream" || t.text == "stream_indexed")
             && i > 0
@@ -452,6 +445,7 @@ pub fn parse_file(rel: &Path, crate_name: &str, toks: &[Tok], in_test: &[bool]) 
             });
         } else if is_punct(t, ";") || is_punct(t, "{") || is_punct(t, "}") {
             pending_derives.clear();
+            pending_escapes.clear();
         }
         i += 1;
     }
@@ -527,6 +521,7 @@ fn parse_type_def(
         fields: Vec::new(),
         payload_idents: Vec::new(),
         in_test,
+        escapes: Vec::new(),
     };
     let mut j = kw + 2;
     if toks.get(j).is_some_and(|t| is_punct(t, "<")) {
@@ -586,6 +581,9 @@ fn parse_named_fields(body: &[Tok], ty: &mut TypeInfo) {
             let mut j = i + 1;
             if body.get(j).is_some_and(|u| is_punct(u, "[")) {
                 j = consume_group(body, j, "[", "]");
+                if escapes_ban(&body[i..j]) {
+                    ty.escapes.push(t.line);
+                }
             }
             i = j;
             continue;
@@ -645,6 +643,9 @@ fn parse_enum_body(body: &[Tok], ty: &mut TypeInfo) {
             let mut j = i + 1;
             if body.get(j).is_some_and(|u| is_punct(u, "[")) {
                 j = consume_group(body, j, "[", "]");
+                if escapes_ban(&body[i..j]) {
+                    ty.escapes.push(t.line);
+                }
             }
             i = j;
             continue;
@@ -709,90 +710,4 @@ fn parse_enum_body(body: &[Tok], ty: &mut TypeInfo) {
         }
         i += 1;
     }
-}
-
-/// Parse an `impl` header + body; returns the info and the index of the
-/// body's opening brace.
-fn parse_impl_header(
-    toks: &[Tok],
-    kw: usize,
-    rel: &Path,
-    crate_name: &str,
-) -> Option<(ImplInfo, usize)> {
-    let mut j = kw + 1;
-    if toks.get(j).is_some_and(|t| is_punct(t, "<")) {
-        let (_, next) = consume_angles(toks, j);
-        j = next;
-    }
-    let (first_base, after_first) = consume_type_path(toks, j)?;
-    let (trait_name, type_name, mut j) = if toks.get(after_first).is_some_and(|t| is_kw(t, "for")) {
-        let (second_base, after_second) = consume_type_path(toks, after_first + 1)?;
-        (Some(first_base), second_base, after_second)
-    } else {
-        (None, first_base, after_first)
-    };
-    // Skip where-clause to the body.
-    while j < toks.len() && !is_punct(&toks[j], "{") {
-        if is_punct(&toks[j], "<") {
-            let (_, next) = consume_angles(toks, j);
-            j = next;
-        } else if is_punct(&toks[j], ";") {
-            return None; // e.g. `impl Trait for X;` — not a body
-        } else {
-            j += 1;
-        }
-    }
-    if j >= toks.len() {
-        return None;
-    }
-    Some((
-        ImplInfo {
-            trait_name,
-            type_name,
-            crate_name: crate_name.to_string(),
-            file: rel.to_path_buf(),
-            line: toks[kw].line,
-        },
-        j,
-    ))
-}
-
-/// Consume a type path (`a::b::C<D, E>`, `&'a mut X`, `Box<dyn T>`);
-/// returns the base name (last plain segment before generic args) and
-/// the index past the path.
-fn consume_type_path(toks: &[Tok], start: usize) -> Option<(String, usize)> {
-    let mut j = start;
-    // Leading adornments.
-    while j < toks.len() {
-        let t = &toks[j];
-        if is_punct(t, "&") || t.kind == TokKind::Lifetime || is_kw(t, "mut") || is_kw(t, "dyn") {
-            j += 1;
-        } else {
-            break;
-        }
-    }
-    let mut base: Option<String> = None;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.kind == TokKind::Ident && !is_kw(t, "for") && !is_kw(t, "where") {
-            base = Some(t.text.clone());
-            j += 1;
-            // `::` continuation?
-            if toks.get(j).is_some_and(|u| is_punct(u, ":"))
-                && toks.get(j + 1).is_some_and(|u| is_punct(u, ":"))
-            {
-                j += 2;
-                continue;
-            }
-            break;
-        }
-        break;
-    }
-    let base = base?;
-    // Generic args.
-    if toks.get(j).is_some_and(|t| is_punct(t, "<")) {
-        let (_, next) = consume_angles(toks, j);
-        j = next;
-    }
-    Some((base, j))
 }

@@ -1,58 +1,47 @@
-//! `spider-lint` — the workspace's determinism / sans-IO semantic
-//! analysis engine.
+//! `spider-lint` — the determinism rules clippy cannot express.
 //!
 //! Everything this repository claims rests on one property: a `World`
 //! run is a pure function of `(config, seed)`, and a *forked* world is
-//! bit-identical to a cold one (DESIGN.md §13). One stray
-//! `SystemTime::now()`, one `std::collections::HashMap` iterated with
-//! its per-process `RandomState`, one hand-written `Clone` that drops
-//! a field of the forked state tree, and reproducibility silently
-//! dies. rustc and clippy cannot express these project rules, so this
-//! crate enforces them — with no external dependencies (the workspace
-//! builds offline: no `syn`, no registry access).
+//! bit-identical to a cold one (DESIGN.md §13). The bans that are plain
+//! paths — wall clock, environment, std hash maps, threads, file I/O,
+//! `unsafe` — are enforced by clippy and rustc from `clippy.toml` and
+//! `[workspace.lints]` (DESIGN.md §11.1). This crate keeps the five
+//! rules that need more than a path: they look at call arguments, at
+//! what follows a call, at labels within one function, or at the type
+//! graph reachable from `World`. It has no external dependencies (the
+//! workspace builds offline: no `syn`, no registry access), and
+//! `tests/real_tree.rs` runs it over the workspace under `cargo test`.
 //!
 //! # Architecture
 //!
 //! * [`tokens`] — a hand-rolled Rust tokenizer (comments, nested block
 //!   comments, string/char/raw literals carried across lines). Its
-//!   per-line compact render drives the nine *line rules*; carrying
-//!   literal state across newlines kills the old line-scanner's
-//!   false-positive class where rule tokens inside multi-line strings
-//!   fired as code.
+//!   per-line compact render drives the two *line rules*; carrying
+//!   literal state across newlines keeps rule tokens inside multi-line
+//!   strings from firing as code.
 //! * [`index`] — a workspace item index built from the token streams:
-//!   structs with fields and derives, impl blocks, and `stream(..)`
-//!   derivation call-sites.
-//! * `semantic` — three cross-file rules over the index:
+//!   structs and enums with fields, derives and ban escapes, and
+//!   `stream(..)` derivation call-sites.
+//! * `semantic` — three rules over the index and token stream:
 //!   `snapshot-completeness`, `stream-label`, `float-ord`.
 //!
 //! # Rule catalog
 //!
 //! | id             | rule |
 //! |----------------|------|
-//! | `wall-clock`   | no `Instant::now` / `SystemTime` / `thread_rng` / `rand::random` / `std::time` in simulation code |
-//! | `env-var`      | no `std::env` reads outside `simcore::sweep` and the bench harness |
-//! | `default-hash` | no `std::collections::HashMap`/`HashSet` with the default `RandomState`; use `FxHashMap`/`FxHashSet` or `BTreeMap` |
-//! | `hash-iter`    | no unordered hash-map iteration feeding output/aggregation in `bench`/`workloads` unless sorted within two lines |
-//! | `thread`       | no `std::thread` / channels outside `simcore::sweep` |
-//! | `sans-io`      | no `println!`/`eprintln!`/file I/O in library crates (bins, examples, benches and `#[cfg(test)]` are exempt) |
-//! | `forbid-unsafe`| every crate root must carry `#![forbid(unsafe_code)]` |
-//! | `clone-nondet` | no `Clone` (derived or hand-written) on a type whose body carries a `lint:allow`-escaped determinism violation — the checkpoint engine (DESIGN.md §13) deep-clones worlds, and forking escaped nondeterministic state silently breaks fork/resume bit-identity |
+//! | `hash-iter`    | no hash-map iterator chain (`m.values().collect()`) unless sorted within five lines; `for` loops over hash maps are clippy's `iter_over_hash_type` |
 //! | `rng-derivation` | no hand-cooked `SimRng::new(..)` seeds (XOR/splitmix/FNV arithmetic) outside `simcore::rng` — a cooked seed can collide with a labelled `stream`/`stream_indexed` derivation and silently alias two streams meant to be independent |
-//! | `snapshot-completeness` | every struct/enum reachable from `World` state must `#[derive(Clone)]` — a hand-written Clone can drop a field, a derived one cannot — so the compiler proves fork/resume bit-identity |
+//! | `snapshot-completeness` | every struct/enum reachable from `World` state must `#[derive(Clone)]` — a hand-written Clone can drop a field, a derived one cannot — and must carry no `#[allow(clippy::disallowed_*)]` escape, since the checkpoint engine would fork that state |
 //! | `stream-label` | no duplicate `stream("…")` labels per (function, receiver) — identical labels alias the same RNG stream — and no computed labels outside `simcore::rng` |
-//! | `float-ord`    | no `partial_cmp(..).unwrap()` comparators or `f32`/`f64` container keys; NaN-capable ordering panics or silently reorders — use `total_cmp` |
+//! | `float-ord`    | no `partial_cmp(..).unwrap()` comparators: NaN-capable ordering panics — use `total_cmp` |
 //!
 //! # Escapes
 //!
 //! A violation that is deliberate is allow-listed in the source:
-//!
-//! * `// lint:allow(rule)` on the offending line silences that rule
-//!   there; on a comment line of its own, it silences the rule for the
-//!   whole statement that follows (all continuation lines of a
-//!   multi-line expression, until the statement terminates);
-//! * `// lint:allow-file(rule)` anywhere in a file silences the rule
-//!   for the whole file (used e.g. by the hashing shim, whose entire
-//!   purpose is to wrap the std hash maps).
+//! `// lint:allow(rule)` on the offending line silences that rule
+//! there; on a comment line of its own, it silences the rule for the
+//! whole statement that follows (all continuation lines of a
+//! multi-line expression, until the statement terminates).
 //!
 //! Every escape should carry a justification in the surrounding
 //! comment; reviewers treat a bare allow as a bug.
@@ -64,7 +53,7 @@ mod semantic;
 pub mod tokens;
 
 use crate::index::{parse_file, FileItems, ItemIndex};
-use crate::tokens::{find_tok, tokenize, FileTokens};
+use crate::tokens::{tokenize, FileTokens};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -72,49 +61,26 @@ use std::path::{Path, PathBuf};
 /// One rule of the catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Wall-clock or ambient randomness in simulation code.
-    WallClock,
-    /// Environment reads outside the sweep runner / bench harness.
-    EnvVar,
-    /// `std` hash containers with the nondeterministic default hasher.
-    DefaultHash,
-    /// Unordered hash-map iteration feeding aggregation.
+    /// Unordered hash-map iterator chain feeding aggregation.
     HashIter,
-    /// Threads or channels outside `simcore::sweep`.
-    Thread,
-    /// I/O from library code.
-    SansIo,
-    /// Missing `#![forbid(unsafe_code)]` in a crate root.
-    ForbidUnsafe,
-    /// `Clone` on a type holding `lint:allow`-escaped nondeterministic
-    /// state (checkpoint-engine hazard).
-    CloneNondet,
     /// Hand-cooked `SimRng` seeds outside `simcore::rng` (a cooked seed
     /// can collide with a labelled stream's derived seed).
     RngDerivation,
     /// A type reachable from `World` state that does not derive `Clone`
-    /// (checkpoint-engine hazard: a hand-written Clone can silently
-    /// drop state on fork).
+    /// or escapes a determinism ban (checkpoint-engine hazard: the fork
+    /// would drop or duplicate that state).
     SnapshotCompleteness,
     /// Duplicate or computed RNG stream labels (stream aliasing
     /// silently couples draws).
     StreamLabel,
-    /// NaN-capable float ordering (`partial_cmp(..).unwrap()`, float
-    /// container keys) on paths that need a total order.
+    /// NaN-capable float ordering (`partial_cmp(..).unwrap()`).
     FloatOrd,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 12] = [
-        Rule::WallClock,
-        Rule::EnvVar,
-        Rule::DefaultHash,
+    pub const ALL: [Rule; 5] = [
         Rule::HashIter,
-        Rule::Thread,
-        Rule::SansIo,
-        Rule::ForbidUnsafe,
-        Rule::CloneNondet,
         Rule::RngDerivation,
         Rule::SnapshotCompleteness,
         Rule::StreamLabel,
@@ -124,14 +90,7 @@ impl Rule {
     /// The identifier used in `lint:allow(...)` comments and reports.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::WallClock => "wall-clock",
-            Rule::EnvVar => "env-var",
-            Rule::DefaultHash => "default-hash",
             Rule::HashIter => "hash-iter",
-            Rule::Thread => "thread",
-            Rule::SansIo => "sans-io",
-            Rule::ForbidUnsafe => "forbid-unsafe",
-            Rule::CloneNondet => "clone-nondet",
             Rule::RngDerivation => "rng-derivation",
             Rule::SnapshotCompleteness => "snapshot-completeness",
             Rule::StreamLabel => "stream-label",
@@ -173,130 +132,38 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Machine-readable report: byte-deterministic JSON (ordered keys,
-/// sorted violations) for `spider-lint --json` and CI annotation.
-pub fn violations_json(violations: &[Violation]) -> spider_simcore::json::Json {
-    use spider_simcore::json::Json;
-    Json::obj([
-        ("version", Json::UInt(1)),
-        (
-            "violations",
-            Json::arr(violations.iter().map(|v| {
-                Json::obj([
-                    (
-                        "file",
-                        Json::str(v.file.to_string_lossy().replace('\\', "/")),
-                    ),
-                    ("line", Json::UInt(v.line as u64)),
-                    ("rule", Json::str(v.rule.id())),
-                    ("message", Json::str(v.message.clone())),
-                ])
-            })),
-        ),
-        ("count", Json::UInt(violations.len() as u64)),
-    ])
-}
-
-/// Where a file sits in the workspace, which decides rule applicability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FileKind {
-    /// Library source (`crates/*/src/**`, workspace `src/**`).
-    Lib,
-    /// Binary-adjacent source: `src/bin/**`, `main.rs`, examples,
-    /// benches. Allowed to print, read the environment and time itself.
-    Bin,
-    /// Integration tests (`tests/**`). Allowed to do I/O, but still
-    /// held to the determinism rules.
-    Test,
-}
-
-/// Per-file scan context derived from its workspace-relative path.
-#[derive(Debug, Clone)]
-struct FileCtx {
-    rel: PathBuf,
-    crate_name: String,
-    kind: FileKind,
-}
-
-/// Crates whose *library* code is exempt from the sans-IO and
-/// environment rules: the bench harness exists to time things, print
-/// tables and write CSVs, and this linter exists to read source trees.
-const IO_EXEMPT_CRATES: &[&str] = &["bench", "lint"];
-
-/// The one file allowed to read `SPIDER_JOBS` and spawn threads: the
-/// parallel sweep runner (DESIGN.md §10).
-const SWEEP_FILE: &str = "crates/simcore/src/sweep.rs";
-
 /// The one file allowed to do seed arithmetic and dynamic stream
 /// derivation: the RNG itself, whose `stream`/`stream_indexed` are the
 /// single seed-mixing formula every stream goes through.
 const RNG_FILE: &str = "crates/simcore/src/rng.rs";
 
-/// Crates whose hash-map iteration feeds output/aggregation paths and
-/// is therefore checked by `hash-iter`.
-const HASH_ITER_CRATES: &[&str] = &["bench", "workloads"];
-
 /// The crate name a workspace-relative path belongs to.
 pub(crate) fn crate_of(rel: &Path) -> String {
-    let parts: Vec<&str> = rel
+    let mut parts = rel
         .components()
-        .map(|c| c.as_os_str().to_str().unwrap_or(""))
-        .collect();
-    if parts.first() == Some(&"crates") && parts.len() > 1 {
-        parts[1].to_string()
-    } else {
-        String::from("(workspace)")
+        .map(|c| c.as_os_str().to_str().unwrap_or(""));
+    match (parts.next(), parts.next()) {
+        (Some("crates"), Some(name)) => name.to_string(),
+        _ => String::from("(workspace)"),
     }
 }
 
-fn classify(rel: &Path) -> FileCtx {
-    let parts: Vec<&str> = rel
-        .components()
-        .map(|c| c.as_os_str().to_str().unwrap_or(""))
-        .collect();
-    let crate_name = crate_of(rel);
-    let file_name = parts.last().copied().unwrap_or("");
-    let kind = if parts.contains(&"tests") {
-        FileKind::Test
-    } else if parts.contains(&"bin")
-        || parts.contains(&"examples")
-        || parts.contains(&"benches")
-        || file_name == "main.rs"
-        || file_name == "build.rs"
-    {
-        FileKind::Bin
-    } else {
-        FileKind::Lib
-    };
-    FileCtx {
-        rel: rel.to_path_buf(),
-        crate_name,
-        kind,
-    }
-}
-
-/// Parse `lint:allow(<rules>)` / `lint:allow-file(<rules>)` markers out
-/// of comment text.
-fn parse_allows(comment: &str, file_wide: &mut Vec<Rule>, here: &mut Vec<Rule>) {
-    for (marker, sink) in [
-        ("lint:allow-file(", &mut *file_wide),
-        ("lint:allow(", &mut *here),
-    ] {
-        let mut rest = comment;
-        while let Some(pos) = rest.find(marker) {
-            let tail = &rest[pos + marker.len()..];
-            if let Some(close) = tail.find(')') {
-                for name in tail[..close].split(',') {
-                    let name = name.trim();
-                    if let Some(rule) = Rule::ALL.iter().find(|r| r.id() == name) {
-                        sink.push(*rule);
-                    }
-                }
-                rest = &tail[close..];
-            } else {
-                break;
+/// Parse `lint:allow(<rules>)` markers out of comment text.
+fn parse_allows(comment: &str, here: &mut Vec<Rule>) {
+    const MARKER: &str = "lint:allow(";
+    let mut rest = comment;
+    while let Some(pos) = rest.find(MARKER) {
+        let tail = &rest[pos + MARKER.len()..];
+        let Some(close) = tail.find(')') else {
+            break;
+        };
+        for name in tail[..close].split(',') {
+            let name = name.trim();
+            if let Some(rule) = Rule::ALL.iter().find(|r| r.id() == name) {
+                here.push(*rule);
             }
         }
+        rest = &tail[close..];
     }
 }
 
@@ -359,21 +226,21 @@ fn statement_end(code_lines: &[String], start: usize) -> usize {
 
 /// Fully prepared per-file scan state.
 struct ScannedFile {
-    ctx: FileCtx,
+    /// Path relative to the scanned root.
+    rel: PathBuf,
+    /// An integration-test file (`tests/**`): exempt from `hash-iter`.
+    is_test: bool,
     ft: FileTokens,
     items: FileItems,
     line_allows: Vec<Vec<Rule>>,
-    file_allows: Vec<Rule>,
     in_test_region: Vec<bool>,
 }
 
 impl ScannedFile {
     fn allowed(&self, rule: Rule, line: usize) -> bool {
-        self.file_allows.contains(&rule)
-            || self
-                .line_allows
-                .get(line)
-                .is_some_and(|a| a.contains(&rule))
+        self.line_allows
+            .get(line)
+            .is_some_and(|a| a.contains(&rule))
     }
 }
 
@@ -425,14 +292,12 @@ pub(crate) fn test_regions(code_lines: &[String]) -> Vec<bool> {
 }
 
 fn prepare(rel: &Path, source: &str) -> ScannedFile {
-    let ctx = classify(rel);
     let ft = tokenize(source);
     let n = ft.code_lines.len();
     let mut line_allows: Vec<Vec<Rule>> = vec![Vec::new(); n];
-    let mut file_allows: Vec<Rule> = Vec::new();
     for (i, comment) in ft.comment_lines.iter().enumerate() {
         let mut here = Vec::new();
-        parse_allows(comment, &mut file_allows, &mut here);
+        parse_allows(comment, &mut here);
         if here.is_empty() {
             continue;
         }
@@ -451,13 +316,13 @@ fn prepare(rel: &Path, source: &str) -> ScannedFile {
         }
     }
     let in_test_region = test_regions(&ft.code_lines);
-    let items = parse_file(rel, &ctx.crate_name, &ft.toks, &in_test_region);
+    let items = parse_file(rel, &crate_of(rel), &ft.toks, &in_test_region);
     ScannedFile {
-        ctx,
+        rel: rel.to_path_buf(),
+        is_test: rel.components().any(|c| c.as_os_str() == "tests"),
         ft,
         items,
         line_allows,
-        file_allows,
         in_test_region,
     }
 }
@@ -503,34 +368,7 @@ fn collect_map_idents(code_lines: &[String]) -> Vec<String> {
     idents
 }
 
-/// Token lists per rule. A single match reports once per line per rule.
-const WALL_CLOCK_TOKENS: [&str; 5] = [
-    "Instant::now",
-    "SystemTime",
-    "thread_rng",
-    "rand::random",
-    "std::time::",
-];
-const ENV_TOKENS: [&str; 2] = ["std::env", "env::var"];
-const DEFAULT_HASH_TOKENS: [&str; 4] = [
-    "std::collections::HashMap",
-    "std::collections::HashSet",
-    "HashMap::new()",
-    "HashSet::new()",
-];
-const THREAD_TOKENS: [&str; 3] = ["std::thread", "thread::spawn", "mpsc"];
-const SANS_IO_TOKENS: [&str; 10] = [
-    "println!",
-    "eprintln!",
-    "print!(",
-    "eprint!(",
-    "dbg!(",
-    "std::fs",
-    "File::create",
-    "File::open",
-    "OpenOptions",
-    "io::stdout",
-];
+/// Hash-container methods whose iteration order is the hasher's.
 const HASH_ITER_METHODS: [&str; 5] = [
     ".iter()",
     ".iter_mut()",
@@ -541,96 +379,35 @@ const HASH_ITER_METHODS: [&str; 5] = [
 
 /// Run every per-file rule over one prepared file.
 fn scan_file(sf: &ScannedFile, out: &mut Vec<Violation>) {
-    let ctx = &sf.ctx;
     let code_lines = &sf.ft.code_lines;
-    let in_test_region = &sf.in_test_region;
 
-    let map_idents = if HASH_ITER_CRATES.contains(&ctx.crate_name.as_str()) {
-        collect_map_idents(code_lines)
-    } else {
-        Vec::new()
-    };
+    let map_idents = collect_map_idents(code_lines);
 
-    let allowed = |rule: Rule, i: usize| -> bool { sf.allowed(rule, i) };
     let mut report = |rule: Rule, i: usize, msg: String| {
         out.push(Violation {
-            file: ctx.rel.clone(),
+            file: sf.rel.clone(),
             line: i + 1,
             rule,
             message: msg,
         });
     };
 
-    let io_exempt_crate = IO_EXEMPT_CRATES.contains(&ctx.crate_name.as_str());
-    let rel_slash = ctx.rel.to_string_lossy().replace('\\', "/");
-    let is_sweep = rel_slash == SWEEP_FILE;
-    let is_rng = rel_slash == RNG_FILE;
+    let is_rng = sf.rel.to_string_lossy().replace('\\', "/") == RNG_FILE;
 
     for (i, code) in code_lines.iter().enumerate() {
-        let test_here = ctx.kind == FileKind::Test || in_test_region[i];
-
-        // wall-clock: simulation code (lib + tests) must not read time
-        // or ambient randomness. Bins/examples/benches time themselves.
-        if ctx.kind != FileKind::Bin && !io_exempt_crate && !allowed(Rule::WallClock, i) {
-            if let Some(tok) = WALL_CLOCK_TOKENS.iter().find(|t| find_tok(code, t)) {
-                report(Rule::WallClock, i, format!("`{tok}` in simulation code"));
-            }
-        }
-
-        // env-var: only the sweep runner and the bench/lint harnesses
-        // may consult the environment.
-        if ctx.kind != FileKind::Bin
-            && !io_exempt_crate
-            && !is_sweep
-            && !test_here
-            && !allowed(Rule::EnvVar, i)
-        {
-            if let Some(tok) = ENV_TOKENS.iter().find(|t| find_tok(code, t)) {
-                report(Rule::EnvVar, i, format!("`{tok}` outside sweep/bench"));
-            }
-        }
-
-        // default-hash: library code must not build RandomState maps.
-        // The path check also catches brace imports
-        // (`use std::collections::{HashMap, ...}`).
-        if ctx.kind == FileKind::Lib && !test_here && !allowed(Rule::DefaultHash, i) {
-            let brace_import = find_tok(code, "std::collections::")
-                && (find_tok(code, "HashMap") || find_tok(code, "HashSet"));
-            if let Some(tok) = DEFAULT_HASH_TOKENS
-                .iter()
-                .find(|t| find_tok(code, t))
-                .or(brace_import.then_some(&"std::collections::{Hash..}"))
-            {
-                report(
-                    Rule::DefaultHash,
-                    i,
-                    format!("`{tok}` has a per-process RandomState; use FxHashMap/FxHashSet or BTreeMap"),
-                );
-            }
-        }
-
-        // thread: only the sweep runner may spawn or channel.
-        if !is_sweep && !allowed(Rule::Thread, i) {
-            if let Some(tok) = THREAD_TOKENS.iter().find(|t| find_tok(code, t)) {
-                report(Rule::Thread, i, format!("`{tok}` outside simcore::sweep"));
-            }
-        }
-
-        // sans-io: library code performs no I/O.
-        if ctx.kind == FileKind::Lib && !test_here && !io_exempt_crate && !allowed(Rule::SansIo, i)
-        {
-            if let Some(tok) = SANS_IO_TOKENS.iter().find(|t| find_tok(code, t)) {
-                report(Rule::SansIo, i, format!("`{tok}` in library code"));
-            }
-        }
-
-        // hash-iter: unordered iteration over a known hash container in
-        // an aggregation crate, with no sort in sight. Applies to the
-        // experiment binaries too — they are where CSV rows are emitted.
-        if ctx.kind != FileKind::Test
-            && !test_here
+        // hash-iter: an iterator chain over a known hash container with
+        // no sort in sight. Applies to the experiment binaries too —
+        // they are where CSV rows are emitted. A `for` loop header is
+        // clippy's `iter_over_hash_type`.
+        let for_header = code
+            .trim_start()
+            .strip_prefix("for")
+            .is_some_and(|rest| !rest.starts_with(is_ident));
+        if !sf.is_test
+            && !sf.in_test_region[i]
+            && !for_header
             && !map_idents.is_empty()
-            && !allowed(Rule::HashIter, i)
+            && !sf.allowed(Rule::HashIter, i)
         {
             for m in HASH_ITER_METHODS {
                 for (pos, _) in code.match_indices(m) {
@@ -662,7 +439,7 @@ fn scan_file(sf: &ScannedFile, out: &mut Vec<Violation>) {
         // same operations the derivation formula uses, so it can land
         // on the seed of a labelled stream elsewhere and silently alias
         // the two. Only `simcore::rng` itself mixes seeds.
-        if !is_rng && !allowed(Rule::RngDerivation, i) {
+        if !is_rng && !sf.allowed(Rule::RngDerivation, i) {
             for (pos, _) in code.match_indices("SimRng::new(") {
                 let tail = &code[pos + "SimRng::new(".len()..];
                 // Take the argument up to the matching close paren (or
@@ -698,124 +475,9 @@ fn scan_file(sf: &ScannedFile, out: &mut Vec<Violation>) {
         }
     }
 
-    // clone-nondet: a type whose definition body carries a `lint:allow`
-    // escape for one of the determinism rules must not be cloneable.
-    // The checkpoint engine (DESIGN.md §13) deep-clones live worlds to
-    // fork them; state that had to be escaped from the determinism
-    // rules would be silently duplicated into every fork, and
-    // fork/resume bit-identity dies in a place no other rule watches.
-    // Line-level escapes only: `lint:allow-file` marks a whole file
-    // whose *purpose* is the exception (e.g. the hashing shim), not a
-    // pocket of nondeterministic state smuggled into simulation types.
-    if ctx.kind == FileKind::Lib {
-        const NONDET_RULES: [Rule; 4] = [
-            Rule::WallClock,
-            Rule::EnvVar,
-            Rule::DefaultHash,
-            Rule::Thread,
-        ];
-        let contains_word = |line: &str, word: &str| -> bool {
-            line.match_indices(word).any(|(pos, _)| {
-                line[..pos].chars().next_back().is_none_or(|c| !is_ident(c))
-                    && line[pos + word.len()..]
-                        .chars()
-                        .next()
-                        .is_none_or(|c| !is_ident(c))
-            })
-        };
-        for ty in &sf.items.types {
-            if sf.in_test_region.get(ty.line).copied().unwrap_or(false) {
-                continue;
-            }
-            let end = ty
-                .fields
-                .iter()
-                .map(|f| f.line)
-                .chain(ty.payload_idents.iter().map(|(_, l)| *l))
-                .max()
-                .unwrap_or(ty.line)
-                + 1;
-            let tainted = (ty.line..=end.min(code_lines.len().saturating_sub(1)))
-                .any(|i| NONDET_RULES.iter().any(|r| sf.line_allows[i].contains(r)));
-            if !tainted {
-                continue;
-            }
-            if ty.derives.iter().any(|d| d == "Clone") {
-                // `#[derive(.., Clone, ..)]` in the attribute block
-                // above the definition.
-                let derive_line = (0..ty.line)
-                    .rev()
-                    .take_while(|&j| {
-                        let l = code_lines[j].trim_start();
-                        l.starts_with('#') || l.is_empty()
-                    })
-                    .find(|&j| {
-                        code_lines[j].contains("derive") && contains_word(&code_lines[j], "Clone")
-                    });
-                let at = derive_line.unwrap_or(ty.line);
-                if !allowed(Rule::CloneNondet, at) {
-                    report(
-                        Rule::CloneNondet,
-                        at,
-                        format!(
-                            "`{}` is Clone but its body carries a lint:allow-escaped \
-                             determinism violation; the checkpoint engine would fork that state",
-                            ty.name
-                        ),
-                    );
-                }
-            } else if let Some(at) = sf
-                .items
-                .impls
-                .iter()
-                .find(|im| im.trait_name.as_deref() == Some("Clone") && im.type_name == ty.name)
-                .map(|im| im.line)
-            {
-                if !allowed(Rule::CloneNondet, at) {
-                    report(
-                        Rule::CloneNondet,
-                        at,
-                        format!(
-                            "`{}` is Clone but its body carries a lint:allow-escaped \
-                             determinism violation; the checkpoint engine would fork that state",
-                            ty.name
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // forbid-unsafe: crate roots must carry the attribute.
-    let is_crate_root = {
-        let parts: Vec<&str> = ctx
-            .rel
-            .components()
-            .map(|c| c.as_os_str().to_str().unwrap_or(""))
-            .collect();
-        parts.last() == Some(&"lib.rs")
-            && (parts.as_slice() == ["src", "lib.rs"]
-                || (parts.first() == Some(&"crates") && parts.get(2) == Some(&"src")))
-    };
-    // Checked against the token render so a doc comment or string
-    // merely *mentioning* the attribute doesn't satisfy the rule.
-    if is_crate_root
-        && !sf.file_allows.contains(&Rule::ForbidUnsafe)
-        && !code_lines
-            .iter()
-            .any(|l| l.contains("#![forbid(unsafe_code)]"))
-    {
-        out.push(Violation {
-            file: ctx.rel.clone(),
-            line: 1,
-            rule: Rule::ForbidUnsafe,
-            message: "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
-        });
-    }
-
     // Per-file semantic rules over the token stream / item inventory.
-    semantic::stream_label(&sf.items, &ctx.rel, is_rng, sf, out);
-    semantic::float_ord(&sf.ft.toks, &ctx.rel, sf, out);
+    semantic::stream_label(&sf.items, &sf.rel, is_rng, sf, out);
+    semantic::float_ord(&sf.ft.toks, &sf.rel, sf, out);
 }
 
 /// Scan one file's contents: the per-file rules only (the cross-file
@@ -837,13 +499,8 @@ pub fn scan_sources(files: &[(PathBuf, String)]) -> Vec<Violation> {
         scan_file(sf, &mut out);
     }
     // Cross-file: snapshot completeness over the aggregated index.
-    let index = ItemIndex::from_files(scanned.iter().map(|sf| clone_items(&sf.items)));
-    let allows = TreeAllows(
-        scanned
-            .iter()
-            .map(|sf| (sf.ctx.rel.as_path(), sf))
-            .collect(),
-    );
+    let index = ItemIndex::from_files(scanned.iter().map(|sf| sf.items.clone()));
+    let allows = TreeAllows(scanned.iter().map(|sf| (sf.rel.as_path(), sf)).collect());
     semantic::snapshot_completeness(&index, &allows, &mut out);
     out.sort_by(|a, b| {
         (&a.file, a.line, a.rule.order(), &a.message).cmp(&(
@@ -856,16 +513,11 @@ pub fn scan_sources(files: &[(PathBuf, String)]) -> Vec<Violation> {
     out
 }
 
-fn clone_items(items: &FileItems) -> FileItems {
-    FileItems {
-        types: items.types.clone(),
-        impls: items.impls.clone(),
-        streams: items.streams.clone(),
-        fn_spans: items.fn_spans.clone(),
-    }
-}
-
 /// Recursively list `.rs` files under `dir`, sorted for determinism.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the linter reads the tree it checks"
+)]
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
@@ -892,6 +544,10 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// Scan a workspace tree rooted at `root`: every `crates/*/{src,tests,
 /// examples,benches}` file plus the workspace-level `src/` and `tests/`.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the linter reads the tree it checks"
+)]
 pub fn scan_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
@@ -930,41 +586,33 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_fires_in_lib_not_bin() {
-        let src = "fn t() { let _ = std::time::Instant::now(); }\n";
-        assert_eq!(scan_one("crates/simcore/src/x.rs", src).len(), 1);
-        assert!(scan_one("crates/bench/src/bin/fig01.rs", src).is_empty());
-        assert!(scan_one("examples/quickstart.rs", src).is_empty());
-    }
-
-    #[test]
     fn tokens_inside_multiline_strings_do_not_fire() {
-        // The line-scanner false-positive class the tokenizer kills: a
-        // multi-line string carrying rule tokens on its later lines.
-        let src = "pub fn banner() -> &'static str {\n    \"release notes:\nuses std::time::Instant::now() internally — not!\nthread::spawn here is only prose\n\"\n}\n";
+        // A multi-line string carrying rule tokens on its later lines
+        // must not surface them as code.
+        let src = "pub fn banner() -> &'static str {\n    \"release notes:\nSimRng::new(seed ^ 1) is only prose\na.partial_cmp(b).unwrap() too\n\"\n}\n";
         assert!(scan_one("crates/simcore/src/x.rs", src).is_empty());
     }
 
     #[test]
-    fn cfg_test_region_is_exempt_from_io_rules() {
+    fn cfg_test_region_is_exempt_from_hash_iter() {
         let src = "\
 pub fn f() {}
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn t() { println!(\"ok\"); }
+    struct S { m: FxHashMap<u16, u32> }
+    fn t(s: &S) -> Vec<u32> { s.m.values().copied().collect() }
 }
 ";
-        assert!(scan_one("crates/radio/src/x.rs", src).is_empty());
+        assert!(scan_one("crates/workloads/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn allow_on_same_line_and_next_line() {
-        let same = "let _ = std::env::var(\"X\"); // lint:allow(env-var) test hook\n";
+        let same = "let r = SimRng::new(s ^ 1); // lint:allow(rng-derivation) test hook\n";
         assert!(scan_one("crates/radio/src/x.rs", same).is_empty());
-        let next = "// deliberate: lint:allow(env-var)\nlet _ = std::env::var(\"X\");\n";
+        let next = "// deliberate: lint:allow(rng-derivation)\nlet r = SimRng::new(s ^ 1);\n";
         assert!(scan_one("crates/radio/src/x.rs", next).is_empty());
-        let bare = "let _ = std::env::var(\"X\");\n";
+        let bare = "let r = SimRng::new(s ^ 1);\n";
         assert_eq!(scan_one("crates/radio/src/x.rs", bare).len(), 1);
     }
 
@@ -973,23 +621,16 @@ mod tests {
         // The token may land on a continuation line of the statement
         // under the allow comment; the escape must still cover it.
         let src = "\
-// deliberate, test hook: lint:allow(env-var)
-let jobs =
-    std::env::var(\"JOBS\")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-let other = std::env::var(\"X\");
+// deliberate, test hook: lint:allow(rng-derivation)
+let rng =
+    Some(seed)
+        .map(|s| SimRng::new(s ^ 7))
+        .unwrap();
+let other = SimRng::new(seed ^ 9);
 ";
         let v = scan_one("crates/radio/src/x.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 7, "the next statement is NOT covered");
-    }
-
-    #[test]
-    fn allow_file_covers_everything() {
-        let src = "// file-I/O shim: lint:allow-file(sans-io)\nuse std::fs::File;\nfn f() { let _ = File::open(\"x\"); }\n";
-        assert!(scan_one("crates/workloads/src/cap.rs", src).is_empty());
+        assert_eq!(v[0].line, 6, "the next statement is NOT covered");
     }
 
     #[test]
@@ -1002,59 +643,23 @@ let other = std::env::var(\"X\");
         let sorted = "struct S { m: FxHashMap<u16, u32> }\nfn f(s: &S) -> Vec<u16> {\n    let mut ks: Vec<u16> = s.m.keys().copied().collect();\n    ks.sort_unstable();\n    ks\n}\n";
         assert!(scan_one("crates/workloads/src/x.rs", sorted).is_empty());
 
-        // Outside the aggregation crates the rule does not apply.
-        assert!(scan_one("crates/netstack/src/x.rs", bad).is_empty());
+        // Integration tests are exempt.
+        assert!(scan_one("crates/workloads/tests/x.rs", bad).is_empty());
+
+        // A `for` loop is clippy's `iter_over_hash_type`, not this rule.
+        let for_loop = "struct S { m: FxHashMap<u16, u32> }\nfn f(s: &S, out: &mut Vec<u32>) {\n    for v in s.m.values() {\n        out.push(*v);\n    }\n}\n";
+        assert!(scan_one("crates/workloads/src/x.rs", for_loop).is_empty());
     }
 
     #[test]
-    fn forbid_unsafe_only_on_crate_roots() {
-        let v = scan_one("crates/radio/src/lib.rs", "pub mod x;\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::ForbidUnsafe);
-        assert!(scan_one("crates/radio/src/x.rs", "pub fn f() {}\n").is_empty());
-        assert!(scan_one(
-            "crates/radio/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub mod x;\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn clone_nondet_fires_on_derive_and_manual_impl() {
-        let derived = "#[derive(Debug, Clone)]\npub struct Profiled {\n    depth: usize,\n    // profiling hook: lint:allow(wall-clock)\n    started: std::time::Instant,\n}\n";
-        let v = scan_one("crates/simcore/src/x.rs", derived);
+    fn rng_derivation_spares_plain_roots_and_the_rng_itself() {
+        let cooked = "fn f(seed: u64) -> SimRng { SimRng::new(seed.wrapping_add(1)) }\n";
+        let v = scan_one("crates/workloads/src/x.rs", cooked);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::CloneNondet);
-        assert_eq!(v[0].line, 1, "should point at the derive line");
-
-        let manual = "pub struct Knob {\n    // test hook: lint:allow(env-var)\n    jobs: Option<u32>,\n}\nimpl Clone for Knob {\n    fn clone(&self) -> Self {\n        Knob { jobs: self.jobs }\n    }\n}\n";
-        let v = scan_one("crates/simcore/src/y.rs", manual);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::CloneNondet);
-        assert_eq!(v[0].line, 5, "should point at the impl line");
-    }
-
-    #[test]
-    fn clone_nondet_spares_clean_and_escaped_types() {
-        // A Clone type with no escapes in its body is fine, even if the
-        // file has escapes elsewhere (e.g. inside a free function).
-        let clean = "#[derive(Clone)]\npub struct Plain { x: u32 }\nfn deadline() {\n    // watchdog: lint:allow(wall-clock)\n    let _ = std::time::Instant::now();\n}\n";
-        assert!(scan_one("crates/simcore/src/x.rs", clean).is_empty());
-
-        // A tainted type that is *not* Clone is also fine.
-        let not_clone = "pub struct Probe {\n    // profiling hook: lint:allow(wall-clock)\n    started: std::time::Instant,\n}\n";
-        assert!(scan_one("crates/simcore/src/y.rs", not_clone).is_empty());
-
-        // And the rule has its own escape hatch.
-        let escaped = "// never reaches a World: lint:allow(clone-nondet)\n#[derive(Clone)]\npub struct Probe {\n    // profiling hook: lint:allow(wall-clock)\n    started: std::time::Instant,\n}\n";
-        assert!(scan_one("crates/simcore/src/z.rs", escaped).is_empty());
-    }
-
-    #[test]
-    fn thread_rule_spares_only_sweep() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert_eq!(scan_one("crates/workloads/src/x.rs", src).len(), 1);
-        assert!(scan_one("crates/simcore/src/sweep.rs", src).is_empty());
+        assert_eq!(v[0].rule, Rule::RngDerivation);
+        let plain = "fn f(seed: u64) -> SimRng { SimRng::new(seed) }\n";
+        assert!(scan_one("crates/workloads/src/x.rs", plain).is_empty());
+        assert!(scan_one("crates/simcore/src/rng.rs", cooked).is_empty());
     }
 
     #[test]
@@ -1086,7 +691,7 @@ let other = std::env::var(\"X\");
     }
 
     #[test]
-    fn float_ord_comparators_and_keys() {
+    fn float_ord_comparators() {
         let cmp = "fn f(xs: &mut [f64]) {\n    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
         let v = scan_one("crates/model/src/x.rs", cmp);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -1103,11 +708,6 @@ let other = std::env::var(\"X\");
         // A PartialOrd *definition* is not a comparator call.
         let def = "impl PartialOrd for K {\n    fn partial_cmp(&self, o: &Self) -> Option<Ordering> { Some(self.cmp(o)) }\n}\n";
         assert!(scan_one("crates/simcore/src/x.rs", def).is_empty());
-
-        let key = "struct S { by_rssi: FxHashMap<f64, u32> }\n";
-        let v = scan_one("crates/spider/src/x.rs", key);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::FloatOrd);
     }
 
     #[test]

@@ -10,15 +10,20 @@
 //!   a field. Requiring the derive closes that hole, and with it the
 //!   checkpoint engine's core invariant (DESIGN.md §13) — a forked
 //!   world is bit-identical to a cold one — is proved by the compiler.
+//!   The walk also flags a reachable type that escapes a clippy
+//!   determinism ban (`#[allow(clippy::disallowed_types)]` on a field,
+//!   say, to hold an `Instant`): clippy has been told that state is
+//!   fine, but the checkpoint engine would fork it into every trial.
 //! * `stream-label` — two `.stream("x")` derivations with the same
 //!   receiver, method and label inside one function alias the same RNG
 //!   stream (the derivation is a pure function of `(root, label)`), and
 //!   computed labels (`.stream(&format!(..))`) can collide at runtime
 //!   in ways no reviewer can audit; both are rejected outside
 //!   `simcore::rng`.
-//! * `float-ord` — `partial_cmp(..).unwrap()/expect(..)` comparators
-//!   and `f32`/`f64` hash/tree keys: NaN-capable ordering panics on the
-//!   hot path (or worse, silently reorders); steer to `total_cmp`.
+//! * `float-ord` — `partial_cmp(..).unwrap()/expect(..)` comparators:
+//!   NaN-capable ordering panics on the hot path; steer to `total_cmp`.
+//!   (A float *key* needs no rule: `f64` is neither `Ord` nor `Hash`,
+//!   so inserting into a map keyed on it does not compile.)
 
 use crate::index::{FileItems, ItemIndex, TypeInfo};
 use crate::tokens::{Tok, TokKind};
@@ -35,21 +40,10 @@ pub(crate) trait AllowLookup {
 /// The root of the snapshot-completeness walk: the simulation world.
 const SNAPSHOT_ROOT: (&str, &str) = ("workloads", "World");
 
-/// Container types whose *key* position must be totally ordered; a
-/// float key means NaN-capable ordering.
-const KEYED_CONTAINERS: [&str; 6] = [
-    "HashMap",
-    "HashSet",
-    "FxHashMap",
-    "FxHashSet",
-    "BTreeMap",
-    "BTreeSet",
-];
-
 /// snapshot-completeness: see module docs. Reports at the root's
-/// definition line if `World` itself does not derive `Clone`, and at
-/// each field/payload line that references a reachable type that does
-/// not.
+/// definition line if `World` itself does not derive `Clone`, at each
+/// field/payload line that references a reachable type that does not,
+/// and at each ban escape inside a reachable type.
 pub(crate) fn snapshot_completeness(
     index: &ItemIndex,
     allows: &dyn AllowLookup,
@@ -84,6 +78,20 @@ pub(crate) fn snapshot_completeness(
     while let Some(t) = queue.pop() {
         if !visited.insert((t.file.clone(), t.line)) {
             continue;
+        }
+        for &line in &t.escapes {
+            if !allows.allowed(&t.file, Rule::SnapshotCompleteness, line) {
+                out.push(Violation {
+                    file: t.file.clone(),
+                    line: line + 1,
+                    rule: Rule::SnapshotCompleteness,
+                    message: format!(
+                        "`{}` is reachable from `World` state but escapes a clippy \
+                         determinism ban here; the checkpoint engine would fork that state",
+                        t.name
+                    ),
+                });
+            }
         }
         // Edges: every type identifier in field/payload position.
         let mut edges: Vec<(&str, usize)> = Vec::new();
@@ -185,9 +193,8 @@ pub(crate) fn stream_label(
     }
 }
 
-/// float-ord: NaN-capable ordering. Token-level checks:
-/// * `.partial_cmp(..).unwrap()` / `.expect(..)` comparator chains;
-/// * `f32`/`f64` in the key position of a keyed container.
+/// float-ord: `.partial_cmp(..).unwrap()` / `.expect(..)` comparator
+/// chains.
 pub(crate) fn float_ord(
     toks: &[Tok],
     rel: &Path,
@@ -233,25 +240,6 @@ pub(crate) fn float_ord(
                         .to_string(),
                 });
             }
-        }
-        if KEYED_CONTAINERS.contains(&t.text.as_str())
-            && toks.get(i + 1).is_some_and(|u| is_punct(u, "<"))
-            && toks
-                .get(i + 2)
-                .is_some_and(|u| u.text == "f32" || u.text == "f64")
-            && !allows.allowed(rel, Rule::FloatOrd, t.line)
-        {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: t.line + 1,
-                rule: Rule::FloatOrd,
-                message: format!(
-                    "`{}<{}, ..>` keys on a float; NaN-capable keys break ordering/lookup — \
-                     key on integers (e.g. bit patterns or scaled ints) instead",
-                    t.text,
-                    toks[i + 2].text
-                ),
-            });
         }
     }
 }

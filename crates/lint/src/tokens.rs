@@ -15,9 +15,8 @@
 //!
 //! * [`FileTokens::code_lines`] — a per-line *compact render* of the
 //!   code tokens (string/char literal bodies blanked, one canonical
-//!   space only between identifier-like neighbours). The nine original
-//!   line rules run over this render unchanged in spirit, but now with
-//!   true cross-line literal handling and identifier-boundary matching.
+//!   space only between identifier-like neighbours). The line rules
+//!   (`hash-iter`, `rng-derivation`) run over this render.
 //! * [`FileTokens::comment_lines`] — comment text per line, where
 //!   `lint:allow` markers live.
 //!
@@ -373,30 +372,6 @@ fn render_code_lines(toks: &[Tok], n_lines: usize) -> Vec<String> {
     lines
 }
 
-/// Identifier-boundary-aware substring search: `needle` matches in
-/// `hay` only where its identifier-edges do not continue into adjacent
-/// identifier characters. `find_tok("x.iter()", ".iter()")` matches;
-/// `find_tok("my_thread::spawn", "thread::spawn")` does not.
-pub fn find_tok(hay: &str, needle: &str) -> bool {
-    if needle.is_empty() {
-        return false;
-    }
-    let head_bounded = !needle.chars().next().is_some_and(is_ident_char);
-    let tail_bounded = !needle.chars().next_back().is_some_and(is_ident_char);
-    for (pos, _) in hay.match_indices(needle) {
-        let ok_head = head_bounded || !hay[..pos].chars().next_back().is_some_and(is_ident_char);
-        let ok_tail = tail_bounded
-            || !hay[pos + needle.len()..]
-                .chars()
-                .next()
-                .is_some_and(is_ident_char);
-        if ok_head && ok_tail {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,13 +446,5 @@ mod tests {
             .map(|t| t.text.as_str())
             .collect();
         assert_eq!(nums, ["0", "10", "1", "2", "1.5e-3"]);
-    }
-
-    #[test]
-    fn boundary_aware_matching() {
-        assert!(find_tok("x.iter()", ".iter()"));
-        assert!(!find_tok("my_thread::spawn", "thread::spawn"));
-        assert!(find_tok("std::thread::spawn", "thread::spawn"));
-        assert!(!find_tok("renv::var", "env::var"));
     }
 }

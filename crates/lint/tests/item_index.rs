@@ -1,12 +1,13 @@
 //! Exact-inventory tests for the workspace item index over the seeded
 //! tree in `fixtures/index/`. These pin the parser's output — counts,
-//! names, fields, derives, impl attribution, stream-call sites — so a
+//! names, fields, derives, ban escapes, stream-call sites — so a
 //! tokenizer regression fails here loudly instead of silently weakening
 //! the semantic rules built on top.
 
 use spider_lint::index::{ItemIndex, TypeKind};
 use std::path::{Path, PathBuf};
 
+#[allow(clippy::disallowed_methods, reason = "reads the fixture tree")]
 fn fixture_index() -> ItemIndex {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/index");
     let mut sources = Vec::new();
@@ -35,6 +36,7 @@ fn type_inventory_is_exact() {
             ("Rssi", TypeKind::Struct, false),
             ("Scratch", TypeKind::Struct, true),
             ("Station", TypeKind::Struct, false),
+            ("Timed", TypeKind::Struct, false),
         ]
     );
     assert!(ix.types.iter().all(|t| t.crate_name == "alpha"));
@@ -98,20 +100,13 @@ fn tuple_and_enum_payloads() {
 }
 
 #[test]
-fn impl_attribution() {
+fn ban_escapes() {
     let ix = fixture_index();
-    let impls: Vec<(Option<&str>, &str, usize)> = ix
-        .impls
-        .iter()
-        .map(|im| (im.trait_name.as_deref(), im.type_name.as_str(), im.line + 1))
-        .collect();
-    // Generic parameters are stripped from the self type, and a trait
-    // impl names its trait — what `clone-nondet` keys a hand-written
-    // `Clone` on.
-    assert_eq!(
-        impls,
-        vec![(None, "Station", 32), (Some("Clone"), "Phase", 47)]
-    );
+    for t in &ix.types {
+        let want: &[usize] = if t.name == "Timed" { &[56] } else { &[] };
+        let got: Vec<usize> = t.escapes.iter().map(|l| l + 1).collect();
+        assert_eq!(got, want, "{}", t.name);
+    }
 }
 
 #[test]

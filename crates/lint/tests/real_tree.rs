@@ -1,6 +1,5 @@
-//! The real workspace must scan clean: this makes `cargo test` itself
-//! enforce the lint pass, independently of the CI job that also runs
-//! `cargo run -p spider-lint`.
+//! The real workspace must scan clean: this is how the lint pass is
+//! enforced — `cargo test --workspace` runs it, locally and in CI.
 
 use std::path::Path;
 

@@ -148,6 +148,50 @@ fn allow_escape_silences_the_field() {
 }
 
 #[test]
+fn ban_escape_in_reachable_state_is_caught() {
+    // Clippy has been told the `Instant` is fine, but the checkpoint
+    // engine would copy it into every fork.
+    let v = scan_sources(&world_sources(
+        "    pub queue: MiniQueue,\n    pub timing: Profiled,",
+        "
+#[derive(Clone)]
+pub struct Profiled {
+    #[allow(clippy::disallowed_types, reason = \"profiling hook\")]
+    pub started: std::time::Instant,
+}
+",
+    ));
+    assert_eq!(v.len(), 1, "exactly one violation: {v:?}");
+    assert_eq!(v[0].rule, Rule::SnapshotCompleteness);
+    assert_eq!(v[0].line, 19, "at the escape");
+    assert!(v[0].message.contains("Profiled"));
+}
+
+#[test]
+fn ban_escape_on_the_root_itself_is_caught() {
+    let v = scan_sources(&world_sources(
+        "    pub queue: MiniQueue,\n    #[allow(clippy::disallowed_methods)]\n    pub horizon: u64,",
+        "",
+    ));
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].line, 4);
+}
+
+#[test]
+fn ban_escape_outside_world_state_is_fine() {
+    let v = scan_sources(&world_sources(
+        "    pub queue: MiniQueue,",
+        "
+#[allow(clippy::disallowed_types, reason = \"bench timer\")]
+pub struct Timer {
+    pub started: std::time::Instant,
+}
+",
+    ));
+    assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
 fn non_workloads_world_is_not_a_root() {
     // Only the real checkpoint root anchors the walk; a `World` in some
     // other crate (e.g. a test helper) does not.

@@ -17,6 +17,8 @@
 //! the paper's Figures 5, 6, 14 and 15 report.
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod ap;
 pub mod client;

@@ -262,7 +262,7 @@ mod tests {
         let mix = ChannelMix::paper_town();
         let mut rng = SimRng::new(1);
         let n = 50_000;
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for _ in 0..n {
             *counts.entry(mix.sample(&mut rng)).or_insert(0u32) += 1;
         }

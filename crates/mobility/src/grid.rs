@@ -50,6 +50,10 @@ impl SpatialGrid {
                 .push((id, pos));
             len += 1;
         }
+        #[allow(
+            clippy::iter_over_hash_type,
+            reason = "sorts each bucket in place; no bucket sees another"
+        )]
         for bucket in cells.values_mut() {
             bucket.sort_by_key(|&(id, _)| id);
         }

@@ -15,6 +15,8 @@
 //!   worlds query *nearby* APs instead of scanning all of them.
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod deployment;
 pub mod encounter;

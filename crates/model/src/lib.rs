@@ -16,6 +16,8 @@
 //!   uses instead.
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod join;
 pub mod montecarlo;

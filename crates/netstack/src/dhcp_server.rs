@@ -93,6 +93,8 @@ impl DhcpServer {
         while self.next_index < self.cfg.pool_size {
             let ip = Ipv4Addr::from_u32(self.cfg.pool_start.to_u32() + self.next_index);
             self.next_index += 1;
+            // A membership test: visit order cannot change it.
+            // lint:allow(hash-iter)
             if !self.assignments.values().any(|&a| a == ip) {
                 self.assignments.insert(mac, ip);
                 return Some(ip);
@@ -145,6 +147,8 @@ impl DhcpServer {
                     Some(ip) => ip == msg.yiaddr,
                     None => {
                         self.in_pool(msg.yiaddr)
+                            // A membership test: visit order cannot change it.
+                            // lint:allow(hash-iter)
                             && !self.assignments.values().any(|&a| a == msg.yiaddr)
                     }
                 };

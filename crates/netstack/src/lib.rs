@@ -19,6 +19,8 @@
 //!   30 consecutive losses declare the connection dead (§3.2.2).
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod arp;
 pub mod dhcp_client;

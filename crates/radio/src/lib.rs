@@ -18,6 +18,8 @@
 //!    aggregate throughput on one channel is capped by the channel rate.
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod loss;
 pub mod medium;

@@ -18,7 +18,12 @@
 
 // This is the definition site of the deterministic aliases themselves:
 // the std types are re-parameterised with a fixed-seed hasher, never
-// used with RandomState. lint:allow-file(default-hash)
+// used with RandomState.
+#![allow(
+    clippy::disallowed_types,
+    reason = "defines FxHashMap/FxHashSet over the std types with a fixed hasher"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

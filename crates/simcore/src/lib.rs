@@ -16,6 +16,8 @@
 //! deterministic and unit-testable.
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod event;
 pub mod hashing;

@@ -45,8 +45,6 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::thread;
-// The watchdog deadline is a real-time budget by definition; nothing
-// simulated ever reads it. lint:allow(wall-clock)
 use std::time::Duration;
 
 /// Resolve the worker count for [`sweep`].
@@ -59,6 +57,10 @@ use std::time::Duration;
 ///    comparing anything,
 /// 2. [`std::thread::available_parallelism`],
 /// 3. `1` if the platform cannot report parallelism.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "SPIDER_JOBS picks the pool size; results never depend on it"
+)]
 pub fn worker_count() -> usize {
     match std::env::var("SPIDER_JOBS") {
         Ok(v) => parse_spider_jobs(&v),
@@ -271,11 +273,20 @@ pub fn try_sweep_with<J: Sync, R: Send>(
     let started_ms: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     // The watchdog measures real elapsed time: hang detection is
     // inherently about the wall clock, and nothing it observes feeds
-    // back into job results. lint:allow(wall-clock)
+    // back into job results.
+    #[allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the watchdog's real-time hang budget; no job result reads it"
+    )]
     let epoch = opts.watchdog.map(|_| std::time::Instant::now());
 
     let mut failures: Vec<JobFailure> = Vec::new();
     let mut hung: Vec<usize> = Vec::new();
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the sweep runner is the one place that runs threads"
+    )]
     thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -619,7 +630,11 @@ mod tests {
         // A 120 s deadline ticks every 15 s; the sweep must not wait
         // out a tick once its trivial jobs are done.
         let jobs: Vec<u32> = (0..8).collect();
-        // Times the sweep itself, not simulated time. lint:allow(wall-clock)
+        #[allow(
+            clippy::disallowed_methods,
+            clippy::disallowed_types,
+            reason = "times the sweep itself, not simulated time"
+        )]
         let t = std::time::Instant::now();
         let report = try_sweep_with(
             &jobs,

@@ -793,7 +793,7 @@ mod tests {
             );
         }
         let actions = d.poll(SimTime::from_millis(100));
-        let auth_targets: std::collections::HashSet<MacAddr> = actions
+        let auth_targets: std::collections::BTreeSet<MacAddr> = actions
             .iter()
             .filter_map(|a| match a {
                 DriverAction::Transmit { frame, .. }

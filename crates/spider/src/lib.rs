@@ -28,6 +28,8 @@
 //! conditions.
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod adaptive;
 pub mod blacklist;

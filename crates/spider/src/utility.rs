@@ -206,6 +206,10 @@ impl UtilityTable {
     /// to the adaptive scheduler (§4.8).
     pub fn channel_census(&self, now: SimTime) -> FxHashMap<Channel, usize> {
         let mut census = FxHashMap::default();
+        #[allow(
+            clippy::iter_over_hash_type,
+            reason = "per-channel counts: addition commutes, so visit order cannot matter"
+        )]
         for rec in self.records.values() {
             if now.saturating_since(rec.last_seen) <= self.cfg.freshness
                 && rec.rssi_dbm >= self.cfg.min_rssi_dbm

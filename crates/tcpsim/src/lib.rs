@@ -19,6 +19,8 @@
 //! Segments carry byte *counts*, not bytes (see `spider-wire`).
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod receiver;
 pub mod rtt;

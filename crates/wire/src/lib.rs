@@ -17,6 +17,8 @@
 //! computed from realistic byte counts.
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod addr;
 pub mod channel;

@@ -1224,8 +1224,8 @@ where
                 .unwrap_or(None);
     }
 
-    // lint:allow(wall-clock) — the watchdog deadline is a real-time
-    // hang budget for the host, never simulated time.
+    // The watchdog deadline is a real-time hang budget for the host,
+    // never simulated time.
     let watchdog = cfg.watchdog_ms.map(core::time::Duration::from_millis);
     let shared = &trie;
     let sweep = try_sweep_with(

@@ -648,8 +648,10 @@ impl<C: ClientSystem> World<C> {
         for ap in &self.aps {
             tcp_timeouts += ap.tcp_timeouts;
             tcp_retransmits += ap.tcp_retransmits;
-            // Commutative sums: order of visitation cannot change them.
-            // lint:allow(hash-iter)
+            #[allow(
+                clippy::iter_over_hash_type,
+                reason = "commutative sums: visit order cannot change them"
+            )]
             for (_, s) in ap.senders.values() {
                 tcp_timeouts += s.timeouts;
                 tcp_retransmits += s.retransmits;
@@ -1135,8 +1137,10 @@ impl<C: ClientSystem> World<C> {
         } else {
             SimTime::MAX
         };
-        // Commutative min: order of visitation cannot change it.
-        // lint:allow(hash-iter)
+        #[allow(
+            clippy::iter_over_hash_type,
+            reason = "commutative min: visit order cannot change it"
+        )]
         for (_, s) in self.aps[i].senders.values() {
             next = next.min(s.next_wakeup());
         }

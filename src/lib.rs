@@ -16,6 +16,8 @@
 //! Start with `examples/quickstart.rs`.
 
 #![forbid(unsafe_code)]
+// Library code is sans-IO: results are returned, and binaries print them.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub use spider_baselines as baselines;
 pub use spider_core as core;

@@ -76,6 +76,7 @@ fn tight_table() -> SloTable {
     }
 }
 
+#[allow(clippy::disallowed_methods, reason = "reads the checked-in corpus")]
 fn corpus_artifacts() -> Vec<(String, MinimizedRepro)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
     let mut names: Vec<String> = std::fs::read_dir(&dir)
