@@ -7,12 +7,10 @@
 //! f₆ = 100 % completes everything within ~400 ms, and performance does
 //! not collapse as f₆ shrinks to 25 %.
 
-use spider_bench::{print_table, write_csv, CdfRow, StdConfigs};
-use spider_core::{OperationMode, SpiderConfig, SpiderDriver};
+use spider_bench::{print_table, write_csv, CdfRow, StdConfigs, TownDrive};
+use spider_core::{OperationMode, SpiderConfig};
 use spider_simcore::{sweep, Cdf};
 use spider_wire::Channel;
-use spider_workloads::scenarios::town_scenario;
-use spider_workloads::World;
 
 fn main() {
     let fractions = [0.25, 0.50, 0.75, 1.00];
@@ -37,8 +35,7 @@ fn main() {
         )
         .with_schedule(schedule)
         .with_candidates(vec![Channel::CH6]);
-        let world = town_scenario(&spider_bench::town_params(seed));
-        let result = World::new(world, SpiderDriver::new(cfg)).run();
+        let result = TownDrive::Spider(cfg).run(seed);
         result.join_log.assoc_cdf()
     });
 

@@ -7,14 +7,12 @@
 //! DHCP — unlike association — is *not* robust to small channel
 //! fractions.
 
-use spider_bench::{print_table, write_csv, CdfRow, StdConfigs};
-use spider_core::{OperationMode, SpiderConfig, SpiderDriver};
+use spider_bench::{print_table, write_csv, CdfRow, StdConfigs, TownDrive};
+use spider_core::{OperationMode, SpiderConfig};
 use spider_mac80211::ClientMacConfig;
 use spider_netstack::DhcpClientConfig;
 use spider_simcore::{sweep, Cdf, SimDuration};
 use spider_wire::Channel;
-use spider_workloads::scenarios::town_scenario;
-use spider_workloads::World;
 
 /// Lease CDF + failure/success counts from one drive.
 struct DriveStats {
@@ -62,8 +60,7 @@ fn main() {
         .with_schedule(schedule)
         .with_candidates(vec![Channel::CH6])
         .with_timeouts(ClientMacConfig::reduced(), dhcp.clone());
-        let world = town_scenario(&spider_bench::town_params(*seed));
-        let result = World::new(world, SpiderDriver::new(cfg)).run();
+        let result = TownDrive::Spider(cfg).run(*seed);
         DriveStats {
             cdf: result.join_log.dhcp_cdf(),
             failures: result.join_log.dhcp_failures,

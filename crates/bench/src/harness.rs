@@ -111,11 +111,11 @@ pub struct CdfFigure<'a> {
     pub title: &'a str,
     /// CSV file name under `target/experiments/`.
     pub file: &'a str,
-    /// Console headers: label, `n`, one per probe, median.
-    pub table_headers: &'a [&'a str],
-    /// CSV headers: label, one per probe.
-    pub csv_headers: &'a [&'a str],
-    /// Probe points, in seconds.
+    /// Header of the label column.
+    pub label: &'a str,
+    /// Probe points, in seconds. A probe `p` heads the console column
+    /// `{p}s` and the CSV column `le_{p}s` without its decimal point
+    /// (0.5 s is `le_05s`).
     pub probes: &'a [f64],
     /// Decimal places of the console median.
     pub median_digits: usize,
@@ -124,6 +124,15 @@ pub struct CdfFigure<'a> {
 impl CdfFigure<'_> {
     /// Probe every series, print the table and write the CSV.
     pub fn emit<'s>(&self, series: impl IntoIterator<Item = (&'s str, Cdf)>) {
+        let mut table_headers = vec![self.label.to_string(), "n".to_string()];
+        table_headers.extend(self.probes.iter().map(|p| format!("{p}s")));
+        table_headers.push("median".to_string());
+        let mut csv_headers = vec![self.label.to_string()];
+        csv_headers.extend(
+            self.probes
+                .iter()
+                .map(|p| format!("le_{}s", p.to_string().replace('.', ""))),
+        );
         let mut rows = Vec::new();
         let mut table = Vec::new();
         for (label, mut cdf) in series {
@@ -136,8 +145,11 @@ impl CdfFigure<'_> {
             rows.push(csv);
             table.push(cells);
         }
-        print_table(self.title, self.table_headers, &table);
-        let path = write_csv(self.file, self.csv_headers, rows);
+        fn strs(v: &[String]) -> Vec<&str> {
+            v.iter().map(String::as_str).collect()
+        }
+        print_table(self.title, &strs(&table_headers), &table);
+        let path = write_csv(self.file, &strs(&csv_headers), rows);
         println!("\nwrote {}", path.display());
     }
 }
@@ -216,15 +228,14 @@ mod tests {
         CdfFigure {
             title: "unit",
             file: "unit_cdf_figure.csv",
-            table_headers: &["series", "n", "1s", "median"],
-            csv_headers: &["series", "le_1s"],
-            probes: &[1.0],
+            label: "series",
+            probes: &[0.5, 1.0],
             median_digits: 2,
         }
         .emit([("a", Cdf::from_samples(vec![0.5, 2.0])), ("b", Cdf::new())]);
         let path = crate::output::OutDir::open().path("unit_cdf_figure.csv");
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "series,le_1s\na,0.500\nb,0.000\n");
+        assert_eq!(text, "series,le_05s,le_1s\na,0.500,0.500\nb,0.000,0.000\n");
         std::fs::remove_file(path).ok();
     }
 

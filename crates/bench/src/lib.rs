@@ -2,10 +2,11 @@
 //!
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! prints the same rows/series the paper reports and drops a CSV under
-//! `target/experiments/`. Figures drawn from the same drives share one
-//! binary (`table2`, `joins`), so no drive is simulated twice. Run them with `--release`; a full experiment
-//! is a 30-minute simulated drive and takes well under a second of wall
-//! time per configuration.
+//! `target/experiments/`. Every view of the town drives (Tables 2–4,
+//! Figs. 11–17) is written by one binary, `town`, from one sweep in
+//! which each (configuration, seed) runs once. Run them with
+//! `--release`; a full experiment is a 30-minute simulated drive and
+//! takes well under a second of wall time per configuration.
 //!
 //! Performance tracking lives here too: [`harness`] is the hermetic
 //! micro-bench runner behind `cargo bench`, and [`worldbench`] plus the
@@ -21,4 +22,4 @@ pub mod worldbench;
 
 pub use harness::{cdf_quantiles, CdfFigure, CdfRow};
 pub use output::{print_table, write_csv, write_json, write_text, OutDir};
-pub use runs::{emit_runs_json, run_driver, spider_run, town_params, StdConfigs};
+pub use runs::{emit_runs_json, run_town_drives, town_params, StdConfigs, TownDrive};

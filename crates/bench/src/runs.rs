@@ -2,8 +2,7 @@
 
 use spider_baselines::{StockConfig, StockDriver};
 use spider_core::{ChannelSchedule, OperationMode, SpiderConfig, SpiderDriver};
-use spider_mac80211::ClientSystem;
-use spider_simcore::{sweep_with, worker_count, Json, SimDuration};
+use spider_simcore::{sweep_with, Json, SimDuration};
 use spider_wire::Channel;
 use spider_workloads::metrics::RunResult;
 use spider_workloads::scenarios::{boston_scenario, town_scenario, ScenarioParams};
@@ -40,38 +39,60 @@ pub fn emit_runs_json(name: &str, runs: &[(String, RunResult)]) -> std::path::Pa
     crate::output::write_json(name, &doc)
 }
 
-/// Standard town-drive parameters used by the §4 experiments (30-minute
-/// loop drive at 10 m/s through the measured channel mix).
+/// The §4 town drive: a 30-minute loop at 10 m/s through the measured
+/// channel mix. Every seed drives through one physical town (and one
+/// Boston variant): the deployment is pinned to seed 1, so seeds
+/// diverge only in world RNG — beacon phases, DHCP draws, loss.
 pub fn town_params(seed: u64) -> ScenarioParams {
     ScenarioParams {
         duration: SimDuration::from_secs(1_800),
         seed,
+        deploy_seed: Some(1),
         ..Default::default()
     }
 }
 
-/// Deployment seed pinned across Table 2's seeds. Every seed shares
-/// one physical town (and one Boston variant), so seeds diverge only in
-/// world RNG — beacon phases, DHCP draws, loss.
-pub const TABLE2_DEPLOY_SEED: u64 = 1;
+/// A client system on the town drive of [`town_params`].
+#[derive(Clone)]
+pub enum TownDrive {
+    /// Spider on the town drive.
+    Spider(SpiderConfig),
+    /// Spider on the Boston channel mix: Table 2's Cambridge row.
+    Cambridge(SpiderConfig),
+    /// The stock MadWiFi driver on the town drive.
+    MadWifi,
+}
 
-/// [`town_params`] with the deployment pinned to
-/// [`TABLE2_DEPLOY_SEED`]: Table 2's per-seed parameters.
-pub fn table2_params(seed: u64) -> ScenarioParams {
-    ScenarioParams {
-        deploy_seed: Some(TABLE2_DEPLOY_SEED),
-        ..town_params(seed)
+impl TownDrive {
+    /// Drive `town_params(seed)` once.
+    pub fn run(&self, seed: u64) -> RunResult {
+        let params = town_params(seed);
+        let spider = |cfg: &SpiderConfig| SpiderDriver::new(cfg.clone());
+        match self {
+            TownDrive::Spider(cfg) => World::new(town_scenario(&params), spider(cfg)).run(),
+            TownDrive::Cambridge(cfg) => World::new(boston_scenario(&params), spider(cfg)).run(),
+            TownDrive::MadWifi => World::new(
+                town_scenario(&params),
+                StockDriver::new(StockConfig::stock(1)),
+            )
+            .run(),
+        }
     }
 }
 
-/// Run any client system through a world.
-pub fn run_driver<C: ClientSystem>(cfg: WorldConfig, client: C) -> RunResult {
-    World::new(cfg, client).run()
-}
-
-/// Run Spider with the given configuration.
-pub fn spider_run(cfg: WorldConfig, spider: SpiderConfig) -> RunResult {
-    run_driver(cfg, SpiderDriver::new(spider))
+/// Run each drive once on each of its seeds, as one sweep on `workers`
+/// workers. Entry `i` holds drive `i`'s results in the order of its
+/// seeds, byte-identical at any worker count.
+pub fn run_town_drives(drives: &[(TownDrive, &[u64])], workers: usize) -> Vec<Vec<RunResult>> {
+    let jobs: Vec<(&TownDrive, u64)> = drives
+        .iter()
+        .flat_map(|(drive, seeds)| seeds.iter().map(move |&seed| (drive, seed)))
+        .collect();
+    let mut flat = sweep_with(&jobs, |&(drive, seed)| drive.run(seed), workers).into_iter();
+    drives
+        .iter()
+        .map(|(_, seeds)| flat.by_ref().take(seeds.len()).collect())
+        .collect()
 }
 
 /// The standard §4 configurations, each paired with the label used in
@@ -84,83 +105,48 @@ impl StdConfigs {
         SimDuration::from_millis(600)
     }
 
-    /// Number of Table 2 rows (see [`StdConfigs::table2_row`]).
+    /// Number of Table 2 rows.
     pub const TABLE2_ROWS: usize = 6;
 
-    /// Label of Table 2 row `row`.
-    pub fn table2_label(row: usize) -> &'static str {
-        match row {
-            0 => "(1) Channel 1, Multi-AP",
-            1 => "(2) Channel 1, Single-AP",
-            2 => "(3) Multi-channel, Multi-AP",
-            3 => "(4) Multi-channel, Single-AP",
-            4 => "(2) Channel 6, Single-AP (Cambridge)",
-            5 => "MadWiFi driver",
-            _ => panic!("table2 has {} rows", Self::TABLE2_ROWS),
-        }
-    }
+    /// Labels of Table 2's rows, in the order of [`StdConfigs::table2_drives`].
+    pub const TABLE2_LABELS: [&'static str; Self::TABLE2_ROWS] = [
+        "(1) Channel 1, Multi-AP",
+        "(2) Channel 1, Single-AP",
+        "(3) Multi-channel, Multi-AP",
+        "(4) Multi-channel, Single-AP",
+        "(2) Channel 6, Single-AP (Cambridge)",
+        "MadWiFi driver",
+    ];
 
-    /// Run Table 2 row `row` on `seed`. The deployment is always
-    /// pinned to [`TABLE2_DEPLOY_SEED`]; `seed` sets only the world RNG
-    /// streams.
-    pub fn table2_row(row: usize, seed: u64) -> RunResult {
-        let params = table2_params(seed);
+    /// Table 2's drives: the four Spider operation modes with their
+    /// default (reduced) timers, the Cambridge row (channel 6 single-AP
+    /// on the Boston mix), then MadWiFi.
+    pub fn table2_drives() -> [TownDrive; Self::TABLE2_ROWS] {
         let period = Self::period();
-        let mode = match row {
-            0 => OperationMode::SingleChannelMultiAp(Channel::CH1),
-            1 => OperationMode::SingleChannelSingleAp(Channel::CH1),
-            2 => OperationMode::MultiChannelMultiAp { period },
-            3 => OperationMode::MultiChannelSingleAp { period },
-            // Cambridge (Boston mix): channel 6 single-AP, the external
-            // validation row.
-            4 => {
-                return spider_run(
-                    boston_scenario(&params),
-                    SpiderConfig::for_mode(OperationMode::SingleChannelSingleAp(Channel::CH6), 1),
-                )
-            }
-            5 => {
-                return run_driver(
-                    town_scenario(&params),
-                    StockDriver::new(StockConfig::stock(1)),
-                )
-            }
-            _ => panic!("table2 has {} rows", Self::TABLE2_ROWS),
-        };
-        spider_run(town_scenario(&params), SpiderConfig::for_mode(mode, 1))
+        let spider = |mode| SpiderConfig::for_mode(mode, 1);
+        [
+            TownDrive::Spider(spider(OperationMode::SingleChannelMultiAp(Channel::CH1))),
+            TownDrive::Spider(spider(OperationMode::SingleChannelSingleAp(Channel::CH1))),
+            TownDrive::Spider(spider(OperationMode::MultiChannelMultiAp { period })),
+            TownDrive::Spider(spider(OperationMode::MultiChannelSingleAp { period })),
+            TownDrive::Cambridge(spider(OperationMode::SingleChannelSingleAp(Channel::CH6))),
+            TownDrive::MadWifi,
+        ]
     }
 
-    /// Table 2's rows across several seeds as one flat sweep: one entry
-    /// per row, labelled, carrying that row's per-seed results in seed
-    /// order. Rows 0–3 are the four Spider configurations on the town
-    /// drive, row 4 the Cambridge row on the Boston scenario, row 5
-    /// MadWiFi.
-    pub fn table2_seeds(seeds: &[u64]) -> Vec<(String, Vec<RunResult>)> {
-        Self::table2_seeds_with(seeds, worker_count())
-    }
-
-    /// [`StdConfigs::table2_seeds`] with an explicit worker count. The
-    /// output is byte-identical at any worker count; `bench_world`
-    /// gates exactly that.
+    /// Table 2's rows across several seeds as one sweep on `workers`
+    /// workers: one entry per row, labelled, carrying that row's
+    /// per-seed results in seed order. The output is byte-identical at
+    /// any worker count; `bench_world` gates exactly that.
     pub fn table2_seeds_with(seeds: &[u64], workers: usize) -> Vec<(String, Vec<RunResult>)> {
-        // Seed-major job order.
-        let jobs: Vec<(usize, u64)> = seeds
-            .iter()
-            .flat_map(|&seed| (0..Self::TABLE2_ROWS).map(move |row| (row, seed)))
+        let drives: Vec<(TownDrive, &[u64])> = Self::table2_drives()
+            .into_iter()
+            .map(|drive| (drive, seeds))
             .collect();
-        let flat = sweep_with(&jobs, |&(row, seed)| Self::table2_row(row, seed), workers);
-        let mut results: Vec<Option<RunResult>> = flat.into_iter().map(Some).collect();
-        (0..Self::TABLE2_ROWS)
-            .map(|row| {
-                let per_seed = (0..seeds.len())
-                    .map(|s| {
-                        results[s * Self::TABLE2_ROWS + row]
-                            .take()
-                            .expect("each (row, seed) job runs exactly once")
-                    })
-                    .collect();
-                (Self::table2_label(row).to_string(), per_seed)
-            })
+        Self::TABLE2_LABELS
+            .iter()
+            .zip(run_town_drives(&drives, workers))
+            .map(|(label, results)| (label.to_string(), results))
             .collect()
     }
 
@@ -189,17 +175,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table2_labels_cover_every_row() {
-        let labels: Vec<&str> = (0..StdConfigs::TABLE2_ROWS)
-            .map(StdConfigs::table2_label)
-            .collect();
-        assert_eq!(labels.len(), 6);
-        assert!(labels[0].contains("Multi-AP"));
-        assert!(labels[4].contains("Cambridge"));
-        assert!(labels[5].contains("MadWiFi"));
-    }
-
-    #[test]
     fn f6_schedule_fractions() {
         let s = StdConfigs::f6_schedule(0.5);
         assert!((s.fraction(Channel::CH6) - 0.5).abs() < 1e-9);
@@ -213,11 +188,8 @@ mod tests {
         // A 60-second version of the Table 2 run as a smoke test.
         let mut params = town_params(3);
         params.duration = SimDuration::from_secs(60);
-        let world = town_scenario(&params);
-        let result = spider_run(
-            world,
-            SpiderConfig::for_mode(OperationMode::SingleChannelMultiAp(Channel::CH1), 1),
-        );
+        let cfg = SpiderConfig::for_mode(OperationMode::SingleChannelMultiAp(Channel::CH1), 1);
+        let result = World::new(town_scenario(&params), SpiderDriver::new(cfg)).run();
         assert!(result.duration == SimDuration::from_secs(60));
     }
 }

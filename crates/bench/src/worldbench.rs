@@ -102,8 +102,8 @@ pub fn scenarios(fast: bool) -> Vec<ScenarioSpec> {
             name: "stock_commute",
             sim_secs: scale(600),
             density_per_km: ScenarioParams::default().density_per_km,
-            // World seed 1 also draws Table 2's pinned town
-            // (`TABLE2_DEPLOY_SEED`).
+            // World seed 1 also draws the pinned town every suite town
+            // drive shares (`runs::town_params`).
             seed: 1,
             storm: false,
             stock: true,

@@ -342,8 +342,9 @@ fn collect_map_idents(code_lines: &[String]) -> Vec<String> {
     for line in code_lines {
         for ty in TYPES {
             for (pos, _) in line.match_indices(ty) {
-                // `name: Type<...>` — walk back over the colon.
-                let head = line[..pos].trim_end();
+                // `name: Type<...>` or `name: &[mut] Type<...>` — walk
+                // back over the borrow and the colon.
+                let head = strip_borrow(line[..pos].trim_end());
                 if let Some(head) = head.strip_suffix(':') {
                     if let Some(id) = ident_before(head, head.len()) {
                         idents.push(id.to_string());
@@ -366,6 +367,23 @@ fn collect_map_idents(code_lines: &[String]) -> Vec<String> {
     idents.sort();
     idents.dedup();
     idents
+}
+
+/// `head` without a trailing borrow (`&`, `&mut`, `&'a`, `&'a mut`),
+/// or `head` itself if it ends in none.
+fn strip_borrow(head: &str) -> &str {
+    let Some(amp) = head.rfind('&') else {
+        return head;
+    };
+    let lifetime = |w: &str| w.starts_with('\'') && w[1..].chars().all(is_ident);
+    if head[amp + 1..]
+        .split_whitespace()
+        .all(|w| w == "mut" || lifetime(w))
+    {
+        head[..amp].trim_end()
+    } else {
+        head
+    }
 }
 
 /// Hash-container methods whose iteration order is the hasher's.
@@ -639,6 +657,16 @@ let other = SimRng::new(seed ^ 9);
         let v = scan_one("crates/workloads/src/x.rs", bad);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, Rule::HashIter);
+
+        // A borrowed map parameter is learned too, whatever the borrow.
+        for borrow in ["&", "&mut ", "&'a "] {
+            let param = format!(
+                "fn rows(m: {borrow}FxHashMap<u16, u32>) -> Vec<u32> {{ m.values().copied().collect() }}\n"
+            );
+            let v = scan_one("crates/workloads/src/x.rs", &param);
+            assert_eq!(v.len(), 1, "{borrow}: {v:?}");
+            assert_eq!(v[0].rule, Rule::HashIter);
+        }
 
         let sorted = "struct S { m: FxHashMap<u16, u32> }\nfn f(s: &S) -> Vec<u16> {\n    let mut ks: Vec<u16> = s.m.keys().copied().collect();\n    ks.sort_unstable();\n    ks\n}\n";
         assert!(scan_one("crates/workloads/src/x.rs", sorted).is_empty());

@@ -5,7 +5,7 @@
 //! numbers differ from the paper's testbed; EXPERIMENTS.md records both.
 
 use spider_repro::baselines::{StockConfig, StockDriver};
-use spider_repro::core::{OperationMode, SpiderConfig, SpiderDriver};
+use spider_repro::core::{ChannelSchedule, OperationMode, SpiderConfig, SpiderDriver};
 use spider_repro::model::{
     simulate_join_probability, ChannelScenario, JoinModel, ThroughputOptimizer,
 };
@@ -179,6 +179,42 @@ fn dhcp_fails_more_on_fractional_schedules() {
         fr(&multi),
         fr(&single)
     );
+}
+
+/// §4.6 (Table 4 vs Table 2): Table 4's single-channel row (121.5 KB/s,
+/// 35.5%) and equal 3-channel row (28.8 KB/s, 44.7%) are Table 2's rows
+/// (1) and (3). Table 4 builds them as a multi-channel configuration
+/// with its schedule overridden; on one town they are the same drives,
+/// which is why the town sweep runs each of them once.
+#[test]
+fn table4_schedules_repeat_table2_rows() {
+    let params = ScenarioParams {
+        duration: SimDuration::from_secs(300),
+        seed: 2,
+        deploy_seed: Some(1),
+        ..Default::default()
+    };
+    let run = |cfg: SpiderConfig| World::new(town_scenario(&params), SpiderDriver::new(cfg)).run();
+    let rows = [
+        (
+            ChannelSchedule::single(Channel::CH1),
+            OperationMode::SingleChannelMultiAp(Channel::CH1),
+        ),
+        (
+            ChannelSchedule::equal(&Channel::ORTHOGONAL, PERIOD),
+            OperationMode::MultiChannelMultiAp { period: PERIOD },
+        ),
+    ];
+    for (schedule, mode) in rows {
+        let period = schedule.period();
+        let table4 = run(
+            SpiderConfig::for_mode(OperationMode::MultiChannelMultiAp { period }, 1)
+                .with_schedule(schedule),
+        );
+        let table2 = run(SpiderConfig::for_mode(mode, 1));
+        assert!(!table2.join_log.join.is_empty(), "no joins: {table2}");
+        assert!(table4 == table2, "Table 4: {table4}; Table 2: {table2}");
+    }
 }
 
 /// §4.2 (Table 1): switch latency grows with associated interfaces and
