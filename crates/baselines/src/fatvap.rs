@@ -135,8 +135,7 @@ impl FatVapDriver {
                 }
                 IfaceEvent::GotLease { .. }
                 | IfaceEvent::ConnectivityUp { .. }
-                | IfaceEvent::LeaseRejected { .. }
-                | IfaceEvent::PortalSuspected { .. } => {}
+                | IfaceEvent::LeaseRejected { .. } => {}
             }
         }
     }
@@ -150,8 +149,6 @@ impl FatVapDriver {
             let in_use: Vec<MacAddr> = self.ifaces.iter().filter_map(|i| i.bssid()).collect();
             // Choose the fresh AP with the best bandwidth estimate.
             let mut best: Option<(MacAddr, ApTarget, f64)> = None;
-            let census = self.scanner.channel_census(now);
-            let _ = census;
             for ch in Channel::ORTHOGONAL {
                 if let Some((bssid, rec)) = self.scanner.best_candidate(now, &[ch], &in_use) {
                     let score = self.estimate_for(bssid);
@@ -511,6 +508,7 @@ mod tests {
             vec![IfaceEvent::Down {
                 bssid: ap,
                 outcome: None,
+                portal: false,
             }],
             &mut Vec::new(),
         );

@@ -112,8 +112,10 @@ impl StockDriver {
     /// channel.
     pub fn new(cfg: StockConfig) -> StockDriver {
         assert!(!cfg.scan_channels.is_empty());
-        // Selection is pure RSSI: keep all utilities at bootstrap so the
-        // table's tie-break (signal strength) decides.
+        // Spider's utility table: outcomes move utilities at the default
+        // α = 0.5 and a failed join cools the AP down for 2 s, so utility
+        // ranks the APs and signal strength only breaks ties. The table's
+        // backoff is never called.
         let util_cfg = UtilityConfig {
             min_rssi_dbm: MIN_RSSI_DBM,
             freshness: SimDuration::from_secs(3),
@@ -157,7 +159,7 @@ impl StockDriver {
                     self.table
                         .record_outcome(now, bssid, JoinOutcome::FullyJoined);
                 }
-                IfaceEvent::Down { bssid, outcome } => {
+                IfaceEvent::Down { bssid, outcome, .. } => {
                     if let Some(outcome) = outcome {
                         self.table.record_outcome(now, bssid, outcome);
                     }
@@ -167,9 +169,6 @@ impl StockDriver {
                 IfaceEvent::LeaseRejected { bssid } => {
                     self.leases.invalidate(bssid);
                 }
-                // A stock driver has no portal heuristics: it learns about
-                // the portal only from the matching `Down`.
-                IfaceEvent::PortalSuspected { .. } => {}
             }
         }
     }
@@ -472,6 +471,51 @@ mod tests {
         }
         assert!(!d.iface.is_busy());
         assert!(matches!(d.mode, Mode::Scanning { .. } | Mode::Switching));
+    }
+
+    #[test]
+    fn failed_joins_cool_down_without_backoff_strikes() {
+        // A beaconing AP that never answers: every link-layer join fails.
+        // The stock driver shares Spider's utility table but not its
+        // backoff, so it retries as soon as the 2 s cooldown ends, and no
+        // strike accumulates however often the AP fails.
+        let mut d = StockDriver::new(StockConfig::quickwifi(1));
+        let ap = MacAddr::from_id(100);
+        let mut t = SimTime::ZERO;
+        let mut next_beacon = SimTime::ZERO;
+        let mut failed_at = None;
+        let mut retries = 0;
+        while t < SimTime::from_secs(15) {
+            if t >= next_beacon {
+                d.on_frame(t, &beacon(100, Channel::CH1, -60.0).rx());
+                next_beacon = t + SimDuration::from_millis(100);
+            }
+            let was_busy = d.iface.is_busy();
+            for a in d.poll(t) {
+                if let DriverAction::SwitchChannel(ch) = a {
+                    d.on_switch_complete(t + SimDuration::from_millis(5), ch);
+                }
+            }
+            match (was_busy, d.iface.is_busy()) {
+                (true, false) => failed_at = Some(t),
+                (false, true) => {
+                    if let Some(failed) = failed_at.take() {
+                        let gap = t.saturating_since(failed);
+                        assert!(
+                            (SimDuration::from_secs(2)..=SimDuration::from_millis(2_500))
+                                .contains(&gap),
+                            "re-picked {gap:?} after a failed join"
+                        );
+                        retries += 1;
+                    }
+                }
+                _ => {}
+            }
+            assert_eq!(d.table.get(ap).map_or(0, |r| r.strikes), 0);
+            t = d.next_wakeup(t).max(t + SimDuration::from_millis(1));
+        }
+        assert!(retries >= 3, "only {retries} retries in 15 s");
+        assert!(d.log.join_failures >= 4);
     }
 
     #[test]

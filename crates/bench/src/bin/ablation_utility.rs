@@ -5,6 +5,10 @@
 //!   degenerates to signal strength),
 //! * harsh memory (α=0.9: one failure nearly disqualifies an AP),
 //! * FatVAP-style bandwidth-estimate selection (the full FatVAP driver).
+//!
+//! Every Spider row keeps the utility table's failure cooldown and
+//! backoff, which do not depend on α, so the rows isolate the ranking
+//! alone.
 
 use spider_baselines::{FatVapConfig, FatVapDriver};
 use spider_bench::{print_table, town_params, write_csv};
@@ -15,10 +19,12 @@ use spider_wire::Channel;
 use spider_workloads::scenarios::{town_scenario, RouteKind, ScenarioParams};
 use spider_workloads::World;
 
-/// An environment where selection history matters: the usual loop, but
-/// 30 % of the open APs are broken (their DHCP never answers — captive
-/// portals, filtered DHCP) and the working ones are slow. Without
-/// history, the client re-tries the broken APs on every lap.
+/// An environment built for selection history to matter: the usual loop,
+/// but 30 % of the open APs are broken (their DHCP never answers —
+/// captive portals, filtered DHCP) and the working ones are slow. History
+/// can only reorder APs that are in range together, and the backoff
+/// already keeps a broken AP from being retried within one encounter, so
+/// on this town the α rows end up close (EXPERIMENTS.md).
 fn harsh(seed: u64) -> ScenarioParams {
     let mut p = town_params(seed);
     p.route = RouteKind::Loop;

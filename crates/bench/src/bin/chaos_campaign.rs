@@ -401,7 +401,7 @@ fn run_matrix(args: &[String]) -> Result<ExitCode, String> {
     let stock_margins = SloMargins::stock_monitor();
     // FatVAP shares Spider's §3.2.2 monitor (same iface stack) but
     // recovers by re-estimation and rescans, without lease caches or a
-    // blacklist ladder — looser recovery and byte floors.
+    // backoff ladder — looser recovery and byte floors.
     let fatvap_margins = SloMargins {
         recover_s: 60.0,
         bytes_frac: 0.01,

@@ -4,7 +4,6 @@
 //! Implements [`ClientSystem`] so the simulation world can drive it
 //! exactly like the baseline drivers.
 
-use crate::blacklist::{ApBlacklist, BlacklistConfig};
 use crate::config::SpiderConfig;
 use crate::iface::{ClientIface, IfaceEvent};
 use crate::schedule::ChannelSchedule;
@@ -19,7 +18,7 @@ const HOUSEKEEPING: SimDuration = SimDuration::from_millis(100);
 
 /// The Spider client system.
 // Clone backs `ClientSystem::clone_boxed`: every field — interfaces,
-// utility table, lease cache, blacklist, hot caches — is part of the
+// utility table, lease cache, hot caches — is part of the
 // world snapshot and must copy deeply (DESIGN.md §13).
 #[derive(Clone)]
 pub struct SpiderDriver {
@@ -27,10 +26,6 @@ pub struct SpiderDriver {
     ifaces: Vec<ClientIface>,
     utility: UtilityTable,
     lease_cache: LeaseCache,
-    blacklist: ApBlacklist,
-    /// Set while absorbing events from a driver-initiated teardown (IP
-    /// collision): those Downs are not the AP's fault.
-    suppress_blacklist: bool,
     log: JoinLog,
     /// Tuned channel; `None` while a switch is in flight.
     current: Option<Channel>,
@@ -80,9 +75,6 @@ impl SpiderDriver {
             .collect();
         let utility = UtilityTable::new(cfg.utility.clone());
         let current = Some(cfg.schedule.channel_at(SimTime::ZERO));
-        // The exponential-backoff blacklist keeps a blacked-out or
-        // zombie AP from trapping the driver in a join/fail loop.
-        let blacklist = ApBlacklist::new(BlacklistConfig::default());
         let iface_addrs = ifaces.iter().map(|i: &ClientIface| i.addr).collect();
         let iface_wakeups = ifaces
             .iter()
@@ -94,8 +86,6 @@ impl SpiderDriver {
             ifaces,
             utility,
             lease_cache: LeaseCache::new(),
-            blacklist,
-            suppress_blacklist: false,
             log: JoinLog::new(),
             current,
             switching_to: None,
@@ -203,11 +193,6 @@ impl SpiderDriver {
         &self.lease_cache
     }
 
-    /// The AP blacklist (introspection).
-    pub fn blacklist(&self) -> &ApBlacklist {
-        &self.blacklist
-    }
-
     /// Total gateway resolutions across all interfaces — one per lease
     /// bind (see [`spider_netstack::GatewayArp`]). A rejoin after an
     /// ARP-poison teardown shows up as this advancing past the first
@@ -244,11 +229,14 @@ impl SpiderDriver {
     }
 
     /// Consume interface events into driver actions + bookkeeping.
+    /// `ap_at_fault` is false for a driver-initiated teardown (IP
+    /// collision): its `Down` earns the AP no backoff strike.
     fn absorb(
         &mut self,
         now: SimTime,
         iface_idx: usize,
         events: Vec<IfaceEvent>,
+        ap_at_fault: bool,
         actions: &mut Vec<DriverAction>,
     ) {
         for ev in events {
@@ -278,28 +266,28 @@ impl SpiderDriver {
                         // longer sufficient.
                         self.hot_dirty_all = true;
                         let evs = self.ifaces[j].teardown(now);
-                        // Not the AP's fault — don't let the recursive
-                        // absorb blacklist it.
-                        let prev = self.suppress_blacklist;
-                        self.suppress_blacklist = true;
-                        self.absorb(now, j, evs, actions);
-                        self.suppress_blacklist = prev;
+                        self.absorb(now, j, evs, false, actions);
                     }
                 }
                 IfaceEvent::ConnectivityUp { bssid, .. } => {
                     self.utility
                         .record_outcome(now, bssid, JoinOutcome::FullyJoined);
-                    self.blacklist.record_success(bssid);
+                    self.utility.forgive(bssid);
                 }
-                IfaceEvent::Down { bssid, outcome } => {
+                IfaceEvent::Down {
+                    bssid,
+                    outcome,
+                    portal,
+                } => {
                     if let Some(outcome) = outcome {
                         self.utility.record_outcome(now, bssid, outcome);
                     }
-                    // A dead or failed AP goes into exponential-backoff
-                    // blacklist so selection doesn't loop on it while it
-                    // is still beaconing attractively.
-                    if !self.suppress_blacklist && bssid != MacAddr::BROADCAST {
-                        self.blacklist.record_failure(now, bssid);
+                    // A dead or failed AP is held off with exponential
+                    // backoff so selection doesn't loop on it while it is
+                    // still beaconing attractively; a captive portal goes
+                    // straight to the ceiling.
+                    if ap_at_fault {
+                        self.utility.record_down(now, bssid, portal);
                     }
                     // Re-scan right away: a broadcast probe solicits
                     // responses from every AP on the current channel, so
@@ -320,15 +308,6 @@ impl SpiderDriver {
                     // Try to rebind immediately.
                     self.next_housekeeping = now;
                 }
-                IfaceEvent::PortalSuspected { bssid } => {
-                    // A captive portal answers pings but delivers nothing:
-                    // demote straight to the blacklist ceiling so selection
-                    // does not keep walking into the same walled garden
-                    // (the matching `Down` follows and cannot shorten it).
-                    if !self.suppress_blacklist && bssid != MacAddr::BROADCAST {
-                        self.blacklist.record_portal(now, bssid);
-                    }
-                }
                 IfaceEvent::LeaseRejected { bssid } => {
                     // The server NAKed the cached lease: it is stale.
                     self.lease_cache.invalidate(bssid);
@@ -348,10 +327,7 @@ impl SpiderDriver {
             let Some(idle_idx) = self.ifaces.iter().position(now_ready) else {
                 return;
             };
-            let mut in_use: Vec<MacAddr> = self.ifaces.iter().filter_map(|i| i.bssid()).collect();
-            // Blacklisted APs are excluded from selection exactly like
-            // ones we are already bound to.
-            in_use.extend(self.blacklist.blocked(now));
+            let in_use: Vec<MacAddr> = self.ifaces.iter().filter_map(|i| i.bssid()).collect();
             let channels = self
                 .cfg
                 .candidate_channels
@@ -373,7 +349,7 @@ impl SpiderDriver {
             let mut log = std::mem::take(&mut self.log);
             let evs = self.ifaces[idle_idx].poll(now, on_ch, &mut log);
             self.log = log;
-            self.absorb(now, idle_idx, evs, actions);
+            self.absorb(now, idle_idx, evs, true, actions);
         }
     }
 
@@ -463,7 +439,7 @@ impl ClientSystem for SpiderDriver {
             let mut log = std::mem::take(&mut self.log);
             let evs = self.ifaces[idx].on_frame(now, rx.frame, &mut log);
             self.log = log;
-            self.absorb(now, idx, evs, actions);
+            self.absorb(now, idx, evs, true, actions);
             // Flush any transmissions unlocked by the state change (e.g.
             // the assoc request right after an auth response). Steady
             // connected interfaces skip this: their polls are
@@ -473,7 +449,7 @@ impl ClientSystem for SpiderDriver {
                 let mut log = std::mem::take(&mut self.log);
                 let evs2 = self.ifaces[idx].poll(now, on_ch, &mut log);
                 self.log = log;
-                self.absorb(now, idx, evs2, actions);
+                self.absorb(now, idx, evs2, true, actions);
             }
             self.refresh_one(idx);
         }
@@ -511,7 +487,7 @@ impl ClientSystem for SpiderDriver {
                 let mut log = std::mem::take(&mut self.log);
                 let evs = self.ifaces[idx].poll(now, true, &mut log);
                 self.log = log;
-                self.absorb(now, idx, evs, actions);
+                self.absorb(now, idx, evs, true, actions);
             }
         }
         self.refresh_hot();
@@ -531,13 +507,12 @@ impl ClientSystem for SpiderDriver {
             let mut log = std::mem::take(&mut self.log);
             let evs = self.ifaces[idx].poll(now, on_ch, &mut log);
             self.log = log;
-            self.absorb(now, idx, evs, actions);
+            self.absorb(now, idx, evs, true, actions);
             self.refresh_one(idx);
         }
         if now >= self.next_housekeeping {
             self.next_housekeeping = now + HOUSEKEEPING;
             self.utility.expire(now, SimDuration::from_secs(3_600));
-            self.blacklist.prune(now);
             self.lease_cache.evict_expired(now);
             self.select_aps(now, actions);
         }
@@ -648,13 +623,14 @@ mod tests {
             SimTime::ZERO,
             0,
             vec![IfaceEvent::LeaseRejected { bssid }],
+            true,
             &mut actions,
         );
         assert!(d.lease_cache.is_empty(), "NAKed lease must be evicted");
     }
 
     #[test]
-    fn downed_ap_is_blacklisted_until_backoff_expires() {
+    fn downed_ap_is_held_off_until_backoff_expires() {
         let mut d = driver(OperationMode::SingleChannelMultiAp(Channel::CH6));
         let bssid = MacAddr::from_id(7);
         d.on_frame(SimTime::ZERO, &beacon(7, Channel::CH6).rx());
@@ -665,19 +641,21 @@ mod tests {
             vec![IfaceEvent::Down {
                 bssid,
                 outcome: Some(JoinOutcome::Failed),
+                portal: false,
             }],
+            true,
             &mut actions,
         );
-        assert!(d.blacklist.is_blocked(SimTime::from_millis(11), bssid));
+        let until = d.utility.get(bssid).expect("observed").held_until;
+        assert!(SimTime::from_millis(11) < until);
         // While blocked, housekeeping must not re-bind to the AP even
         // though it is the only (and attractively loud) candidate.
         d.poll(SimTime::from_millis(20));
         assert!(
             d.ifaces.iter().all(|i| !i.is_busy()),
-            "driver re-joined a blacklisted AP"
+            "driver re-joined a held-off AP"
         );
         // Once the backoff passes, the AP is fair game again.
-        let until = d.blacklist.blocked_until(bssid).expect("listed");
         d.poll(until + SimDuration::from_millis(1));
         assert!(
             d.ifaces.iter().any(|i| i.bssid() == Some(bssid)),
@@ -695,7 +673,9 @@ mod tests {
             vec![IfaceEvent::Down {
                 bssid: MacAddr::from_id(7),
                 outcome: Some(JoinOutcome::Failed),
+                portal: false,
             }],
+            true,
             &mut actions,
         );
         assert!(

@@ -71,22 +71,18 @@ pub enum IfaceEvent {
         bssid: MacAddr,
         /// Outcome to record against the AP's utility.
         outcome: Option<JoinOutcome>,
+        /// The interface classified this AP as a captive portal: the link
+        /// fell back to gateway probing (end-to-end ICMP is dead), gateway
+        /// pings are answered — so the link *looks* alive — yet the data
+        /// plane delivered nothing for a sustained window. A portal is
+        /// not failing, it is working as its operator intends, so the
+        /// driver should demote the AP rather than retry it forever.
+        portal: bool,
     },
     /// The DHCP server NAKed our REQUEST — any cached lease for this
     /// BSSID is stale and must be evicted from the driver's cache.
     LeaseRejected {
         /// The AP whose server rejected the lease.
-        bssid: MacAddr,
-    },
-    /// The interface classified this AP as a captive portal: the link
-    /// fell back to gateway probing (end-to-end ICMP is dead), gateway
-    /// pings are answered — so the link *looks* alive — yet the data
-    /// plane has delivered nothing for a sustained window. A portal is
-    /// not failing, it is working as its operator intends, so the
-    /// driver should demote the AP rather than retry it forever. A
-    /// matching [`IfaceEvent::Down`] follows.
-    PortalSuspected {
-        /// The AP behind the suspected portal.
         bssid: MacAddr,
     },
 }
@@ -289,6 +285,7 @@ impl ClientIface {
         out.push(IfaceEvent::Down {
             bssid: target.bssid,
             outcome,
+            portal: false,
         });
         self.teardown_stacks();
         out
@@ -379,6 +376,7 @@ impl ClientIface {
                             out.push(IfaceEvent::Down {
                                 bssid,
                                 outcome: Some(JoinOutcome::Failed),
+                                portal: false,
                             });
                             self.teardown_stacks();
                             return out;
@@ -408,6 +406,7 @@ impl ClientIface {
                             out.push(IfaceEvent::Down {
                                 bssid,
                                 outcome: Some(JoinOutcome::AssociatedOnly),
+                                portal: false,
                             });
                             self.teardown_stacks();
                             return out;
@@ -450,6 +449,7 @@ impl ClientIface {
                             out.push(IfaceEvent::Down {
                                 bssid,
                                 outcome: self.pending_outcome(),
+                                portal: false,
                             });
                             self.teardown_stacks();
                             return out;
@@ -510,7 +510,6 @@ impl ClientIface {
                             self.fell_back_at = None;
                         } else if now.saturating_since(fb) >= Self::PORTAL_SUSPECT {
                             let bssid = self.bssid().unwrap_or(MacAddr::BROADCAST);
-                            out.push(IfaceEvent::PortalSuspected { bssid });
                             if self.mac.is_associated() {
                                 out.push(IfaceEvent::Transmit(Frame {
                                     src: self.addr,
@@ -522,6 +521,7 @@ impl ClientIface {
                             out.push(IfaceEvent::Down {
                                 bssid,
                                 outcome: self.pending_outcome(),
+                                portal: true,
                             });
                             self.teardown_stacks();
                             return out;
@@ -594,6 +594,7 @@ impl ClientIface {
                     out.push(IfaceEvent::Down {
                         bssid,
                         outcome: Some(JoinOutcome::Failed),
+                        portal: false,
                     });
                     self.teardown_stacks();
                     return out;
@@ -602,6 +603,7 @@ impl ClientIface {
                     out.push(IfaceEvent::Down {
                         bssid,
                         outcome: self.pending_outcome(),
+                        portal: false,
                     });
                     self.teardown_stacks();
                     return out;
@@ -650,6 +652,7 @@ impl ClientIface {
                                 out.push(IfaceEvent::Down {
                                     bssid,
                                     outcome: Some(JoinOutcome::AssociatedOnly),
+                                    portal: false,
                                 });
                                 self.teardown_stacks();
                                 return out;

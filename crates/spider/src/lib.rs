@@ -14,7 +14,10 @@
 //!    solver), so Spider ranks APs by a recency-weighted history of how
 //!    far past join attempts progressed (association < DHCP < verified
 //!    connectivity), bootstrapping unseen APs optimistically and breaking
-//!    ties by signal strength.
+//!    ties by signal strength. The same per-AP record decides when a bad
+//!    AP may be retried: a short cooldown after each failed attempt, and
+//!    an exponential backoff over the AP's failures since its last
+//!    verified join.
 //! 3. **One interface per AP** ([`iface`]) — each concurrent connection
 //!    is a self-contained stack: association state machine, DHCP client
 //!    with per-BSSID lease cache, ping-based liveness (10/s, 30 misses =
@@ -32,14 +35,12 @@
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod adaptive;
-pub mod blacklist;
 pub mod config;
 pub mod driver;
 pub mod iface;
 pub mod schedule;
 pub mod utility;
 
-pub use blacklist::{ApBlacklist, BlacklistConfig};
 pub use config::{OperationMode, SpiderConfig};
 pub use driver::SpiderDriver;
 pub use schedule::ChannelSchedule;

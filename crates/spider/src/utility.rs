@@ -8,6 +8,15 @@
 //! average of its attempt scores. Unseen open APs with sufficient signal
 //! strength bootstrap at the maximum utility so each is tried at least
 //! once; ties break on RSSI.
+//!
+//! The same per-AP record decides when a bad AP may be retried. A failed
+//! attempt cools the AP down for `FAILURE_COOLDOWN`. On top of that,
+//! Spider gives an AP a strike each time a link to it goes down through
+//! the AP's fault, and holds it out for an exponential, jittered backoff
+//! ([`UtilityTable::record_down`]). A blacked-out or zombie AP keeps
+//! beaconing and keeps winning on signal strength; the backoff keeps it
+//! from trapping the driver in a join/fail loop. A verified join forgives
+//! every strike.
 
 use spider_simcore::{FxHashMap, SimDuration, SimTime};
 use spider_wire::{Channel, MacAddr, Ssid};
@@ -35,6 +44,17 @@ const VC: f64 = 1.0;
 /// After a failed attempt, the AP is excluded from selection for this
 /// long (prevents hammering a dead AP during one encounter).
 const FAILURE_COOLDOWN: SimDuration = SimDuration::from_secs(2);
+/// First-strike hold-off of the backoff ladder.
+const BACKOFF_BASE: SimDuration = SimDuration::from_secs(2);
+/// Backoff ceiling. Strikes are also forgotten this long after the
+/// hold-off ends, so fresh trouble escalates from scratch.
+const BACKOFF_MAX: SimDuration = SimDuration::from_secs(60);
+/// Jitter fraction: each hold-off is scaled by a factor drawn
+/// deterministically from `[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]`.
+const BACKOFF_JITTER: f64 = 0.2;
+/// Strikes a captive portal jumps to: one past the ladder's exponent cap
+/// of 16, so the portal sits at the ceiling from its first demotion.
+const PORTAL_STRIKES: u32 = 17;
 
 /// Utility weighting parameters.
 #[derive(Debug, Clone)]
@@ -86,10 +106,25 @@ pub struct ApRecord {
     pub last_seen: SimTime,
     /// Recency-weighted join utility.
     pub utility: f64,
-    /// Join attempts recorded.
-    pub attempts: u32,
-    /// Earliest time this AP may be selected again.
+    /// End of the cooldown after the last failed attempt.
     pub not_before: SimTime,
+    /// Backoff strikes since the last verified join.
+    pub strikes: u32,
+    /// End of the backoff hold-off.
+    pub held_until: SimTime,
+}
+
+/// The hold-off's jitter factor in `[1 - BACKOFF_JITTER, 1 +
+/// BACKOFF_JITTER]`, from an FNV-1a hash of the BSSID and strike count:
+/// fully deterministic, unlike the std hasher's keys.
+fn jitter(bssid: MacAddr, strikes: u32) -> f64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bssid.0.iter().copied().chain(strikes.to_le_bytes()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let unit = (h % 10_000) as f64 / 10_000.0;
+    1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0)
 }
 
 /// The scanner + utility table driving AP selection.
@@ -125,8 +160,9 @@ impl UtilityTable {
             last_seen: now,
             // Bootstrap at maximum utility so new APs get tried once.
             utility: VC,
-            attempts: 0,
             not_before: SimTime::ZERO,
+            strikes: 0,
+            held_until: SimTime::ZERO,
         });
         // An AP's SSID essentially never changes; cloning the string on
         // every overheard beacon would dominate the scanner's cost.
@@ -145,10 +181,42 @@ impl UtilityTable {
         let alpha = self.cfg.recency;
         if let Some(rec) = self.records.get_mut(&bssid) {
             rec.utility = alpha * score + (1.0 - alpha) * rec.utility;
-            rec.attempts += 1;
             if outcome == JoinOutcome::Failed {
                 rec.not_before = now + FAILURE_COOLDOWN;
             }
+        }
+    }
+
+    /// A link to `bssid` went down through the AP's fault (a failed join,
+    /// or a verified link that died): add a strike and hold the AP out of
+    /// selection for `BACKOFF_BASE · 2^(strikes-1)`, capped at
+    /// `BACKOFF_MAX` and jittered per `(bssid, strikes)`. A captive
+    /// `portal` is not failing: it works as its operator intends and will
+    /// intercept the next retry too, so its strikes first jump past the
+    /// ladder and it sits at the ceiling. Returns the end of the hold-off
+    /// (`None` for an unknown AP).
+    pub fn record_down(&mut self, now: SimTime, bssid: MacAddr, portal: bool) -> Option<SimTime> {
+        let rec = self.records.get_mut(&bssid)?;
+        if portal {
+            rec.strikes = rec.strikes.max(PORTAL_STRIKES);
+        }
+        rec.strikes = rec.strikes.saturating_add(1);
+        let exp = (rec.strikes - 1).min(16);
+        let backoff = SimDuration::from_micros(
+            BACKOFF_BASE
+                .as_micros()
+                .saturating_mul(1u64 << exp)
+                .min(BACKOFF_MAX.as_micros()),
+        );
+        rec.held_until = now.saturating_add(backoff.mul_f64(jitter(bssid, rec.strikes)));
+        Some(rec.held_until)
+    }
+
+    /// A verified join at `bssid`: forgive all strikes and any hold-off.
+    pub fn forgive(&mut self, bssid: MacAddr) {
+        if let Some(rec) = self.records.get_mut(&bssid) {
+            rec.strikes = 0;
+            rec.held_until = SimTime::ZERO;
         }
     }
 
@@ -167,9 +235,9 @@ impl UtilityTable {
         self.records.is_empty()
     }
 
-    /// The best candidate AP to join now: fresh, strong enough, not
-    /// cooling down, not in `in_use`, restricted to `channels` (if
-    /// non-empty), ranked by utility then RSSI.
+    /// The best candidate AP to join now: fresh, strong enough, neither
+    /// cooling down nor held off, not in `in_use`, restricted to
+    /// `channels` (if non-empty), ranked by utility then RSSI.
     pub fn best_candidate(
         &self,
         now: SimTime,
@@ -181,7 +249,7 @@ impl UtilityTable {
             .filter(|(bssid, rec)| {
                 now.saturating_since(rec.last_seen) <= self.cfg.freshness
                     && rec.rssi_dbm >= self.cfg.min_rssi_dbm
-                    && now >= rec.not_before
+                    && now >= rec.not_before.max(rec.held_until)
                     && !in_use.contains(bssid)
                     && (channels.is_empty() || channels.contains(&rec.channel))
             })
@@ -196,10 +264,15 @@ impl UtilityTable {
     }
 
     /// Drop records not heard from within `horizon` (bounding memory on
-    /// long drives).
+    /// long drives), and forget the strikes of APs whose hold-off ended
+    /// `BACKOFF_MAX` ago or more.
     pub fn expire(&mut self, now: SimTime, horizon: SimDuration) {
-        self.records
-            .retain(|_, rec| now.saturating_since(rec.last_seen) <= horizon);
+        self.records.retain(|_, rec| {
+            if now >= rec.held_until.saturating_add(BACKOFF_MAX) {
+                rec.strikes = 0;
+            }
+            now.saturating_since(rec.last_seen) <= horizon
+        });
     }
 
     /// Number of fresh, usable APs per channel — the "AP density" input
@@ -240,7 +313,7 @@ mod tests {
         let mut t = table();
         let mac = observe(&mut t, 1, Channel::CH6, -70.0, SimTime::ZERO);
         assert_eq!(t.get(mac).unwrap().utility, 1.0);
-        assert_eq!(t.get(mac).unwrap().attempts, 0);
+        assert_eq!(t.get(mac).unwrap().strikes, 0);
     }
 
     #[test]
@@ -253,7 +326,6 @@ mod tests {
         t.record_outcome(SimTime::from_secs(2), mac, JoinOutcome::FullyJoined);
         let after_full = t.get(mac).unwrap().utility;
         assert!(after_full > after_fail);
-        assert_eq!(t.get(mac).unwrap().attempts, 2);
     }
 
     #[test]
@@ -339,6 +411,106 @@ mod tests {
         let mut t = table();
         t.record_outcome(SimTime::ZERO, MacAddr::from_id(9), JoinOutcome::FullyJoined);
         assert!(t.is_empty());
+    }
+
+    /// The jittered hold-off for a nominal ladder step of `secs`.
+    fn held(secs: u64, bssid: MacAddr, strikes: u32) -> SimDuration {
+        SimDuration::from_secs(secs).mul_f64(jitter(bssid, strikes))
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let mut t = table();
+        let now = SimTime::from_secs(100);
+        let ap = observe(&mut t, 7, Channel::CH6, -60.0, now);
+        // Strikes 1..: 2, 4, 8, 16, 32, 60 (cap), 60 s, each jittered.
+        for (strikes, secs) in (1..).zip([2, 4, 8, 16, 32, 60, 60]) {
+            let until = t.record_down(now, ap, false).unwrap();
+            assert_eq!(until.saturating_since(now), held(secs, ap, strikes));
+            assert_eq!(t.get(ap).unwrap().strikes, strikes);
+        }
+    }
+
+    #[test]
+    fn portal_demotion_jumps_to_the_ceiling_and_stays_there() {
+        let mut t = table();
+        let ap = observe(&mut t, 7, Channel::CH6, -60.0, SimTime::ZERO);
+        let until = t.record_down(SimTime::ZERO, ap, true).unwrap();
+        assert_eq!(
+            until,
+            SimTime::ZERO + held(60, ap, 18),
+            "straight to the cap"
+        );
+        assert_eq!(t.get(ap).unwrap().strikes, 18);
+        // A later plain failure stays at the ceiling.
+        let later = t.record_down(SimTime::ZERO, ap, false).unwrap();
+        assert_eq!(later, SimTime::ZERO + held(60, ap, 19));
+        // Strikes already past the ladder never regress.
+        t.record_down(SimTime::ZERO, ap, true);
+        assert_eq!(t.get(ap).unwrap().strikes, 20);
+        // A verified join still forgives everything.
+        t.forgive(ap);
+        assert_eq!(t.get(ap).unwrap().strikes, 0);
+    }
+
+    #[test]
+    fn success_forgives_all_strikes() {
+        let mut t = table();
+        let ap = observe(&mut t, 7, Channel::CH6, -60.0, SimTime::ZERO);
+        t.record_down(SimTime::ZERO, ap, false);
+        t.record_down(SimTime::ZERO, ap, false);
+        t.forgive(ap);
+        assert_eq!(t.get(ap).unwrap().strikes, 0);
+        // The next failure starts the ladder over.
+        let until = t.record_down(SimTime::from_secs(10), ap, false).unwrap();
+        assert_eq!(until, SimTime::from_secs(10) + held(2, ap, 1));
+    }
+
+    #[test]
+    fn jitter_is_deterministic_and_bounded() {
+        let mut a = table();
+        let mut b = table();
+        let ap = observe(&mut a, 7, Channel::CH6, -60.0, SimTime::ZERO);
+        observe(&mut b, 7, Channel::CH6, -60.0, SimTime::ZERO);
+        let ua = a.record_down(SimTime::ZERO, ap, false).unwrap();
+        let ub = b.record_down(SimTime::ZERO, ap, false).unwrap();
+        assert_eq!(ua, ub, "same inputs must give the same backoff");
+        let w = ua.saturating_since(SimTime::ZERO).as_millis_f64();
+        assert!((1_600.0..=2_400.0).contains(&w), "width {w} outside ±20%");
+        // A different BSSID jitters differently (with overwhelming
+        // likelihood for this pair).
+        let other = observe(&mut a, 8, Channel::CH6, -60.0, SimTime::ZERO);
+        let uo = a.record_down(SimTime::ZERO, other, false).unwrap();
+        assert_ne!(ua, uo);
+    }
+
+    #[test]
+    fn strike_memory_is_forgotten_after_the_hold_off() {
+        let mut t = table();
+        let ap = observe(&mut t, 7, Channel::CH6, -60.0, SimTime::ZERO);
+        let until = t.record_down(SimTime::ZERO, ap, false).unwrap();
+        let horizon = SimDuration::from_secs(3_600);
+        t.expire(SimTime::from_secs(30), horizon);
+        assert_eq!(t.get(ap).unwrap().strikes, 1, "inside the memory grace");
+        let forget = until + BACKOFF_MAX;
+        t.expire(forget - SimDuration::from_micros(1), horizon);
+        assert_eq!(t.get(ap).unwrap().strikes, 1);
+        t.expire(forget, horizon);
+        assert_eq!(t.get(ap).unwrap().strikes, 0);
+    }
+
+    #[test]
+    fn only_active_holds_exclude() {
+        let mut t = table();
+        let a = observe(&mut t, 7, Channel::CH6, -60.0, SimTime::ZERO);
+        let b = observe(&mut t, 8, Channel::CH6, -60.0, SimTime::ZERO);
+        t.record_down(SimTime::ZERO, a, false); // held ~2 s
+        t.record_down(SimTime::ZERO, b, false); // held ~2 s
+        assert!(t.best_candidate(SimTime::from_secs(1), &[], &[]).is_none());
+        let later = SimTime::from_secs(3);
+        let (first, _) = t.best_candidate(later, &[], &[]).unwrap();
+        let (second, _) = t.best_candidate(later, &[], &[first]).unwrap();
+        assert_eq!([first.min(second), first.max(second)], [a.min(b), a.max(b)]);
     }
 
     #[test]

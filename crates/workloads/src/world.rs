@@ -459,6 +459,11 @@ impl<C: ClientSystem + Clone> World<C> {
     }
 }
 
+/// The BSSID of the AP at deployment site `id`.
+pub fn ap_bssid(id: usize) -> MacAddr {
+    MacAddr::from_id(0x00AA_0000 + id as u64)
+}
+
 impl<C: ClientSystem> World<C> {
     /// Build a world around a client system.
     pub fn new(cfg: WorldConfig, client: C) -> World<C> {
@@ -466,7 +471,7 @@ impl<C: ClientSystem> World<C> {
         let mut aps = Vec::with_capacity(cfg.deployment.len());
         let mut bssid_index = FxHashMap::default();
         for site in &cfg.deployment.sites {
-            let bssid = MacAddr::from_id(0x00AA_0000 + site.id as u64);
+            let bssid = ap_bssid(site.id);
             let ssid = spider_wire::Ssid::new(format!("open-{}", site.id));
             // Offset each AP's beacon phase so beacons do not collide in
             // lockstep.

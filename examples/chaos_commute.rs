@@ -122,7 +122,7 @@ fn main() {
          3-channel schedule) or mid-join see longer times than the\n\
          3.0 s lab-condition ping budget enforced by tests/chaos.rs. Spider's recovery stack — 10/s end-to-end pings\n\
          (30 losses = dead), gateway-ping fallback, NAK-driven lease\n\
-         eviction, and an exponential-backoff AP blacklist — keeps the\n\
+         eviction, and the utility table's per-AP backoff — keeps the\n\
          storm from trapping it on a dead AP: the 1-channel mode holds\n\
          its goodput, the 3-channel mode its connectivity, matching the\n\
          fair-weather Table 2 split."

@@ -3,7 +3,8 @@
 //! These drive full worlds through scripted and seeded
 //! [`FaultPlan`]s and check the robustness properties end to end:
 //! dead links are detected within the ping monitor's budget, the
-//! blacklist keeps the driver from looping on a dead AP, a zombie AP
+//! utility table's backoff strikes keep the driver from looping on a
+//! dead AP, a zombie AP
 //! does not take down the whole client while a healthy neighbour
 //! exists, and faulty runs stay deterministic per seed.
 
@@ -13,6 +14,7 @@ use spider_repro::simcore::{Json, SimDuration, SimTime};
 use spider_repro::wire::Channel;
 use spider_repro::workloads::campaign::{chaos_plan, ChaosProfile};
 use spider_repro::workloads::scenarios::{lab_scenario, town_scenario, ScenarioParams};
+use spider_repro::workloads::world::ap_bssid;
 use spider_repro::workloads::{FaultEpisode, FaultKind, FaultPlan, World};
 
 fn spider(mode: OperationMode) -> SpiderDriver {
@@ -85,7 +87,7 @@ fn zombie_ap_is_detected_by_the_ping_monitor() {
 #[test]
 fn blacklist_prevents_join_looping_on_a_dead_ap() {
     // One AP that goes zombie at t=10s and stays dead: it keeps
-    // beaconing and associating, so without the blacklist the driver
+    // beaconing and associating, so without the backoff the driver
     // would cycle join -> verify -> 3s of ping losses -> fail roughly
     // every 3.6 s for the remaining 50 s (~13 failures). Exponential
     // backoff must space the retries out instead.
@@ -102,12 +104,12 @@ fn blacklist_prevents_join_looping_on_a_dead_ap() {
     )
     .finish();
     assert!(
-        !driver.blacklist().is_empty(),
-        "the dead AP should be blacklisted"
+        driver.utility_table().get(ap_bssid(0)).unwrap().strikes > 0,
+        "the dead AP should carry backoff strikes"
     );
     assert!(
         result.join_log.join_failures <= 8,
-        "{} failed joins in 50 s of zombie — the blacklist is not \
+        "{} failed joins in 50 s of zombie — the backoff is not \
          spacing retries: {result}",
         result.join_log.join_failures
     );
@@ -338,7 +340,7 @@ fn captive_portal_defeats_gateway_fallback_but_demotion_recovers() {
     // fallback walks into: the client joins while the portal is up,
     // verification succeeds via the fallback, and the monitor stays
     // happy forever while TCP delivers nothing. The zero-progress
-    // portal classifier must fire, demote the AP to the blacklist
+    // portal classifier must fire, demote the AP to the backoff
     // ceiling, and let the healthy neighbour carry the session.
     let mut cfg = lab_scenario(
         &[Channel::CH1, Channel::CH1],
@@ -373,13 +375,13 @@ fn captive_portal_defeats_gateway_fallback_but_demotion_recovers() {
              zero-progress-window budget"
         );
     }
-    // Demoted, not retried forever: the portal AP sits at the
-    // blacklist ceiling (strikes past the exponential ladder).
+    // Demoted, not retried forever: the portal AP is held off at the
+    // backoff ceiling (strikes past the exponential ladder).
     let end = SimTime::from_secs(40);
-    let blocked = driver.blacklist().blocked(end);
+    let portal = driver.utility_table().get(ap_bssid(0)).unwrap();
     assert!(
-        blocked.iter().any(|&b| driver.blacklist().strikes(b) >= 17),
-        "the portal AP was not demoted to the ceiling: {blocked:?}"
+        portal.strikes >= 17 && end < portal.held_until,
+        "the portal AP was not demoted to the ceiling: {portal:?}"
     );
     assert!(
         result.bytes > 0,
