@@ -198,6 +198,13 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioResult {
 /// Kept in the JSON so the speedup claim travels with the numbers.
 pub const PRE_PR_DENSE_EVENTS_PER_SEC: f64 = 2_489_000.0;
 
+/// `dense_downtown` wall seconds `[before, after]` Spider's 100 ms
+/// housekeeping sweeps (`UtilityTable::expire`,
+/// `LeaseCache::evict_expired`) began to walk only when a record is due:
+/// medians of ten alternating runs of each build (before: commit
+/// `dba084e`) on a shared 2-core x86_64 host. Events and bytes are equal.
+pub const GATED_SWEEPS_DENSE_WALL_SECONDS: [f64; 2] = [1.104, 1.037];
+
 /// Measured outcome of the sweep-runner suite benchmark: the same
 /// batch of experiment jobs run on one worker and on the worker pool.
 #[derive(Debug, Clone)]
@@ -736,6 +743,26 @@ pub fn document(
             ]),
         ),
         (
+            "gated_sweeps",
+            Json::obj([
+                (
+                    "note",
+                    Json::str(
+                        "dense_downtown before and after the housekeeping sweeps walk only \
+                         when a record is due (before: commit dba084e); medians of ten \
+                         alternating runs per build, equal events and bytes",
+                    ),
+                ),
+                (
+                    "dense_downtown_wall_seconds",
+                    Json::obj([
+                        ("before", Json::Num(GATED_SWEEPS_DENSE_WALL_SECONDS[0])),
+                        ("after", Json::Num(GATED_SWEEPS_DENSE_WALL_SECONDS[1])),
+                    ]),
+                ),
+            ]),
+        ),
+        (
             "scenarios",
             Json::arr(results.iter().map(ScenarioResult::to_json)),
         ),
@@ -869,6 +896,8 @@ mod tests {
         ];
         let doc = document("full", &results, &suite(), &checkpoint(), &prefix_tree());
         assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        let gated = doc.get("gated_sweeps").expect("before/after section");
+        assert!(gated.get("dense_downtown_wall_seconds").is_some());
         let scenarios = doc.get("scenarios").and_then(Json::as_arr).unwrap();
         assert_eq!(scenarios.len(), 2);
         assert_eq!(

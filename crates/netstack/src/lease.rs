@@ -28,6 +28,11 @@ impl Lease {
 #[derive(Debug, Clone, Default)]
 pub struct LeaseCache {
     entries: FxHashMap<MacAddr, Lease>,
+    /// No entry expires before this instant: a lower bound on every
+    /// entry's `expires`, lowered by `insert` and made exact by each
+    /// sweep (the first sweep sets it). Removals only raise the true
+    /// minimum.
+    sweep_due: SimTime,
     /// Cache hits observed (for experiment reporting).
     pub hits: u64,
     /// Cache misses observed.
@@ -42,6 +47,7 @@ impl LeaseCache {
 
     /// Store a lease obtained from `bssid`.
     pub fn insert(&mut self, bssid: MacAddr, lease: Lease) {
+        self.sweep_due = self.sweep_due.min(lease.expires);
         self.entries.insert(bssid, lease);
     }
 
@@ -72,11 +78,23 @@ impl LeaseCache {
 
     /// Drop every expired lease. `lookup` evicts lazily on access;
     /// this is the periodic sweep (driver housekeeping) that keeps
-    /// never-revisited BSSIDs from pinning dead entries forever.
+    /// never-revisited BSSIDs from pinning dead entries forever. It walks
+    /// the entries only once the earliest one can have expired.
     /// Returns how many entries were evicted.
     pub fn evict_expired(&mut self, now: SimTime) -> usize {
+        if now < self.sweep_due {
+            return 0;
+        }
         let before = self.entries.len();
-        self.entries.retain(|_, l| l.valid_at(now));
+        let mut due = SimTime::MAX;
+        self.entries.retain(|_, l| {
+            let keep = l.valid_at(now);
+            if keep {
+                due = due.min(l.expires);
+            }
+            keep
+        });
+        self.sweep_due = due;
         before - self.entries.len()
     }
 
@@ -94,6 +112,7 @@ impl LeaseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::{SimDuration, SimRng};
 
     fn lease(expires_s: u64) -> Lease {
         Lease {
@@ -152,5 +171,48 @@ mod tests {
             c.lookup(SimTime::from_secs(200), MacAddr::from_id(2)),
             Some(lease(500))
         );
+    }
+
+    #[test]
+    fn gated_sweep_matches_an_always_walk_reference() {
+        // Differential test: one cache skips `evict_expired` until its
+        // earliest lease can have expired, the other is forced to walk on
+        // every 100 ms tick, under a seeded mix of inserts (re-inserts
+        // included), lookups and invalidations.
+        let mut rng = SimRng::new(25);
+        let mut gated = LeaseCache::new();
+        let mut eager = LeaseCache::new();
+        let mut now = SimTime::ZERO;
+        let (mut evicted, mut skipped) = (0, 0);
+        for _ in 0..6_000 {
+            now += SimDuration::from_millis(100);
+            for _ in 0..rng.uniform_u64(0, 3) {
+                let bssid = MacAddr::from_id(rng.uniform_u64(0, 40));
+                match rng.index(4) {
+                    0 => {
+                        let l = Lease {
+                            expires: now + SimDuration::from_millis(rng.uniform_u64(1, 120_000)),
+                            ..lease(0)
+                        };
+                        gated.insert(bssid, l);
+                        eager.insert(bssid, l);
+                    }
+                    1 | 2 => assert_eq!(gated.lookup(now, bssid), eager.lookup(now, bssid)),
+                    _ => {
+                        gated.invalidate(bssid);
+                        eager.invalidate(bssid);
+                    }
+                }
+            }
+            skipped += usize::from(now < gated.sweep_due);
+            let n = gated.evict_expired(now);
+            eager.sweep_due = SimTime::ZERO;
+            assert_eq!(n, eager.evict_expired(now), "evictions at {now}");
+            evicted += n;
+            assert_eq!(gated.entries, eager.entries, "entries at {now}");
+            assert_eq!((gated.hits, gated.misses), (eager.hits, eager.misses));
+        }
+        assert!(evicted > 0, "the sweep never evicted anything");
+        assert!(skipped > 3_000, "the gate skipped only {skipped} sweeps");
     }
 }

@@ -175,7 +175,12 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = ((at.as_micros() >> BUCKET_SHIFT) & BUCKET_MASK) as usize;
+        let window = at.as_micros() >> BUCKET_SHIFT;
+        // A `pop_before` that found nothing may have stepped the cursor
+        // past `now` up to its limit; an event landing behind the cursor
+        // rewinds it, or `pop` would find it only a whole lap late.
+        self.cursor = self.cursor.min(window);
+        let idx = (window & BUCKET_MASK) as usize;
         self.buckets[idx].push(ScheduledEvent { at, seq, event });
         self.len += 1;
     }
@@ -228,8 +233,8 @@ impl<E> EventQueue<E> {
     /// checkpointing: a world drains everything up to a snapshot point
     /// with `pop_before`, clones itself, and either copy can resume with
     /// plain `pop` — the wheel cursor only ever advances past windows
-    /// proven empty, so the remaining pop sequence is identical to an
-    /// uninterrupted run's.
+    /// proven empty, and `schedule` rewinds it for an event behind it, so
+    /// the remaining pop sequence is identical to an uninterrupted run's.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<ScheduledEvent<E>> {
         if self.len == 0 {
             return None;
@@ -474,14 +479,31 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_schedule_and_pop_matches_reference() {
-        // Differential test against a sorted-vec reference model, with
-        // schedules interleaved between pops the way the simulator does
-        // it (every dispatched event schedules follow-ups near `now`).
+    fn schedule_behind_a_bounded_miss_is_popped_first() {
+        // Regression: a `pop_before` that finds nothing steps the cursor
+        // up to its limit's window. An event then scheduled behind the
+        // cursor used to come out a whole wheel lap late.
         let mut q = EventQueue::new();
-        let mut reference: Vec<(u64, u64)> = Vec::new(); // (at_µs, seq)
+        q.schedule(SimTime::from_millis(10), "late");
+        assert_eq!(q.pop_before(SimTime::from_millis(5)), None);
+        q.schedule(SimTime::from_micros(5_010), "early");
+        assert_eq!(q.pop().unwrap().event, "early");
+        assert_eq!(q.pop().unwrap().event, "late");
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn interleaved_schedule_and_pop_matches_reference() {
+        // Differential test against an ordered-set reference model, with
+        // schedules interleaved between pops the way the simulator does
+        // it (every dispatched event schedules follow-ups near `now`),
+        // and some pops bounded by a limit that may fall short of the
+        // earliest event (the checkpointing path).
+        let mut q = EventQueue::new();
+        let mut reference = std::collections::BTreeSet::new(); // (at_µs, seq)
         let mut seq = 0u64;
         let mut t = 0u64;
+        let mut misses = 0;
         // Deterministic pseudo-random walk (no external RNG needed).
         let mut x = 0x243F_6A88_85A3_08D3u64;
         let mut step = |m: u64| {
@@ -493,26 +515,52 @@ mod tests {
         for _ in 0..64 {
             let at = t + step(2_000_000); // up to 2 s ahead (several laps)
             q.schedule(SimTime::from_micros(at), seq);
-            reference.push((at, seq));
+            reference.insert((at, seq));
             seq += 1;
         }
-        while let Some(ev) = q.pop() {
-            reference.sort_unstable();
-            let (at, s) = reference.remove(0);
-            assert_eq!((ev.at.as_micros(), ev.seq), (at, s));
-            assert_eq!(ev.event, s);
-            t = at;
-            // Sometimes schedule follow-ups relative to the popped time.
-            if step(3) == 0 {
-                for _ in 0..step(4) {
-                    let at = t + step(300_000);
-                    q.schedule(SimTime::from_micros(at), seq);
-                    reference.push((at, seq));
-                    seq += 1;
+        loop {
+            let limit = (step(4) == 0).then(|| t + step(50_000));
+            let popped = match limit {
+                Some(l) => q.pop_before(SimTime::from_micros(l)),
+                None => q.pop(),
+            };
+            match (popped, reference.first().copied()) {
+                (Some(ev), Some((at, s))) => {
+                    reference.pop_first();
+                    assert_eq!((ev.at.as_micros(), ev.seq), (at, s));
+                    assert_eq!(ev.event, s);
+                    assert!(limit.is_none_or(|l| at <= l), "popped past the limit");
+                    t = at;
                 }
+                (Some(ev), None) => panic!("popped {:?} from an empty model", ev.at),
+                (None, None) if limit.is_none() => break,
+                (None, None) => {}
+                (None, Some((at, _))) => {
+                    let l = limit.expect("an unbounded pop missed a pending event");
+                    assert!(at > l, "bounded pop missed an event at {at} µs <= {l} µs");
+                    misses += 1;
+                }
+            }
+            // Schedule follow-ups relative to the last popped time, also
+            // right after a bounded miss: about one per pop for the first
+            // few thousand events, then sparsely so the queue drains.
+            let follow_ups = match seq {
+                0..2_000 => step(3),
+                _ if step(3) == 0 => step(4),
+                _ => 0,
+            };
+            for _ in 0..follow_ups {
+                let at = t + step(300_000);
+                q.schedule(SimTime::from_micros(at), seq);
+                reference.insert((at, seq));
+                seq += 1;
             }
         }
         assert!(reference.is_empty());
+        assert!(
+            misses > 0,
+            "no bounded pop fell short of the earliest event"
+        );
     }
 
     /// The debug-build pop-order guard must demonstrably fire. The

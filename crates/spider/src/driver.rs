@@ -31,6 +31,10 @@ pub struct SpiderDriver {
     current: Option<Channel>,
     switching_to: Option<Channel>,
     next_housekeeping: SimTime,
+    /// Channels AP selection may pick from: `candidate_channels`, else
+    /// the schedule's. Recomputed whenever the schedule changes, so the
+    /// hot `can_use_channel` and `select_aps` paths allocate nothing.
+    channels: Vec<Channel>,
     /// Channel switches requested (observability; the radio itself also
     /// counts).
     pub switches_requested: u64,
@@ -81,6 +85,7 @@ impl SpiderDriver {
             .map(|i: &ClientIface| i.next_wakeup())
             .collect();
         let n = cfg.num_ifaces;
+        let channels = Self::selectable_channels(&cfg);
         SpiderDriver {
             cfg,
             ifaces,
@@ -90,6 +95,7 @@ impl SpiderDriver {
             current,
             switching_to: None,
             next_housekeeping: SimTime::ZERO,
+            channels,
             switches_requested: 0,
             iface_addrs,
             iface_wakeups,
@@ -214,6 +220,13 @@ impl SpiderDriver {
     /// §3.2.2). Used by the adaptive extension.
     pub fn set_schedule(&mut self, schedule: ChannelSchedule) {
         self.cfg.schedule = schedule;
+        self.channels = Self::selectable_channels(&self.cfg);
+    }
+
+    fn selectable_channels(cfg: &SpiderConfig) -> Vec<Channel> {
+        cfg.candidate_channels
+            .clone()
+            .unwrap_or_else(|| cfg.schedule.channels())
     }
 
     /// The active schedule.
@@ -328,12 +341,8 @@ impl SpiderDriver {
                 return;
             };
             let in_use: Vec<MacAddr> = self.ifaces.iter().filter_map(|i| i.bssid()).collect();
-            let channels = self
-                .cfg
-                .candidate_channels
-                .clone()
-                .unwrap_or_else(|| self.cfg.schedule.channels());
-            let Some((bssid, rec)) = self.utility.best_candidate(now, &channels, &in_use) else {
+            let Some((bssid, rec)) = self.utility.best_candidate(now, &self.channels, &in_use)
+            else {
                 return;
             };
             let target = ApTarget {
@@ -512,7 +521,7 @@ impl ClientSystem for SpiderDriver {
         }
         if now >= self.next_housekeeping {
             self.next_housekeeping = now + HOUSEKEEPING;
-            self.utility.expire(now, SimDuration::from_secs(3_600));
+            self.utility.expire(now);
             self.lease_cache.evict_expired(now);
             self.select_aps(now, actions);
         }
@@ -567,10 +576,7 @@ impl ClientSystem for SpiderDriver {
     }
 
     fn can_use_channel(&self, ch: Channel) -> bool {
-        match &self.cfg.candidate_channels {
-            Some(channels) => channels.contains(&ch),
-            None => self.cfg.schedule.channels().contains(&ch),
-        }
+        self.channels.contains(&ch)
     }
 
     fn clone_boxed(&self) -> Box<dyn ClientSystem + Send> {
@@ -661,6 +667,43 @@ mod tests {
             d.ifaces.iter().any(|i| i.bssid() == Some(bssid)),
             "driver should retry after the backoff expires"
         );
+    }
+
+    #[test]
+    fn strikes_are_forgotten_on_the_first_tick_a_minute_after_the_hold_off() {
+        let mut d = driver(OperationMode::SingleChannelMultiAp(Channel::CH6));
+        let bssid = MacAddr::from_id(7);
+        d.on_frame(SimTime::ZERO, &beacon(7, Channel::CH6).rx());
+        let mut actions = Vec::new();
+        // The AP was last heard 10 s before its `Down`, past the 4 s
+        // freshness, so it is never re-picked and only housekeeping can
+        // touch its record. The `Down` pulls the housekeeping tick to
+        // its own instant, so the tick grid after it is `10 s + k·100 ms`.
+        d.absorb(
+            SimTime::from_secs(10),
+            0,
+            vec![IfaceEvent::Down {
+                bssid,
+                outcome: Some(JoinOutcome::Failed),
+                portal: false,
+            }],
+            true,
+            &mut actions,
+        );
+        let forget =
+            d.utility.get(bssid).expect("observed").held_until + SimDuration::from_secs(60);
+        loop {
+            let now = d.next_housekeeping;
+            d.poll(now);
+            let strikes = d.utility.get(bssid).expect("within the horizon").strikes;
+            if now < forget {
+                assert_eq!(strikes, 1, "strike forgotten early at {now}");
+            } else {
+                assert_eq!(strikes, 0, "strike kept past {forget} at {now}");
+                assert!(now < forget + HOUSEKEEPING, "tick grid skipped");
+                break;
+            }
+        }
     }
 
     #[test]

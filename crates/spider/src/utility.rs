@@ -49,6 +49,9 @@ const BACKOFF_BASE: SimDuration = SimDuration::from_secs(2);
 /// Backoff ceiling. Strikes are also forgotten this long after the
 /// hold-off ends, so fresh trouble escalates from scratch.
 const BACKOFF_MAX: SimDuration = SimDuration::from_secs(60);
+/// A record not heard from for longer than this is dropped (bounds
+/// memory on long drives).
+const RECORD_HORIZON: SimDuration = SimDuration::from_secs(3_600);
 /// Jitter fraction: each hold-off is scaled by a factor drawn
 /// deterministically from `[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]`.
 const BACKOFF_JITTER: f64 = 0.2;
@@ -127,11 +130,29 @@ fn jitter(bssid: MacAddr, strikes: u32) -> f64 {
     1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0)
 }
 
+/// The first instant at which [`UtilityTable::expire`] could change
+/// `rec`: its horizon drop, or the forgetting of its strikes.
+fn record_due(rec: &ApRecord) -> SimTime {
+    let drop = rec
+        .last_seen
+        .saturating_add(RECORD_HORIZON + SimDuration::from_micros(1));
+    if rec.strikes > 0 {
+        drop.min(rec.held_until.saturating_add(BACKOFF_MAX))
+    } else {
+        drop
+    }
+}
+
 /// The scanner + utility table driving AP selection.
 #[derive(Debug, Clone)]
 pub struct UtilityTable {
     cfg: UtilityConfig,
     records: FxHashMap<MacAddr, ApRecord>,
+    /// No `expire` before this instant can change a record: a lower bound
+    /// on [`record_due`] over every record. `last_seen` only grows and
+    /// `forgive` only clears strikes, so only a new record and
+    /// `record_down` have to lower it.
+    sweep_due: SimTime,
 }
 
 impl UtilityTable {
@@ -140,6 +161,7 @@ impl UtilityTable {
         UtilityTable {
             cfg,
             records: FxHashMap::default(),
+            sweep_due: SimTime::MAX,
         }
     }
 
@@ -153,16 +175,20 @@ impl UtilityTable {
         channel: Channel,
         rssi_dbm: f64,
     ) {
-        let entry = self.records.entry(bssid).or_insert_with(|| ApRecord {
-            ssid: ssid.clone(),
-            channel,
-            rssi_dbm,
-            last_seen: now,
-            // Bootstrap at maximum utility so new APs get tried once.
-            utility: VC,
-            not_before: SimTime::ZERO,
-            strikes: 0,
-            held_until: SimTime::ZERO,
+        let entry = self.records.entry(bssid).or_insert_with(|| {
+            let rec = ApRecord {
+                ssid: ssid.clone(),
+                channel,
+                rssi_dbm,
+                last_seen: now,
+                // Bootstrap at maximum utility so new APs get tried once.
+                utility: VC,
+                not_before: SimTime::ZERO,
+                strikes: 0,
+                held_until: SimTime::ZERO,
+            };
+            self.sweep_due = self.sweep_due.min(record_due(&rec));
+            rec
         });
         // An AP's SSID essentially never changes; cloning the string on
         // every overheard beacon would dominate the scanner's cost.
@@ -209,6 +235,7 @@ impl UtilityTable {
                 .min(BACKOFF_MAX.as_micros()),
         );
         rec.held_until = now.saturating_add(backoff.mul_f64(jitter(bssid, rec.strikes)));
+        self.sweep_due = self.sweep_due.min(record_due(rec));
         Some(rec.held_until)
     }
 
@@ -263,16 +290,26 @@ impl UtilityTable {
             .map(|(bssid, rec)| (*bssid, rec))
     }
 
-    /// Drop records not heard from within `horizon` (bounding memory on
-    /// long drives), and forget the strikes of APs whose hold-off ended
-    /// `BACKOFF_MAX` ago or more.
-    pub fn expire(&mut self, now: SimTime, horizon: SimDuration) {
+    /// Drop records not heard from within `RECORD_HORIZON`, and forget
+    /// the strikes of APs whose hold-off ended `BACKOFF_MAX` ago or more.
+    /// Walks the records only once something is due, so the driver's
+    /// 100 ms housekeeping tick costs nothing in between.
+    pub fn expire(&mut self, now: SimTime) {
+        if now < self.sweep_due {
+            return;
+        }
+        let mut due = SimTime::MAX;
         self.records.retain(|_, rec| {
             if now >= rec.held_until.saturating_add(BACKOFF_MAX) {
                 rec.strikes = 0;
             }
-            now.saturating_since(rec.last_seen) <= horizon
+            let keep = now.saturating_since(rec.last_seen) <= RECORD_HORIZON;
+            if keep {
+                due = due.min(record_due(rec));
+            }
+            keep
         });
+        self.sweep_due = due;
     }
 
     /// Number of fresh, usable APs per channel — the "AP density" input
@@ -297,6 +334,7 @@ impl UtilityTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::SimRng;
 
     fn table() -> UtilityTable {
         UtilityTable::new(UtilityConfig::default())
@@ -401,7 +439,10 @@ mod tests {
         let mut t = table();
         observe(&mut t, 1, Channel::CH6, -60.0, SimTime::ZERO);
         observe(&mut t, 2, Channel::CH6, -60.0, SimTime::from_secs(100));
-        t.expire(SimTime::from_secs(101), SimDuration::from_secs(30));
+        // A record heard exactly one horizon ago is still kept.
+        t.expire(SimTime::ZERO + RECORD_HORIZON);
+        assert_eq!(t.len(), 2);
+        t.expire(SimTime::from_secs(1) + RECORD_HORIZON);
         assert_eq!(t.len(), 1);
         assert!(t.get(MacAddr::from_id(2)).is_some());
     }
@@ -487,15 +528,15 @@ mod tests {
     #[test]
     fn strike_memory_is_forgotten_after_the_hold_off() {
         let mut t = table();
-        let ap = observe(&mut t, 7, Channel::CH6, -60.0, SimTime::ZERO);
-        let until = t.record_down(SimTime::ZERO, ap, false).unwrap();
-        let horizon = SimDuration::from_secs(3_600);
-        t.expire(SimTime::from_secs(30), horizon);
+        let start = SimTime::from_secs(4_000);
+        let ap = observe(&mut t, 7, Channel::CH6, -60.0, start);
+        let until = t.record_down(start, ap, false).unwrap();
+        t.expire(start + SimDuration::from_secs(30));
         assert_eq!(t.get(ap).unwrap().strikes, 1, "inside the memory grace");
         let forget = until + BACKOFF_MAX;
-        t.expire(forget - SimDuration::from_micros(1), horizon);
+        t.expire(forget - SimDuration::from_micros(1));
         assert_eq!(t.get(ap).unwrap().strikes, 1);
-        t.expire(forget, horizon);
+        t.expire(forget);
         assert_eq!(t.get(ap).unwrap().strikes, 0);
     }
 
@@ -511,6 +552,92 @@ mod tests {
         let (first, _) = t.best_candidate(later, &[], &[]).unwrap();
         let (second, _) = t.best_candidate(later, &[], &[first]).unwrap();
         assert_eq!([first.min(second), first.max(second)], [a.min(b), a.max(b)]);
+    }
+
+    /// Every record's strikes and hold-off, and the table size, agree.
+    fn assert_same(gated: &UtilityTable, eager: &UtilityTable, now: SimTime) {
+        assert_eq!(gated.len(), eager.len(), "table size at {now}");
+        eager.records.iter().for_each(|(bssid, e)| {
+            let g = gated
+                .get(*bssid)
+                .unwrap_or_else(|| panic!("{bssid} missing at {now}"));
+            assert_eq!(
+                (g.strikes, g.held_until),
+                (e.strikes, e.held_until),
+                "{bssid} at {now}"
+            );
+        });
+    }
+
+    #[test]
+    fn gated_expiry_matches_an_always_walk_reference() {
+        // Differential test: one table skips `expire` until something is
+        // due, the other is forced to walk on every 100 ms tick. A seeded
+        // drive passes a window of eight APs along the id line, parks now
+        // and then for up to 15 minutes (so records outlive the horizon),
+        // and fails, portals and forgives APs along the way.
+        let mut rng = SimRng::new(25);
+        let mut gated = table();
+        let mut eager = table();
+        let mut now = SimTime::ZERO;
+        let (mut dropped, mut forgotten, mut skipped) = (0, 0, 0);
+        for tick in 0..6_000u64 {
+            now += SimDuration::from_millis(100);
+            if rng.chance(0.01) {
+                now += SimDuration::from_secs(rng.uniform_u64(0, 900));
+            }
+            for _ in 0..rng.uniform_u64(0, 4) {
+                // Mostly the APs in range; now and then one never heard.
+                let id = tick / 100 + rng.uniform_u64(0, 9);
+                let bssid = MacAddr::from_id(id);
+                match rng.index(10) {
+                    0..=4 => {
+                        let rssi = rng.uniform_in(-90.0, -50.0);
+                        observe(&mut gated, id, Channel::CH6, rssi, now);
+                        observe(&mut eager, id, Channel::CH6, rssi, now);
+                    }
+                    5 | 6 => {
+                        let outcome = *rng.pick(&[
+                            JoinOutcome::Failed,
+                            JoinOutcome::AssociatedOnly,
+                            JoinOutcome::LeaseOnly,
+                            JoinOutcome::FullyJoined,
+                        ]);
+                        gated.record_outcome(now, bssid, outcome);
+                        eager.record_outcome(now, bssid, outcome);
+                    }
+                    7 | 8 => {
+                        let portal = rng.chance(0.2);
+                        let a = gated.record_down(now, bssid, portal);
+                        assert_eq!(a, eager.record_down(now, bssid, portal));
+                    }
+                    _ => {
+                        gated.forgive(bssid);
+                        eager.forgive(bssid);
+                    }
+                }
+            }
+            let len = eager.len();
+            let struck: Vec<MacAddr> = eager
+                .records
+                .iter()
+                .filter(|(_, r)| r.strikes > 0)
+                .map(|(bssid, _)| *bssid)
+                .collect();
+            skipped += usize::from(now < gated.sweep_due);
+            gated.expire(now);
+            eager.sweep_due = SimTime::ZERO;
+            eager.expire(now);
+            dropped += len - eager.len();
+            forgotten += struck
+                .iter()
+                .filter(|bssid| eager.get(**bssid).is_some_and(|r| r.strikes == 0))
+                .count();
+            assert_same(&gated, &eager, now);
+        }
+        assert!(dropped > 0, "no record outlived the horizon");
+        assert!(forgotten > 0, "no strike was forgotten");
+        assert!(skipped > 3_000, "the gate skipped only {skipped} sweeps");
     }
 
     #[test]
