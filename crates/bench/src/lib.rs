@@ -1,12 +1,14 @@
 //! Shared plumbing for the experiment binaries.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/` that
-//! prints the same rows/series the paper reports and drops a CSV under
-//! `target/experiments/`. Every view of the town drives (Tables 2–4,
-//! Figs. 11–17) is written by one binary, `town`, from one sweep in
-//! which each (configuration, seed) runs once. Run them with
-//! `--release`; a full experiment is a 30-minute simulated drive and
-//! takes well under a second of wall time per configuration.
+//! Every table and figure of the paper is written by a binary in
+//! `src/bin/` that prints the same rows/series the paper reports and
+//! drops a CSV under `target/experiments/`. Every view of the town
+//! drives (Tables 2–4, Figs. 5–6 and 11–17, and the adaptive, utility
+//! and PSM ablations) is written by one binary, `town`, from one
+//! registry of [`TownDrive`]s run as one sweep in which each (drive,
+//! seed) runs once. Run them with `--release`; a full experiment is a
+//! 30-minute simulated drive and takes well under a second of wall
+//! time per configuration.
 //!
 //! Performance tracking lives here too: [`harness`] is the hermetic
 //! micro-bench runner behind `cargo bench`, and [`worldbench`] plus the
@@ -21,5 +23,7 @@ pub mod runs;
 pub mod worldbench;
 
 pub use harness::{cdf_quantiles, CdfFigure, CdfRow};
-pub use output::{print_table, write_csv, write_json, write_text, OutDir};
-pub use runs::{emit_runs_json, run_town_drives, town_params, StdConfigs, TownDrive};
+pub use output::{print_table, write_csv, write_json, OutDir};
+pub use runs::{
+    emit_runs_json, run_town_drives, town_params, StdConfigs, Town, TownClient, TownDrive,
+};

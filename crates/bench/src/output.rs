@@ -18,9 +18,9 @@ use std::path::PathBuf;
 pub struct OutDir(PathBuf);
 
 impl OutDir {
-    /// Open (and create) the output directory.
+    /// Open (and create) `experiments/` under `$CARGO_TARGET_DIR`, or
+    /// under `target/` in the current directory when that is unset.
     pub fn open() -> OutDir {
-        // Walk up from the current dir to find the workspace target/.
         let base = std::env::var("CARGO_TARGET_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("target"));
@@ -53,21 +53,14 @@ where
     path
 }
 
-/// Write a text artifact under the experiment directory. Returns the
-/// path written.
-pub fn write_text(name: &str, text: &str) -> PathBuf {
-    let out = OutDir::open();
-    let path = out.path(name);
-    fs::write(&path, text).expect("write artifact");
-    path
-}
-
 /// Write a JSON artifact under the experiment directory using the
 /// in-tree emitter — byte-deterministic for a deterministic value, so
 /// `diff` on two artifacts doubles as a determinism check. Returns the
 /// path written.
 pub fn write_json(name: &str, value: &Json) -> PathBuf {
-    write_text(name, &value.pretty())
+    let path = OutDir::open().path(name);
+    fs::write(&path, value.pretty()).expect("write artifact");
+    path
 }
 
 /// Print an aligned table to stdout.

@@ -1,6 +1,7 @@
 //! Standard experiment runs shared across binaries.
 
-use spider_baselines::{StockConfig, StockDriver};
+use spider_baselines::{FatVapConfig, FatVapDriver, StockConfig, StockDriver};
+use spider_core::adaptive::AdaptiveSpider;
 use spider_core::{ChannelSchedule, OperationMode, SpiderConfig, SpiderDriver};
 use spider_simcore::{sweep_with, Json, SimDuration};
 use spider_wire::Channel;
@@ -52,30 +53,85 @@ pub fn town_params(seed: u64) -> ScenarioParams {
     }
 }
 
-/// A client system on the town drive of [`town_params`].
-#[derive(Clone)]
-pub enum TownDrive {
-    /// Spider on the town drive.
+/// One drive of a registry: a client system on a variant of the town
+/// drive of [`town_params`].
+#[derive(Clone, Debug)]
+pub struct TownDrive {
+    /// The client system driven.
+    pub client: TownClient,
+    /// The town it drives through.
+    pub town: Town,
+}
+
+/// The client system of a [`TownDrive`].
+#[derive(Clone, Debug)]
+pub enum TownClient {
+    /// Spider.
     Spider(SpiderConfig),
-    /// Spider on the Boston channel mix: Table 2's Cambridge row.
-    Cambridge(SpiderConfig),
-    /// The stock MadWiFi driver on the town drive.
+    /// The stock MadWiFi driver.
     MadWifi,
+    /// The FatVAP driver with its default configuration.
+    FatVap,
+    /// The §4.8 adaptive scheduler over channel-6 multi-AP Spider, its
+    /// speed hint the town's speed.
+    Adaptive,
+}
+
+/// The town of a [`TownDrive`]: [`town_params`] with at most one change.
+#[derive(Clone, Debug)]
+pub enum Town {
+    /// The town as [`town_params`] builds it.
+    Standard,
+    /// The Boston channel mix: Table 2's Cambridge row.
+    Boston,
+    /// The town driven at this speed (m/s).
+    Speed(f64),
+    /// A town where selection history matters: 30 % of the open APs
+    /// never answer DHCP (captive portals, filtered DHCP) and the
+    /// working ones are slow (β ∈ (0.5, 6.0) s).
+    Harsh,
+    /// The counterfactual town whose APs PSM-buffer join traffic for
+    /// sleeping clients, as real 802.11 APs do not.
+    PsmBuffered,
+}
+
+impl TownClient {
+    /// This client on `town`.
+    pub fn on(self, town: Town) -> TownDrive {
+        TownDrive { client: self, town }
+    }
 }
 
 impl TownDrive {
-    /// Drive `town_params(seed)` once.
+    /// Drive the town once on `seed`.
     pub fn run(&self, seed: u64) -> RunResult {
-        let params = town_params(seed);
-        let spider = |cfg: &SpiderConfig| SpiderDriver::new(cfg.clone());
-        match self {
-            TownDrive::Spider(cfg) => World::new(town_scenario(&params), spider(cfg)).run(),
-            TownDrive::Cambridge(cfg) => World::new(boston_scenario(&params), spider(cfg)).run(),
-            TownDrive::MadWifi => World::new(
-                town_scenario(&params),
-                StockDriver::new(StockConfig::stock(1)),
-            )
-            .run(),
+        let mut params = town_params(seed);
+        match self.town {
+            Town::Speed(mps) => params.speed_mps = mps,
+            Town::Harsh => {
+                params.dead_dhcp_fraction = 0.30;
+                params.dhcp_beta = (0.5, 6.0);
+            }
+            Town::Standard | Town::Boston | Town::PsmBuffered => {}
+        }
+        let mut world = match self.town {
+            Town::Boston => boston_scenario(&params),
+            _ => town_scenario(&params),
+        };
+        world.psm_buffers_join_traffic = matches!(self.town, Town::PsmBuffered);
+        match &self.client {
+            TownClient::Spider(cfg) => World::new(world, SpiderDriver::new(cfg.clone())).run(),
+            TownClient::MadWifi => World::new(world, StockDriver::new(StockConfig::stock(1))).run(),
+            TownClient::FatVap => {
+                World::new(world, FatVapDriver::new(FatVapConfig::default())).run()
+            }
+            TownClient::Adaptive => {
+                let mode = OperationMode::SingleChannelMultiAp(Channel::CH6);
+                let mut adaptive =
+                    AdaptiveSpider::new(SpiderDriver::new(SpiderConfig::for_mode(mode, 1)));
+                adaptive.set_speed_hint(params.speed_mps);
+                World::new(world, adaptive).run()
+            }
         }
     }
 }
@@ -123,14 +179,14 @@ impl StdConfigs {
     /// on the Boston mix), then MadWiFi.
     pub fn table2_drives() -> [TownDrive; Self::TABLE2_ROWS] {
         let period = Self::period();
-        let spider = |mode| SpiderConfig::for_mode(mode, 1);
+        let spider = |mode| TownClient::Spider(SpiderConfig::for_mode(mode, 1));
         [
-            TownDrive::Spider(spider(OperationMode::SingleChannelMultiAp(Channel::CH1))),
-            TownDrive::Spider(spider(OperationMode::SingleChannelSingleAp(Channel::CH1))),
-            TownDrive::Spider(spider(OperationMode::MultiChannelMultiAp { period })),
-            TownDrive::Spider(spider(OperationMode::MultiChannelSingleAp { period })),
-            TownDrive::Cambridge(spider(OperationMode::SingleChannelSingleAp(Channel::CH6))),
-            TownDrive::MadWifi,
+            spider(OperationMode::SingleChannelMultiAp(Channel::CH1)).on(Town::Standard),
+            spider(OperationMode::SingleChannelSingleAp(Channel::CH1)).on(Town::Standard),
+            spider(OperationMode::MultiChannelMultiAp { period }).on(Town::Standard),
+            spider(OperationMode::MultiChannelSingleAp { period }).on(Town::Standard),
+            spider(OperationMode::SingleChannelSingleAp(Channel::CH6)).on(Town::Boston),
+            TownClient::MadWifi.on(Town::Standard),
         ]
     }
 

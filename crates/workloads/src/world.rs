@@ -71,8 +71,9 @@ pub struct WorldConfig {
     /// Counterfactual knob: let APs PSM-buffer DHCP responses for
     /// sleeping clients. Real 802.11 does **not** behave this way — the
     /// paper's whole multi-channel join penalty rests on join traffic
-    /// being unbufferable (§1). `ablation_psm` flips this to show how
-    /// much of the penalty that one mechanism explains.
+    /// being unbufferable (§1). The PSM ablation of the `town`
+    /// experiment binary flips this to show how much of the penalty
+    /// that one mechanism explains.
     pub psm_buffers_join_traffic: bool,
     /// Fault-injection schedule (see [`crate::faults`]); empty by
     /// default. Like the seed, part of the run's pure-function inputs.

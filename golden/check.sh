@@ -9,10 +9,10 @@
 # chaos_campaign (run below) and bench_world (the engine benchmark), so
 # a new figure binary is checked as soon as it exists.
 #
-# fig06 and town are also run on one sweep worker, and the three
-# campaigns with --no-fork; every file those runs write must equal its
-# recorded copy, which proves scheduling (worker count, checkpoint
-# forking) cannot change what the program computes.
+# town is also run on one sweep worker, and the three campaigns with
+# --no-fork; every file those runs write must equal its recorded copy,
+# which proves scheduling (worker count, checkpoint forking) cannot
+# change what the program computes.
 #
 # The release binaries are built in the usual target directory; each
 # run writes into its own temporary CARGO_TARGET_DIR, so nothing under
@@ -51,11 +51,9 @@ done
 echo "golden: ran $ran suite binaries"
 cp "$tmp/run/suite/experiments/"* "$fresh/suite/"
 
-# fig06 and town again on one worker: the sweep's worker count must
-# not move a byte, so every file they write must equal its recorded copy.
-for b in fig06 town; do
-    SPIDER_JOBS=1 CARGO_TARGET_DIR="$tmp/run/serial" "$bin/$b" > "$tmp/$b.serial.log"
-done
+# town again on one worker: the sweep's worker count must not move a
+# byte, so every file it writes must equal its recorded copy.
+SPIDER_JOBS=1 CARGO_TARGET_DIR="$tmp/run/serial" "$bin/town" > "$tmp/town.serial.log"
 cp "$tmp/run/serial/experiments/"* "$serial/suite/"
 
 # campaign <output root> <name> <expected exit status> [args...]: run
