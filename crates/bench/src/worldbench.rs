@@ -205,6 +205,17 @@ pub const PRE_PR_DENSE_EVENTS_PER_SEC: f64 = 2_489_000.0;
 /// `dba084e`) on a shared 2-core x86_64 host. Events and bytes are equal.
 pub const GATED_SWEEPS_DENSE_WALL_SECONDS: [f64; 2] = [1.104, 1.037];
 
+/// `dense_downtown` wall seconds `[before, after]` frames the radio
+/// provably cannot hear stopped becoming `AirToClient` events and
+/// beacons stopped going through the AP event batch: medians of ten
+/// alternating runs of each build (before: commit `c16ef6c`) on a
+/// shared 2-core x86_64 host. Bytes are equal.
+pub const ELIDED_DELIVERIES_DENSE_WALL_SECONDS: [f64; 2] = [0.729, 0.717];
+
+/// `dense_downtown` events `[before, after]` the same change: every
+/// event it removes is a frame the dispatch dropped unheard.
+pub const ELIDED_DELIVERIES_DENSE_EVENTS: [u64; 2] = [4_349_294, 3_974_716];
+
 /// Measured outcome of the sweep-runner suite benchmark: the same
 /// batch of experiment jobs run on one worker and on the worker pool.
 #[derive(Debug, Clone)]
@@ -344,9 +355,9 @@ pub struct CheckpointResult {
     /// Both legs minimized to the identical schedule in the same
     /// number of evaluations.
     pub minimized_identical: bool,
-    /// [`shrink_events_simulated`](Self::shrink_events_simulated)
-    /// under the earliest-start divergence rule, as recorded.
-    pub shrink_events_before: u64,
+    /// `(simulated, cold)` events of the shrink campaign under the
+    /// earliest-start divergence rule, as recorded.
+    pub shrink_events_before: (u64, u64),
 }
 
 impl CheckpointResult {
@@ -389,10 +400,7 @@ impl CheckpointResult {
                     ("events_simulated", Json::UInt(self.shrink_events_simulated)),
                     ("events_ratio", Json::Num(self.events_ratio())),
                     ("minimized_identical", Json::Bool(self.minimized_identical)),
-                    (
-                        "before",
-                        before_json(self.shrink_events_before, self.shrink_events_cold),
-                    ),
+                    ("before", before_json(self.shrink_events_before)),
                 ]),
             ),
         ])
@@ -402,26 +410,29 @@ impl CheckpointResult {
 /// Seed for the checkpoint benchmark's world (campaign-style town).
 const CHECKPOINT_WORLD_SEED: u64 = 7;
 
-/// Events the two trie legs simulated, `(shrink, campaign)`, when a
-/// plan diverged at its earliest episode start (commit 95d4f4b) rather
-/// than where a difference is first observable (DESIGN.md §13.2). Cold
-/// counts are the same under both rules.
-fn events_before(fast: bool) -> (u64, u64) {
+/// `(simulated, cold)` events of the two trie legs, `[shrink,
+/// campaign]`, when a plan diverged at its earliest episode start
+/// (commit 95d4f4b) rather than where a difference is first observable
+/// (DESIGN.md §13.2). Cold counts are the same under both rules; these
+/// were recorded before off-channel frames stopped becoming events
+/// (DESIGN.md §9), so they are larger than today's.
+fn events_before(fast: bool) -> [(u64, u64); 2] {
     if fast {
-        (144_756, 1_225_125)
+        [(144_756, 1_838_022), (1_225_125, 2_462_526)]
     } else {
-        (458_851, 6_338_394)
+        [(458_851, 5_296_827), (6_338_394, 14_660_094)]
     }
 }
 
 /// The `before` object of a trie leg: what it simulated under the
-/// earliest-start rule, against the same cold count.
-fn before_json(simulated: u64, cold: u64) -> Json {
+/// earliest-start rule, against the cold count recorded with it.
+fn before_json((simulated, cold): (u64, u64)) -> Json {
     Json::obj([
         (
             "rule",
             Json::str("divergence at the earliest episode start (commit 95d4f4b)"),
         ),
+        ("events_cold", Json::UInt(cold)),
         ("events_simulated", Json::UInt(simulated)),
         (
             "events_ratio",
@@ -558,7 +569,7 @@ pub fn run_checkpoint_bench(fast: bool) -> CheckpointResult {
         shrink_events_simulated: trie.stats.events_simulated,
         minimized_identical: cold_outcome.plan == forked_outcome.plan
             && cold_outcome.evals == forked_outcome.evals,
-        shrink_events_before: events_before(fast).0,
+        shrink_events_before: events_before(fast)[0],
     }
 }
 
@@ -583,9 +594,9 @@ pub struct PrefixTreeResult {
     pub campaign_identical: bool,
     /// Checkpoints the forked campaign materialized.
     pub checkpoints: usize,
-    /// [`campaign_events_simulated`](Self::campaign_events_simulated)
-    /// under the earliest-start divergence rule, as recorded.
-    pub campaign_events_before: u64,
+    /// `(simulated, cold)` events of the campaign under the
+    /// earliest-start divergence rule, as recorded.
+    pub campaign_events_before: (u64, u64),
 }
 
 impl PrefixTreeResult {
@@ -623,10 +634,7 @@ impl PrefixTreeResult {
                     ("events_ratio", Json::Num(self.campaign_events_ratio())),
                     ("report_identical", Json::Bool(self.campaign_identical)),
                     ("checkpoints", Json::UInt(self.checkpoints as u64)),
-                    (
-                        "before",
-                        before_json(self.campaign_events_before, self.campaign_events_cold),
-                    ),
+                    ("before", before_json(self.campaign_events_before)),
                 ]),
             ),
         ])
@@ -701,7 +709,7 @@ pub fn run_prefix_tree_bench(fast: bool) -> PrefixTreeResult {
         campaign_events_simulated: stats.events_simulated,
         campaign_identical: report_forked.to_json().pretty() == report_cold.to_json().pretty(),
         checkpoints: stats.checkpoints,
-        campaign_events_before: events_before(fast).1,
+        campaign_events_before: events_before(fast)[1],
     }
 }
 
@@ -758,6 +766,33 @@ pub fn document(
                     Json::obj([
                         ("before", Json::Num(GATED_SWEEPS_DENSE_WALL_SECONDS[0])),
                         ("after", Json::Num(GATED_SWEEPS_DENSE_WALL_SECONDS[1])),
+                    ]),
+                ),
+            ]),
+        ),
+        (
+            "elided_deliveries",
+            Json::obj([
+                (
+                    "note",
+                    Json::str(
+                        "dense_downtown before and after frames the radio provably cannot \
+                         hear stopped becoming events (before: commit c16ef6c); wall seconds \
+                         are medians of ten alternating runs per build, equal bytes",
+                    ),
+                ),
+                (
+                    "dense_downtown_wall_seconds",
+                    Json::obj([
+                        ("before", Json::Num(ELIDED_DELIVERIES_DENSE_WALL_SECONDS[0])),
+                        ("after", Json::Num(ELIDED_DELIVERIES_DENSE_WALL_SECONDS[1])),
+                    ]),
+                ),
+                (
+                    "dense_downtown_events",
+                    Json::obj([
+                        ("before", Json::UInt(ELIDED_DELIVERIES_DENSE_EVENTS[0])),
+                        ("after", Json::UInt(ELIDED_DELIVERIES_DENSE_EVENTS[1])),
                     ]),
                 ),
             ]),
@@ -865,7 +900,7 @@ mod tests {
             shrink_events_cold: 3_000_000,
             shrink_events_simulated: 900_000,
             minimized_identical: true,
-            shrink_events_before: 1_000_000,
+            shrink_events_before: (1_000_000, 4_000_000),
         }
     }
 
@@ -878,7 +913,7 @@ mod tests {
             campaign_events_simulated: 2_000_000,
             campaign_identical: true,
             checkpoints: 9,
-            campaign_events_before: 2_600_000,
+            campaign_events_before: (2_600_000, 2_600_000),
         }
     }
 
@@ -898,6 +933,13 @@ mod tests {
         assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
         let gated = doc.get("gated_sweeps").expect("before/after section");
         assert!(gated.get("dense_downtown_wall_seconds").is_some());
+        let elided = doc.get("elided_deliveries").expect("before/after section");
+        assert_eq!(
+            elided
+                .get("dense_downtown_events")
+                .and_then(|e| e.get("after")),
+            Some(&Json::UInt(ELIDED_DELIVERIES_DENSE_EVENTS[1]))
+        );
         let scenarios = doc.get("scenarios").and_then(Json::as_arr).unwrap();
         assert_eq!(scenarios.len(), 2);
         assert_eq!(
@@ -928,9 +970,12 @@ mod tests {
         assert_eq!(resume.get("bit_identical"), Some(&Json::Bool(true)));
         let shrink = section.get("shrink_campaign").expect("shrink leg");
         assert!(shrink.get("events_ratio").and_then(Json::as_f64).is_some());
+        // The before side divides by the cold count recorded with it,
+        // not by today's.
         let before = shrink.get("before").expect("before side");
         assert_eq!(before.get("events_simulated"), Some(&Json::UInt(1_000_000)));
-        assert_eq!(before.get("events_ratio"), Some(&Json::Num(3.0)));
+        assert_eq!(before.get("events_cold"), Some(&Json::UInt(4_000_000)));
+        assert_eq!(before.get("events_ratio"), Some(&Json::Num(4.0)));
     }
 
     #[test]

@@ -64,11 +64,10 @@ struct ClientState {
 /// Events produced by the AP MAC.
 #[derive(Debug, Clone)]
 pub enum ApEvent {
-    /// Transmit this frame on the AP's channel. The beacon — the
-    /// overwhelmingly most common frame an AP emits — is minted once per
-    /// AP and re-sent as a refcount bump ([`AirFrame::Shared`]); unicast
-    /// responses and data frames ride inline ([`AirFrame::Owned`]),
-    /// skipping the `Arc` round trip since they have one recipient.
+    /// Transmit this frame on the AP's channel. These are unicast
+    /// responses and data frames, riding inline ([`AirFrame::Owned`])
+    /// since they have one recipient; beacons bypass the event batch
+    /// ([`ApMac::take_due_beacon`]).
     Send(AirFrame),
     /// A client completed association.
     ClientAssociated(MacAddr),
@@ -151,7 +150,7 @@ impl ApMac {
         self.clients.get(&mac).map(|c| c.buffer.len()).unwrap_or(0)
     }
 
-    /// Next instant the AP needs a `poll` (the next beacon).
+    /// Next instant a beacon is due (see [`ApMac::take_due_beacon`]).
     pub fn next_wakeup(&self) -> SimTime {
         self.next_beacon
     }
@@ -169,21 +168,22 @@ impl ApMac {
         }
     }
 
-    /// Timer processing: emits beacons that are due.
-    pub fn poll(&mut self, now: SimTime) -> Vec<ApEvent> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// Like [`ApMac::poll`], but appends to a caller-owned buffer. The
-    /// world polls every active AP every beacon interval; reusing one
-    /// scratch `Vec` across those calls keeps the hot loop allocation-free.
-    pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<ApEvent>) {
-        while self.next_beacon <= now {
-            out.push(ApEvent::Send(AirFrame::Shared(Arc::clone(&self.beacon))));
+    /// Timer processing: if a beacon is due at `now`, advance the timer
+    /// past it and return `true` — the caller then transmits
+    /// [`ApMac::beacon`]. Call until it returns `false` to emit every
+    /// missed beacon.
+    pub fn take_due_beacon(&mut self, now: SimTime) -> bool {
+        let due = self.next_beacon <= now;
+        if due {
             self.next_beacon += self.cfg.beacon_interval;
         }
+        due
+    }
+
+    /// The AP's beacon frame. Its contents never change, so every
+    /// beacon interval re-sends this one shared frame.
+    pub fn beacon(&self) -> &SharedFrame {
+        &self.beacon
     }
 
     /// Process a received frame.
@@ -435,15 +435,23 @@ mod tests {
     #[test]
     fn beacons_fire_on_schedule() {
         let mut ap = ap();
-        let ev = ap.poll(SimTime::ZERO);
-        assert_eq!(ev.len(), 1);
+        let due = |ap: &mut ApMac, now| {
+            std::iter::from_fn(|| ap.take_due_beacon(now).then_some(())).count()
+        };
+        assert_eq!(due(&mut ap, SimTime::ZERO), 1);
         // Nothing more until the next interval.
-        assert!(ap.poll(SimTime::from_millis(50)).is_empty());
-        let ev = ap.poll(SimTime::from_micros(102_400));
-        assert_eq!(ev.len(), 1);
+        assert_eq!(due(&mut ap, SimTime::from_millis(50)), 0);
+        assert_eq!(due(&mut ap, SimTime::from_micros(102_400)), 1);
         // A long gap emits all the missed beacons.
-        let ev = ap.poll(SimTime::from_micros(102_400 * 4));
-        assert_eq!(ev.len(), 3);
+        assert_eq!(due(&mut ap, SimTime::from_micros(102_400 * 4)), 3);
+        assert!(matches!(
+            ap.beacon().body,
+            FrameBody::Beacon {
+                channel: Channel::CH6,
+                ..
+            }
+        ));
+        assert_eq!(ap.beacon().dst, MacAddr::BROADCAST);
     }
 
     #[test]

@@ -164,7 +164,7 @@ fn fig05_schedule_drive_polls_once_per_armed_wake() {
 
 #[test]
 fn stock_drive_stays_under_its_event_bound() {
-    // 214,804 events with one live wake; the wake storm ran 4,179,083.
+    // 203,807 events with one live wake; the wake storm ran 4,179,083.
     let result = World::new(town_scenario(&table2_town()), stock()).run();
     assert!(result.events <= 300_000, "{} events", result.events);
 }
