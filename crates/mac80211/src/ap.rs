@@ -396,6 +396,7 @@ impl ApMac {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
     use spider_wire::ip::L4;
     use spider_wire::{IcmpMessage, Ipv4Addr};
 
@@ -690,46 +691,34 @@ mod tests {
         let ev = ap.evict(MacAddr::from_id(1));
         assert_eq!(ev.len(), 2);
     }
-}
 
-#[cfg(all(test, feature = "proptest-tests"))]
-mod property_tests {
-    use super::*;
-    use proptest::prelude::*;
-    use spider_wire::ip::L4;
-    use spider_wire::{IcmpMessage, Ipv4Addr};
-
-    proptest! {
-        /// The PSM buffer never exceeds its cap, whatever the interleaving
-        /// of sleeps, wakes and downlink traffic.
-        #[test]
-        fn psm_buffer_respects_cap(
-            cap in 1usize..20,
-            ops in prop::collection::vec((0u8..3, 1u64..100), 1..100),
-        ) {
+    /// The PSM buffer never exceeds its cap, whatever the interleaving of
+    /// sleeps, wakes and downlink traffic.
+    #[test]
+    fn psm_buffer_respects_cap() {
+        check("psm_buffer_respects_cap", 256, |g| {
+            let cap = g.usize(1..20);
             let mut cfg = ApConfig::open(MacAddr::from_id(9), "p".into(), Channel::CH6);
             cfg.psm_buffer_cap = cap;
             let mut ap = ApMac::new(cfg, SimTime::MAX);
             let client = MacAddr::from_id(1);
-            // Associate.
-            ap.on_frame(SimTime::ZERO, &Frame {
+            let frame = |body| Frame {
                 src: client,
                 dst: MacAddr::from_id(9),
                 bssid: MacAddr::from_id(9),
-                body: FrameBody::AssocRequest { ssid: "p".into() },
-            });
+                body,
+            };
+            ap.on_frame(
+                SimTime::ZERO,
+                &frame(FrameBody::AssocRequest { ssid: "p".into() }),
+            );
             let mut now = SimTime::ZERO;
-            for (op, dt) in ops {
-                now = now + SimDuration::from_millis(dt);
+            for (op, dt) in g.vec(1..100, |g| (g.u64(0..3), g.u64(1..100))) {
+                now += SimDuration::from_millis(dt);
                 match op {
                     0 | 1 => {
-                        let ps = op == 0;
-                        ap.on_frame(now, &Frame {
-                            src: client,
-                            dst: MacAddr::from_id(9),
-                            bssid: MacAddr::from_id(9),
-                            body: FrameBody::Null { power_save: ps },
-                        });
+                        let power_save = op == 0;
+                        ap.on_frame(now, &frame(FrameBody::Null { power_save }));
                     }
                     _ => {
                         let pkt = Ipv4Packet {
@@ -740,8 +729,9 @@ mod property_tests {
                         ap.enqueue_downlink(now, client, pkt, true);
                     }
                 }
-                prop_assert!(ap.buffered_for(client) <= cap);
+                let buffered = ap.buffered_for(client);
+                assert!(buffered <= cap, "{buffered} frames buffered over cap {cap}");
             }
-        }
+        });
     }
 }

@@ -125,6 +125,7 @@ mod tests {
     use super::*;
     use crate::deployment::Deployment;
     use crate::geometry::Position;
+    use spider_simcore::check::check;
     use spider_simcore::SimRng;
     use spider_wire::Channel;
 
@@ -247,44 +248,31 @@ mod tests {
         let mean = enc.iter().map(|e| e.duration().as_secs_f64()).sum::<f64>() / enc.len() as f64;
         assert!((10.0..22.0).contains(&mean), "mean encounter {mean}s");
     }
-}
 
-#[cfg(all(test, feature = "proptest-tests"))]
-mod property_tests {
-    use super::*;
-    use crate::deployment::{Deployment, RoadsideParams};
-    use proptest::prelude::*;
-    use spider_simcore::SimRng;
-
-    proptest! {
-        /// Linear-mobility encounters are well-formed: exit > enter,
-        /// bounded by the horizon, and no encounter outlasts the maximal
-        /// chord 2R/v.
-        #[test]
-        fn linear_encounters_are_well_formed(
-            speed in 1.0f64..40.0,
-            seed in 0u64..500,
-        ) {
-            let mut rng = SimRng::new(seed);
-            let params = RoadsideParams {
+    /// Linear-mobility encounters are well-formed: exit > enter, bounded
+    /// by the horizon, and no encounter outlasts the maximal chord 2R/v.
+    #[test]
+    fn linear_encounters_are_well_formed() {
+        check("linear_encounters_are_well_formed", 256, |g| {
+            let speed = g.f64(1.0..40.0);
+            let params = crate::deployment::RoadsideParams {
                 road_length_m: 3_000.0,
                 density_per_km: 8.0,
                 ..Default::default()
             };
-            let dep = Deployment::poisson_roadside(&mut rng, &params);
+            let dep = Deployment::poisson_roadside(g.rng(), &params);
             let mob = MobilityModel::straight_road(speed);
             let horizon = SimTime::from_secs(400);
             let max_chord_s = 2.0 * 100.0 / speed;
             for e in encounters(&mob, &dep, 100.0, horizon) {
-                prop_assert!(e.exit > e.enter);
-                prop_assert!(e.exit <= horizon);
-                prop_assert!(
+                assert!(e.exit > e.enter, "{e:?}");
+                assert!(e.exit <= horizon, "{e:?}");
+                assert!(
                     e.duration().as_secs_f64() <= max_chord_s + 1e-6,
-                    "duration {} exceeds max chord {}",
+                    "duration {} exceeds max chord {max_chord_s}",
                     e.duration().as_secs_f64(),
-                    max_chord_s
                 );
             }
-        }
+        });
     }
 }

@@ -77,6 +77,7 @@ impl Mul<f64> for Position {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     #[test]
     fn distances() {
@@ -99,22 +100,15 @@ mod tests {
         assert_eq!(v - v, Position::ORIGIN);
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        /// Triangle inequality.
-        #[test]
-        fn triangle(ax in -1e3f64..1e3, ay in -1e3f64..1e3,
-                    bx in -1e3f64..1e3, by in -1e3f64..1e3,
-                    cx in -1e3f64..1e3, cy in -1e3f64..1e3) {
-            let a = Position::new(ax, ay);
-            let b = Position::new(bx, by);
-            let c = Position::new(cx, cy);
-            prop_assert!(a.distance_to(c) <= a.distance_to(b) + b.distance_to(c) + 1e-9);
-        }
-        }
+    #[test]
+    fn triangle() {
+        check("triangle", 256, |g| {
+            let mut point = || Position::new(g.f64(-1e3..1e3), g.f64(-1e3..1e3));
+            let (a, b, c) = (point(), point(), point());
+            assert!(
+                a.distance_to(c) <= a.distance_to(b) + b.distance_to(c) + 1e-9,
+                "{a:?} {b:?} {c:?}"
+            );
+        });
     }
 }

@@ -138,7 +138,7 @@ impl Deployment {
 mod tests {
     use super::*;
     use crate::deployment::RoadsideParams;
-    use spider_simcore::SimRng;
+    use spider_simcore::check::check;
 
     /// Reference implementation: the linear scan the grid replaces.
     fn linear_within(dep: &Deployment, pos: Position, radius_m: f64) -> Vec<usize> {
@@ -186,36 +186,35 @@ mod tests {
         assert_eq!(grid.within(Position::ORIGIN, 100.0), vec![0, 1, 2, 3]);
     }
 
-    /// Property-style check: on random roadside deployments and random
-    /// query points, the grid agrees exactly (membership and order)
-    /// with the linear scan, across cell sizes smaller and larger than
-    /// the query radius.
+    /// On random roadside deployments and random query points, the grid
+    /// agrees exactly (membership and order) with the linear scan,
+    /// across cell sizes smaller and larger than the query radius.
     #[test]
     fn grid_query_equals_linear_scan_on_random_deployments() {
-        for seed in 0..20u64 {
-            let mut rng = SimRng::new(seed);
-            let params = RoadsideParams {
-                road_length_m: 4_000.0,
-                density_per_km: 40.0,
-                ..Default::default()
-            };
-            let dep = Deployment::poisson_roadside(&mut rng, &params);
-            for &cell_m in &[35.0, 130.0, 700.0] {
-                let grid = dep.grid(cell_m);
-                assert_eq!(grid.len(), dep.len());
-                for q in 0..40 {
-                    let pos = Position::new(
-                        rng.uniform_in(-200.0, 4_200.0),
-                        rng.uniform_in(-100.0, 100.0),
-                    );
-                    let radius = rng.uniform_in(0.0, 400.0);
-                    assert_eq!(
-                        grid.within(pos, radius),
-                        linear_within(&dep, pos, radius),
-                        "seed {seed} cell {cell_m} query {q}"
-                    );
+        check(
+            "grid_query_equals_linear_scan_on_random_deployments",
+            20,
+            |g| {
+                let params = RoadsideParams {
+                    road_length_m: 4_000.0,
+                    density_per_km: 40.0,
+                    ..Default::default()
+                };
+                let dep = Deployment::poisson_roadside(g.rng(), &params);
+                for &cell_m in &[35.0, 130.0, 700.0] {
+                    let grid = dep.grid(cell_m);
+                    assert_eq!(grid.len(), dep.len());
+                    for q in 0..40 {
+                        let pos = Position::new(g.f64(-200.0..4_200.0), g.f64(-100.0..100.0));
+                        let radius = g.f64(0.0..400.0);
+                        assert_eq!(
+                            grid.within(pos, radius),
+                            linear_within(&dep, pos, radius),
+                            "cell {cell_m} query {q}"
+                        );
+                    }
                 }
-            }
-        }
+            },
+        );
     }
 }

@@ -170,6 +170,7 @@ impl CachedPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     #[test]
     fn static_never_moves() {
@@ -239,30 +240,32 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        /// Linear displacement over dt equals speed * dt.
-        #[test]
-        fn linear_speed_consistency(speed in 0.1f64..50.0, t1 in 0u64..1000, dt in 1u64..1000) {
+    /// Linear displacement over dt equals speed * dt.
+    #[test]
+    fn linear_speed_consistency() {
+        check("linear_speed_consistency", 256, |g| {
+            let speed = g.f64(0.1..50.0);
+            let (t1, dt) = (g.u64(0..1000), g.u64(1..1000));
             let m = MobilityModel::straight_road(speed);
             let p1 = m.position(SimTime::from_millis(t1));
             let p2 = m.position(SimTime::from_millis(t1 + dt));
             let expected = speed * dt as f64 / 1e3;
-            prop_assert!((p1.distance_to(p2) - expected).abs() < 1e-6);
-        }
+            let moved = p1.distance_to(p2);
+            assert!(
+                (moved - expected).abs() < 1e-6,
+                "moved {moved}, expected {expected}"
+            );
+        });
+    }
 
-        /// Loop positions always lie within the rectangle's bounding box.
-        #[test]
-        fn loop_stays_in_bounds(t in 0u64..10_000) {
+    /// Loop positions always lie within the rectangle's bounding box.
+    #[test]
+    fn loop_stays_in_bounds() {
+        check("loop_stays_in_bounds", 256, |g| {
             let m = MobilityModel::rectangular_loop(100.0, 50.0, 7.0);
-            let p = m.position(SimTime::from_millis(t * 10));
-            prop_assert!((-1e-9..=100.0 + 1e-9).contains(&p.x));
-            prop_assert!((-1e-9..=50.0 + 1e-9).contains(&p.y));
-        }
-        }
+            let p = m.position(SimTime::from_millis(g.u64(0..10_000) * 10));
+            assert!((-1e-9..=100.0 + 1e-9).contains(&p.x), "{p:?}");
+            assert!((-1e-9..=50.0 + 1e-9).contains(&p.y), "{p:?}");
+        });
     }
 }

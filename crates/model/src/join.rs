@@ -125,6 +125,7 @@ impl JoinModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     fn model() -> JoinModel {
         JoinModel::paper_defaults(5.0)
@@ -233,31 +234,38 @@ mod tests {
         assert!(q_next > 0.0);
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    /// q_success is always a valid probability.
+    #[test]
+    fn q_in_unit_interval() {
+        check("q_in_unit_interval", 256, |g| {
+            let (mn, k, fi) = (g.usize(0..8), g.usize(1..6), g.f64(0.01..1.0));
+            let q = model().q_success(1, 1 + mn, k, fi);
+            assert!(
+                (0.0..=1.0).contains(&q),
+                "q_success(1, {}, {k}, {fi}) = {q}",
+                1 + mn
+            );
+        });
+    }
 
-        proptest! {
-        /// q_success is always a valid probability.
-        #[test]
-        fn q_in_unit_interval(mn in 0usize..8, k in 1usize..6, fi in 0.01f64..1.0) {
-            let m = model();
-            let q = m.q_success(1, 1 + mn, k, fi);
-            prop_assert!((0.0..=1.0).contains(&q));
-        }
-
-        /// q_round_failure is a probability and p_join is monotone in t.
-        #[test]
-        fn probabilities_are_sane(fi in 0.05f64..1.0, t in 0.5f64..10.0) {
+    /// q_round_failure is a probability and p_join is monotone in t.
+    #[test]
+    fn probabilities_are_sane() {
+        check("probabilities_are_sane", 256, |g| {
+            let (fi, t) = (g.f64(0.05..1.0), g.f64(0.5..10.0));
             let m = model();
             let q = m.q_round_failure(1, 2, fi);
-            prop_assert!((0.0..=1.0).contains(&q));
+            assert!(
+                (0.0..=1.0).contains(&q),
+                "q_round_failure(1, 2, {fi}) = {q}"
+            );
             let p1 = m.p_join(fi, t);
             let p2 = m.p_join(fi, t + 1.0);
-            prop_assert!((0.0..=1.0).contains(&p1));
-            prop_assert!(p2 >= p1 - 1e-12);
-        }
-        }
+            assert!((0.0..=1.0).contains(&p1), "p_join({fi}, {t}) = {p1}");
+            assert!(
+                p2 >= p1 - 1e-12,
+                "p_join({fi}, ·) falls from {p1} to {p2} after {t} s"
+            );
+        });
     }
 }

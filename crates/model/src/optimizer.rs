@@ -170,6 +170,7 @@ impl ThroughputOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     fn optimizer(beta_max: f64) -> ThroughputOptimizer {
         let mut o = ThroughputOptimizer::paper(JoinModel::paper_defaults(beta_max));
@@ -264,13 +265,22 @@ mod tests {
         assert!((opt.total_bps - 11e6).abs() < 11e6 / 20.0 + 1.0);
     }
 
+    /// Eq. 10 on one to three channels of any bandwidth mix and any
+    /// vehicular speed: the slots plus one 7 ms switch per active
+    /// channel fit in the 500 ms period.
     #[test]
     fn schedule_satisfies_eq10() {
         let o = optimizer(5.0);
-        let opt = o.optimize(&scenario(0.5, 0.5), 5.0);
-        let active = opt.fractions.iter().filter(|&&f| f > 0.0).count() as f64;
-        let sum: f64 = opt.fractions.iter().sum();
-        assert!(sum + active * (0.007 / 0.5) <= 1.0 + 1e-6);
+        check("schedule_satisfies_eq10", 32, |g| {
+            let scenarios = g.vec(1..4, |g| ChannelScenario {
+                joined_frac: g.f64(0.0..1.0),
+                available_frac: g.f64(0.0..1.0),
+            });
+            let opt = o.optimize(&scenarios, g.f64(2.5..20.0));
+            let active = opt.fractions.iter().filter(|&&f| f > 0.0).count() as f64;
+            let sum: f64 = opt.fractions.iter().sum();
+            assert!(sum + active * (0.007 / 0.5) <= 1.0 + 1e-6, "{opt:?}");
+        });
     }
 
     #[test]

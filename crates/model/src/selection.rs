@@ -179,6 +179,7 @@ pub fn density_score(o: &ApOption) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     fn opts(pairs: &[(f64, f64)]) -> Vec<ApOption> {
         pairs
@@ -265,55 +266,77 @@ mod tests {
     }
 
     #[test]
+    fn exact_beats_greedy_on_equal_values() {
+        // Seven equal-value items that all fit, so greedy takes every
+        // one; rounding each cost up to one of 400 budget ticks would
+        // leave one out. The exact solver must fit them all too.
+        let costs = [7.874, 5.286, 1.176, 11.677, 2.216, 6.625, 1.885];
+        let options: Vec<ApOption> = costs
+            .iter()
+            .map(|&cost| ApOption { value: 0.1, cost })
+            .collect();
+        let o = optimal_select(&options, 37.009, 400);
+        let g = greedy_select(&options, 37.009, density_score);
+        assert!(o.value >= g.value - 1e-9, "optimal {o:?} < greedy {g:?}");
+    }
+
+    #[test]
     fn empty_instance() {
         let o = optimal_select(&[], 10.0, 100);
         assert!(o.chosen.is_empty());
         assert_eq!(o.value, 0.0);
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        /// The exact solver never violates the budget and always
-        /// dominates greedy.
-        #[test]
-        fn exact_dominates_greedy(
-            items in prop::collection::vec((0.1f64..100.0, 0.1f64..20.0), 1..12),
-            budget in 1.0f64..40.0,
-        ) {
+    /// The exact solver never violates the budget and always dominates
+    /// greedy.
+    #[test]
+    fn exact_dominates_greedy() {
+        check("exact_dominates_greedy", 256, |g| {
+            let items = g.vec(1..12, |g| (g.f64(0.1..100.0), g.f64(0.1..20.0)));
+            let budget = g.f64(1.0..40.0);
             let options = opts(&items);
             let o = optimal_select(&options, budget, 400);
-            let g = greedy_select(&options, budget, density_score);
-            prop_assert!(o.cost <= budget + 1e-9);
-            prop_assert!(g.cost <= budget + 1e-9);
-            prop_assert!(o.value >= g.value - 1e-9,
-                "optimal {} < greedy {}", o.value, g.value);
-        }
+            let gr = greedy_select(&options, budget, density_score);
+            assert!(
+                o.cost <= budget + 1e-9,
+                "optimal {o:?} over budget {budget}"
+            );
+            assert!(
+                gr.cost <= budget + 1e-9,
+                "greedy {gr:?} over budget {budget}"
+            );
+            assert!(
+                o.value >= gr.value - 1e-9,
+                "optimal {} < greedy {}",
+                o.value,
+                gr.value
+            );
+        });
+    }
 
-        /// Greedy by density achieves at least half the optimum whenever
-        /// every item individually fits (the classic bound holds for the
-        /// better of greedy-by-density and best-single-item; we check
-        /// against that combined heuristic).
-        #[test]
-        fn greedy_half_bound(
-            items in prop::collection::vec((0.1f64..100.0, 0.1f64..10.0), 1..10),
-        ) {
+    /// Greedy by density achieves at least half the optimum whenever
+    /// every item individually fits (the classic bound holds for the
+    /// better of greedy-by-density and best-single-item; we check
+    /// against that combined heuristic).
+    #[test]
+    fn greedy_half_bound() {
+        check("greedy_half_bound", 256, |g| {
+            let items = g.vec(1..10, |g| (g.f64(0.1..100.0), g.f64(0.1..10.0)));
             let budget = 20.0; // every cost <= 10 < budget
             let options = opts(&items);
             let o = optimal_select(&options, budget, 800);
-            let g = greedy_select(&options, budget, density_score);
+            let gr = greedy_select(&options, budget, density_score);
             let best_single = options
                 .iter()
                 .filter(|x| x.cost <= budget)
                 .map(|x| x.value)
                 .fold(0.0, f64::max);
-            let h = g.value.max(best_single);
-            prop_assert!(h * 2.0 + 1e-6 >= o.value,
-                "combined heuristic {} below half of optimal {}", h, o.value);
-        }
-        }
+            let h = gr.value.max(best_single);
+            assert!(
+                h * 2.0 + 1e-6 >= o.value,
+                "combined heuristic {h} below half of optimal {}",
+                o.value
+            );
+        });
     }
 }

@@ -181,6 +181,8 @@ impl DhcpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
+    use std::collections::BTreeMap;
 
     fn server(beta: (f64, f64)) -> DhcpServer {
         DhcpServer::new(DhcpServerConfig::for_ap(3, beta), SimRng::new(42))
@@ -252,6 +254,24 @@ mod tests {
         // The binding persists.
         let again = s.on_message(SimTime::from_secs(1), &DhcpMessage::discover(6, mac));
         assert_eq!(again[0].msg.yiaddr, ip);
+    }
+
+    #[test]
+    fn discover_skips_an_address_a_cached_request_claimed() {
+        // A cached-lease REQUEST claims an address ahead of the
+        // allocation cursor; the DISCOVER that reaches it is offered the
+        // next free address, not a second grant of the claimed one.
+        let mut s = server((0.1, 0.2));
+        let claimed = Ipv4Addr::new(10, 0, 3, 12);
+        let req = DhcpMessage::request(1, MacAddr::from_id(9), claimed, Ipv4Addr::new(10, 0, 3, 1));
+        assert_eq!(s.on_message(SimTime::ZERO, &req)[0].msg.op, DhcpOp::Ack);
+        let offers: Vec<u8> = (0..3)
+            .map(|id| {
+                let discover = DhcpMessage::discover(2, MacAddr::from_id(id));
+                s.on_message(SimTime::ZERO, &discover)[0].msg.yiaddr.0[3]
+            })
+            .collect();
+        assert_eq!(offers, [10, 11, 13]);
     }
 
     #[test]
@@ -328,40 +348,26 @@ mod tests {
         };
         assert!(s.on_message(SimTime::ZERO, &msg).is_empty());
     }
-}
 
-#[cfg(all(test, feature = "proptest-tests"))]
-mod property_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The server never assigns one address to two clients: across an
-        /// arbitrary interleaving of DISCOVERs and REQUESTs, every ACKed
-        /// (mac, ip) binding is injective.
-        #[test]
-        fn no_duplicate_address_grants(
-            ops in prop::collection::vec((0u64..20, any::<bool>(), 0u32..300), 1..80),
-            seed in 0u64..1_000,
-        ) {
+    /// The server never assigns one address to two clients: across an
+    /// arbitrary interleaving of DISCOVERs and REQUESTs, every ACKed
+    /// (mac, ip) binding is injective.
+    #[test]
+    fn no_duplicate_address_grants() {
+        check("no_duplicate_address_grants", 256, |g| {
             let mut cfg = DhcpServerConfig::for_ap(1, (0.01, 0.02));
             cfg.pool_size = 10; // force contention
-            let mut server = DhcpServer::new(cfg, SimRng::new(seed));
-            let mut grants: std::collections::HashMap<Ipv4Addr, MacAddr> =
-                std::collections::HashMap::new();
-            let mut offered: std::collections::HashMap<MacAddr, Ipv4Addr> =
-                std::collections::HashMap::new();
+            let mut server = DhcpServer::new(cfg, SimRng::new(g.u64(0..1_000)));
+            let mut grants: BTreeMap<Ipv4Addr, MacAddr> = BTreeMap::new();
+            let mut offered: BTreeMap<MacAddr, Ipv4Addr> = BTreeMap::new();
             let mut now = SimTime::ZERO;
+            let ops = g.vec(1..80, |g| (g.u64(0..20), g.bool(), g.u32(0..300)));
             for (mac_id, is_request, req_ip_off) in ops {
-                now = now + SimDuration::from_millis(10);
+                now += SimDuration::from_millis(10);
                 let mac = MacAddr::from_id(mac_id);
                 let msg = if is_request {
-                    let ip = offered.get(&mac).copied().unwrap_or(Ipv4Addr::new(
-                        10,
-                        0,
-                        1,
-                        10 + (req_ip_off % 30) as u8,
-                    ));
+                    let cached = Ipv4Addr::new(10, 0, 1, 10 + (req_ip_off % 30) as u8);
+                    let ip = offered.get(&mac).copied().unwrap_or(cached);
                     DhcpMessage::request(1, mac, ip, Ipv4Addr::new(10, 0, 1, 1))
                 } else {
                     DhcpMessage::discover(1, mac)
@@ -372,38 +378,37 @@ mod property_tests {
                             offered.insert(ds.msg.chaddr, ds.msg.yiaddr);
                         }
                         DhcpOp::Ack => {
-                            if let Some(owner) = grants.get(&ds.msg.yiaddr) {
-                                prop_assert_eq!(
-                                    *owner, ds.msg.chaddr,
-                                    "address {} granted to two clients", ds.msg.yiaddr
-                                );
-                            }
-                            grants.insert(ds.msg.yiaddr, ds.msg.chaddr);
+                            let owner = *grants.entry(ds.msg.yiaddr).or_insert(ds.msg.chaddr);
+                            assert_eq!(
+                                owner, ds.msg.chaddr,
+                                "address {} granted to two clients",
+                                ds.msg.yiaddr
+                            );
                         }
                         _ => {}
                     }
                 }
             }
-        }
+        });
+    }
 
-        /// Responses always carry the request's xid and chaddr, and land
-        /// within the configured delay bounds.
-        #[test]
-        fn responses_echo_identity_and_respect_delays(
-            xid: u32, mac_id in 0u64..50, seed in 0u64..1_000,
-        ) {
+    /// Responses always carry the request's xid and chaddr, and land
+    /// within the configured delay bounds.
+    #[test]
+    fn responses_echo_identity_and_respect_delays() {
+        check("responses_echo_identity_and_respect_delays", 256, |g| {
+            let (xid, mac) = (g.u32(0..u32::MAX), MacAddr::from_id(g.u64(0..50)));
             let mut server = DhcpServer::new(
                 DhcpServerConfig::for_ap(2, (0.5, 2.0)),
-                SimRng::new(seed),
+                SimRng::new(g.u64(0..1_000)),
             );
-            let mac = MacAddr::from_id(mac_id);
             let now = SimTime::from_secs(5);
             for ds in server.on_message(now, &DhcpMessage::discover(xid, mac)) {
-                prop_assert_eq!(ds.msg.xid, xid);
-                prop_assert_eq!(ds.msg.chaddr, mac);
+                assert_eq!(ds.msg.xid, xid);
+                assert_eq!(ds.msg.chaddr, mac);
                 let delay = ds.at.saturating_since(now).as_secs_f64();
-                prop_assert!((0.5..=2.0).contains(&delay), "delay {delay}");
+                assert!((0.5..=2.0).contains(&delay), "delay {delay}");
             }
-        }
+        });
     }
 }

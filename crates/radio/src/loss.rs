@@ -112,6 +112,7 @@ impl Default for LossModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     #[test]
     fn none_never_loses() {
@@ -165,27 +166,23 @@ mod tests {
         assert_eq!(m.loss_probability(150.0, 100.0), 1.0);
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        /// Loss probability is always a valid probability and monotone in
-        /// distance for the ramp model.
-        #[test]
-        fn ramp_is_monotone_probability(
-            base in 0.0f64..1.0, edge in 0.0f64..1.0,
-            a in 0.0f64..200.0, b in 0.0f64..200.0,
-        ) {
-            let m = LossModel::DistanceRamp { base, edge_start: edge };
-            let (near, far) = if a <= b { (a, b) } else { (b, a) };
+    /// Loss probability is always a valid probability and monotone in
+    /// distance for the ramp model.
+    #[test]
+    fn ramp_is_monotone_probability() {
+        check("ramp_is_monotone_probability", 256, |g| {
+            let (base, edge) = (g.f64(0.0..1.0), g.f64(0.0..1.0));
+            let m = LossModel::DistanceRamp {
+                base,
+                edge_start: edge,
+            };
+            let (a, b) = (g.f64(0.0..200.0), g.f64(0.0..200.0));
+            let (near, far) = (a.min(b), a.max(b));
             let pn = m.loss_probability(near, 100.0);
             let pf = m.loss_probability(far, 100.0);
-            prop_assert!((0.0..=1.0).contains(&pn));
-            prop_assert!((0.0..=1.0).contains(&pf));
-            prop_assert!(pn <= pf + 1e-12);
-        }
-        }
+            assert!((0.0..=1.0).contains(&pn), "p({near}) = {pn}");
+            assert!((0.0..=1.0).contains(&pf), "p({far}) = {pf}");
+            assert!(pn <= pf + 1e-12, "p({near}) = {pn} > p({far}) = {pf}");
+        });
     }
 }

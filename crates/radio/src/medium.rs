@@ -92,6 +92,7 @@ impl ChannelMedium {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     const CH: Channel = Channel::CH6;
 
@@ -153,27 +154,20 @@ mod tests {
         assert_eq!(m.airtime_used(Channel::CH1), SimDuration::ZERO);
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        /// Transmissions on one channel never overlap.
-        #[test]
-        fn no_overlap(frames in prop::collection::vec((0u64..10_000, 1u64..500), 1..100)) {
+    /// Transmissions on one channel never overlap.
+    #[test]
+    fn no_overlap() {
+        check("no_overlap", 256, |g| {
             let mut m = ChannelMedium::new();
             let mut now = SimTime::ZERO;
             let mut intervals: Vec<(SimTime, SimTime)> = Vec::new();
-            for (dt, len) in frames {
+            for (dt, len) in g.vec(1..100, |g| (g.u64(0..10_000), g.u64(1..500))) {
                 now += SimDuration::from_micros(dt);
-                let iv = m.reserve(now, CH, SimDuration::from_micros(len));
-                intervals.push(iv);
+                intervals.push(m.reserve(now, CH, SimDuration::from_micros(len)));
             }
             for pair in intervals.windows(2) {
-                prop_assert!(pair[1].0 >= pair[0].1, "overlap: {:?}", pair);
+                assert!(pair[1].0 >= pair[0].1, "overlap: {pair:?}");
             }
-        }
-        }
+        });
     }
 }

@@ -107,6 +107,7 @@ impl Propagation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     #[test]
     fn range_cutoff() {
@@ -170,19 +171,14 @@ mod tests {
         assert_eq!(p.rssi_dbm(0.5), p.rssi_dbm(1.0));
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        /// RSSI is monotone non-increasing in distance.
-        #[test]
-        fn rssi_monotone(a in 0.0f64..500.0, b in 0.0f64..500.0) {
+    /// RSSI is monotone non-increasing in distance.
+    #[test]
+    fn rssi_monotone() {
+        check("rssi_monotone", 256, |g| {
             let p = Propagation::outdoor();
-            let (near, far) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(p.rssi_dbm(near) >= p.rssi_dbm(far));
-        }
-        }
+            let (a, b) = (g.f64(0.0..500.0), g.f64(0.0..500.0));
+            let (near, far) = (a.min(b), a.max(b));
+            assert!(p.rssi_dbm(near) >= p.rssi_dbm(far), "{near} m vs {far} m");
+        });
     }
 }

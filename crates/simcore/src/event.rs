@@ -337,6 +337,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::check;
 
     #[test]
     fn orders_by_time_then_fifo() {
@@ -499,68 +500,91 @@ mod tests {
         // it (every dispatched event schedules follow-ups near `now`),
         // and some pops bounded by a limit that may fall short of the
         // earliest event (the checkpointing path).
-        let mut q = EventQueue::new();
-        let mut reference = std::collections::BTreeSet::new(); // (at_µs, seq)
-        let mut seq = 0u64;
-        let mut t = 0u64;
-        let mut misses = 0;
-        // Deterministic pseudo-random walk (no external RNG needed).
-        let mut x = 0x243F_6A88_85A3_08D3u64;
-        let mut step = |m: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % m
-        };
-        for _ in 0..64 {
-            let at = t + step(2_000_000); // up to 2 s ahead (several laps)
-            q.schedule(SimTime::from_micros(at), seq);
-            reference.insert((at, seq));
-            seq += 1;
-        }
-        loop {
-            let limit = (step(4) == 0).then(|| t + step(50_000));
-            let popped = match limit {
-                Some(l) => q.pop_before(SimTime::from_micros(l)),
-                None => q.pop(),
-            };
-            match (popped, reference.first().copied()) {
-                (Some(ev), Some((at, s))) => {
-                    reference.pop_first();
-                    assert_eq!((ev.at.as_micros(), ev.seq), (at, s));
-                    assert_eq!(ev.event, s);
-                    assert!(limit.is_none_or(|l| at <= l), "popped past the limit");
-                    t = at;
-                }
-                (Some(ev), None) => panic!("popped {:?} from an empty model", ev.at),
-                (None, None) if limit.is_none() => break,
-                (None, None) => {}
-                (None, Some((at, _))) => {
-                    let l = limit.expect("an unbounded pop missed a pending event");
-                    assert!(at > l, "bounded pop missed an event at {at} µs <= {l} µs");
-                    misses += 1;
-                }
-            }
-            // Schedule follow-ups relative to the last popped time, also
-            // right after a bounded miss: about one per pop for the first
-            // few thousand events, then sparsely so the queue drains.
-            let follow_ups = match seq {
-                0..2_000 => step(3),
-                _ if step(3) == 0 => step(4),
-                _ => 0,
-            };
-            for _ in 0..follow_ups {
-                let at = t + step(300_000);
+        check("interleaved_schedule_and_pop_matches_reference", 32, |g| {
+            let mut q = EventQueue::new();
+            let mut reference = std::collections::BTreeSet::new(); // (at_µs, seq)
+            let mut seq = 0u64;
+            let mut t = 0u64;
+            let mut misses = 0;
+            // Up to 2 s ahead: several laps of the wheel.
+            for at in g.vec(1..64, |g| g.u64(0..2_000_000)) {
                 q.schedule(SimTime::from_micros(at), seq);
                 reference.insert((at, seq));
                 seq += 1;
             }
-        }
-        assert!(reference.is_empty());
-        assert!(
-            misses > 0,
-            "no bounded pop fell short of the earliest event"
-        );
+            loop {
+                let limit = (g.u64(0..4) == 0).then(|| t + g.u64(0..50_000));
+                let popped = match limit {
+                    Some(l) => q.pop_before(SimTime::from_micros(l)),
+                    None => q.pop(),
+                };
+                match (popped, reference.first().copied()) {
+                    (Some(ev), Some((at, s))) => {
+                        reference.pop_first();
+                        assert_eq!((ev.at.as_micros(), ev.seq), (at, s));
+                        assert_eq!(ev.event, s);
+                        assert!(limit.is_none_or(|l| at <= l), "popped past the limit");
+                        t = at;
+                    }
+                    (Some(ev), None) => panic!("popped {:?} from an empty model", ev.at),
+                    (None, None) if limit.is_none() => break,
+                    (None, None) => {}
+                    (None, Some((at, _))) => {
+                        let l = limit.expect("an unbounded pop missed a pending event");
+                        assert!(at > l, "bounded pop missed an event at {at} µs <= {l} µs");
+                        misses += 1;
+                    }
+                }
+                // Schedule follow-ups relative to the last popped time,
+                // also right after a bounded miss: about one per pop for
+                // the first few thousand events, then sparsely so the
+                // queue drains.
+                let follow_ups = match seq {
+                    0..2_000 => g.u64(0..3),
+                    _ if g.u64(0..3) == 0 => g.u64(0..4),
+                    _ => 0,
+                };
+                for _ in 0..follow_ups {
+                    let at = t + g.u64(0..300_000);
+                    q.schedule(SimTime::from_micros(at), seq);
+                    reference.insert((at, seq));
+                    seq += 1;
+                }
+            }
+            assert!(reference.is_empty());
+            assert!(
+                misses > 0,
+                "no bounded pop fell short of the earliest event"
+            );
+        });
+    }
+
+    /// Popping always yields a non-decreasing time sequence, and events
+    /// scheduled at identical instants come out in scheduling order.
+    #[test]
+    fn pop_order_is_sorted() {
+        check("pop_order_is_sorted", 256, |g| {
+            let times = g.vec(1..200, |g| g.u64(0..1_000));
+            let mut q = EventQueue::new();
+            for (i, &t) in times.iter().enumerate() {
+                q.schedule(SimTime::from_micros(t), i);
+            }
+            let mut prev: Option<(SimTime, usize)> = None;
+            let mut popped = 0;
+            while let Some(ev) = q.pop() {
+                popped += 1;
+                if let Some((at, i)) = prev {
+                    assert!(ev.at >= at, "{} popped after {at}", ev.at);
+                    assert!(
+                        ev.at > at || ev.event > i,
+                        "FIFO violated at {at}: event {} after {i}",
+                        ev.event
+                    );
+                }
+                prev = Some((ev.at, ev.event));
+            }
+            assert_eq!(popped, times.len());
+        });
     }
 
     /// The debug-build pop-order guard must demonstrably fire. The
@@ -575,36 +599,5 @@ mod tests {
         // Pretend a later event was already popped.
         q.last_popped_key = Some((SimTime::from_secs(1), u64::MAX));
         q.pop();
-    }
-
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        /// Popping always yields a non-decreasing time sequence, and events
-        /// scheduled at identical instants come out in scheduling order.
-        #[test]
-        fn pop_order_is_sorted(times in prop::collection::vec(0u64..1_000, 1..200)) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_micros(t), i);
-            }
-            let mut prev_time = SimTime::ZERO;
-            let mut prev_seq_at_time: Option<usize> = None;
-            while let Some(ev) = q.pop() {
-                prop_assert!(ev.at >= prev_time);
-                if ev.at == prev_time {
-                    if let Some(ps) = prev_seq_at_time {
-                        prop_assert!(ev.event > ps, "FIFO violated among equal timestamps");
-                    }
-                } else {
-                    prev_time = ev.at;
-                }
-                prev_seq_at_time = Some(ev.event);
-            }
-        }
-        }
     }
 }

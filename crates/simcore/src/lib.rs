@@ -9,7 +9,9 @@
 //! * [`SimRng`] — seeded, stream-splittable random number generation so a
 //!   whole experiment is a pure function of one `u64` seed,
 //! * statistics helpers ([`OnlineStats`], [`Cdf`], [`IntervalTracker`],
-//!   [`RateMeter`]) used by the evaluation harness.
+//!   [`RateMeter`]) used by the evaluation harness,
+//! * [`check`] — seeded property checks over [`SimRng`] streams, the one
+//!   mechanism every randomised test in the workspace runs on.
 //!
 //! The design follows the "sans-IO" idiom: nothing here performs real I/O
 //! or reads wall-clock time, which keeps every simulation fully
@@ -19,6 +21,7 @@
 // Library code is sans-IO: results are returned, and binaries print them.
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 
+pub mod check;
 pub mod event;
 pub mod hashing;
 pub mod json;

@@ -227,6 +227,7 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::check;
 
     #[test]
     fn same_seed_same_sequence() {
@@ -386,34 +387,36 @@ mod tests {
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        #[test]
-        fn uniform_in_respects_bounds(lo in -1e6f64..1e6, span in 0.0f64..1e6, seed in 0u64..1000) {
-            let mut rng = SimRng::new(seed);
+    #[test]
+    fn uniform_in_respects_bounds() {
+        check("uniform_in_respects_bounds", 256, |g| {
+            let mut rng = SimRng::new(g.u64(0..1_000));
+            let (lo, span) = (g.f64(-1e6..1e6), g.f64(0.0..1e6));
             let hi = lo + span;
             let x = rng.uniform_in(lo, hi);
-            prop_assert!(x >= lo);
-            prop_assert!(x <= hi);
-        }
+            assert!((lo..=hi).contains(&x), "{x} outside [{lo}, {hi}]");
+        });
+    }
 
-        #[test]
-        fn uniform_u64_respects_bounds(lo in 0u64..1000, span in 1u64..1000, seed in 0u64..1000) {
-            let mut rng = SimRng::new(seed);
+    #[test]
+    fn uniform_u64_respects_bounds() {
+        check("uniform_u64_respects_bounds", 256, |g| {
+            let mut rng = SimRng::new(g.u64(0..1_000));
+            let (lo, span) = (g.u64(0..1_000), g.u64(1..1_000));
             let x = rng.uniform_u64(lo, lo + span);
-            prop_assert!(x >= lo && x < lo + span);
-        }
+            assert!(
+                (lo..lo + span).contains(&x),
+                "{x} outside [{lo}, {})",
+                lo + span
+            );
+        });
+    }
 
-        #[test]
-        fn pareto_respects_scale(seed in 0u64..1000) {
-            let mut rng = SimRng::new(seed);
-            let x = rng.pareto(2.0, 1.5);
-            prop_assert!(x >= 2.0);
-        }
-        }
+    #[test]
+    fn pareto_respects_scale() {
+        check("pareto_respects_scale", 256, |g| {
+            let x = SimRng::new(g.u64(0..1_000)).pareto(2.0, 1.5);
+            assert!(x >= 2.0, "pareto draw {x} below its scale");
+        });
     }
 }

@@ -416,6 +416,7 @@ impl RateMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::check;
 
     #[test]
     fn online_stats_basics() {
@@ -512,40 +513,39 @@ mod tests {
         assert!((rates[1] - 500.0).abs() < 1e-9);
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    /// The empirical CDF is monotone non-decreasing in its argument.
+    #[test]
+    fn cdf_monotone() {
+        check("cdf_monotone", 256, |g| {
+            let mut c = Cdf::from_samples(g.vec(1..100, |g| g.f64(-1e3..1e3)));
+            let (a, b) = (g.f64(-1e3..1e3), g.f64(-1e3..1e3));
+            let (lo, hi) = (a.min(b), a.max(b));
+            assert!(c.fraction_le(lo) <= c.fraction_le(hi), "F({lo}) > F({hi})");
+        });
+    }
 
-        proptest! {
-        /// The empirical CDF is monotone non-decreasing in its argument.
-        #[test]
-        fn cdf_monotone(mut xs in prop::collection::vec(-1e3f64..1e3, 1..100),
-                        a in -1e3f64..1e3, b in -1e3f64..1e3) {
-            let mut c = Cdf::from_samples(std::mem::take(&mut xs));
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(c.fraction_le(lo) <= c.fraction_le(hi));
-        }
-
-        /// Quantile of fraction_le(x) recovers a value <= ... sanity: for
-        /// every sample s, fraction_le(s) > 0 and quantile(1.0) >= s.
-        #[test]
-        fn quantile_bounds(xs in prop::collection::vec(-1e3f64..1e3, 1..50)) {
+    /// Every sample is at most `quantile(1.0)` and has `fraction_le > 0`.
+    #[test]
+    fn quantile_bounds() {
+        check("quantile_bounds", 256, |g| {
+            let xs = g.vec(1..50, |g| g.f64(-1e3..1e3));
             let mut c = Cdf::from_samples(xs.clone());
             let top = c.quantile(1.0);
             for &s in &xs {
-                prop_assert!(top >= s);
-                prop_assert!(c.fraction_le(s) > 0.0);
+                assert!(top >= s, "quantile(1.0) {top} below sample {s}");
+                assert!(c.fraction_le(s) > 0.0, "F({s}) is 0");
             }
-        }
+        });
+    }
 
-        /// Interval tracker conserves time: on + off durations == total.
-        #[test]
-        fn interval_conservation(transitions in prop::collection::vec(1u64..1000, 0..40)) {
+    /// Interval tracker conserves time: on + off durations == total.
+    #[test]
+    fn interval_conservation() {
+        check("interval_conservation", 256, |g| {
             let mut t = IntervalTracker::new(SimTime::ZERO, false);
             let mut now = 0u64;
             let mut state = false;
-            for step in &transitions {
+            for step in g.vec(0..40, |g| g.u64(1..1000)) {
                 now += step;
                 state = !state;
                 t.set(SimTime::from_millis(now), state);
@@ -558,8 +558,7 @@ mod tests {
                 .chain(report.off_durations.iter())
                 .map(|d| d.as_micros())
                 .sum();
-            prop_assert_eq!(sum, end * 1000);
-        }
-        }
+            assert_eq!(sum, end * 1000);
+        });
     }
 }

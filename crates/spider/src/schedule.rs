@@ -163,6 +163,7 @@ impl ChannelSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     #[test]
     fn single_channel_never_switches() {
@@ -246,29 +247,26 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        /// channel_at is consistent with next_boundary: the channel is
-        /// constant within [now, boundary).
-        #[test]
-        fn channel_constant_until_boundary(t in 0u64..10_000_000) {
-            let s = ChannelSchedule::custom(
-                SimDuration::from_millis(500),
-                vec![(Channel::CH1, 0.4), (Channel::CH6, 0.35), (Channel::CH11, 0.25)],
-            );
-            let now = SimTime::from_micros(t);
+    /// channel_at is consistent with next_boundary: the channel is
+    /// constant within [now, boundary) and changes at the boundary.
+    #[test]
+    fn channel_constant_until_boundary() {
+        let s = ChannelSchedule::custom(
+            SimDuration::from_millis(500),
+            vec![
+                (Channel::CH1, 0.4),
+                (Channel::CH6, 0.35),
+                (Channel::CH11, 0.25),
+            ],
+        );
+        check("channel_constant_until_boundary", 256, |g| {
+            let now = SimTime::from_micros(g.u64(0..10_000_000));
             let ch = s.channel_at(now);
             let boundary = s.next_boundary(now);
-            prop_assert!(boundary > now);
+            assert!(boundary > now, "boundary {boundary} not after {now}");
             let just_before = SimTime::from_micros(boundary.as_micros() - 1);
-            prop_assert_eq!(s.channel_at(just_before), ch);
-            let just_after = boundary;
-            prop_assert_ne!(s.channel_at(just_after), ch);
-        }
-        }
+            assert_eq!(s.channel_at(just_before), ch, "changed before {boundary}");
+            assert_ne!(s.channel_at(boundary), ch, "unchanged at {boundary}");
+        });
     }
 }

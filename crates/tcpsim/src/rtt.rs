@@ -71,6 +71,7 @@ impl RttEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     #[test]
     fn initial_rto_before_samples() {
@@ -109,24 +110,21 @@ mod tests {
         assert!(e.rto() > SimDuration::from_millis(300));
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        /// RTO is always within the configured clamp after any sample
-        /// sequence.
-        #[test]
-        fn rto_is_clamped(samples in prop::collection::vec(1u64..100_000, 1..100)) {
+    /// RTO is always within the configured clamp after any sample
+    /// sequence.
+    #[test]
+    fn rto_is_clamped() {
+        check("rto_is_clamped", 256, |g| {
             let mut e = RttEstimator::standard();
-            for s in samples {
+            for s in g.vec(1..100, |g| g.u64(1..100_000)) {
                 e.sample(SimDuration::from_micros(s));
             }
             let rto = e.rto();
-            prop_assert!(rto >= SimDuration::from_millis(200));
-            prop_assert!(rto <= SimDuration::from_secs(60));
-        }
-        }
+            assert!(
+                rto >= SimDuration::from_millis(200),
+                "RTO {rto} below 200 ms"
+            );
+            assert!(rto <= SimDuration::from_secs(60), "RTO {rto} above 60 s");
+        });
     }
 }

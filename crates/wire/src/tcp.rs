@@ -98,6 +98,7 @@ pub fn seq_le(a: u32, b: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_simcore::check::check;
 
     fn seg(seq: u32, len: u32, flags: TcpFlags) -> TcpSegment {
         TcpSegment {
@@ -144,20 +145,15 @@ mod tests {
         assert!(!seq_lt(3, u32::MAX));
     }
 
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-        /// seq_lt is a strict ordering on any window smaller than 2^31.
-        #[test]
-        fn seq_lt_consistent_with_offsets(base: u32, d in 1u32..(1 << 30)) {
+    /// seq_lt is a strict ordering on any window smaller than 2^31.
+    #[test]
+    fn seq_lt_consistent_with_offsets() {
+        check("seq_lt_consistent_with_offsets", 256, |g| {
+            let (base, d) = (g.u32(0..u32::MAX), g.u32(1..1 << 30));
             let b = base.wrapping_add(d);
-            prop_assert!(seq_lt(base, b));
-            prop_assert!(!seq_lt(b, base));
-            prop_assert!(seq_le(base, b));
-        }
-        }
+            assert!(seq_lt(base, b), "!({base} < {b})");
+            assert!(!seq_lt(b, base), "{b} < {base}");
+            assert!(seq_le(base, b), "!({base} <= {b})");
+        });
     }
 }

@@ -1566,6 +1566,7 @@ where
 mod tests {
     use super::*;
     use crate::faults::FaultIndex;
+    use spider_simcore::check::check;
 
     fn t(s: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(s)
@@ -1599,12 +1600,12 @@ mod tests {
         // frac * (horizon - window_hi).
         let profile = ChaosProfile::back_loaded(0.5);
         let floor = t(0.5 * (300.0 - CHAOS_WINDOW_SECS.1));
-        for seed in 0..10 {
-            let plan = chaos_plan(seed, 10, dur(300), &profile);
-            for e in &plan.episodes {
-                assert!(e.start >= floor, "seed {seed}: {e:?} starts too early");
+        check("back_loaded_plans_leave_a_fault_free_prefix", 64, |g| {
+            let seed = g.u64(0..u64::MAX);
+            for e in &chaos_plan(seed, 10, dur(300), &profile).episodes {
+                assert!(e.start >= floor, "plan seed {seed}: {e:?} starts too early");
             }
-        }
+        });
         // The neutral window is a no-op: same draws as standard().
         assert_eq!(
             chaos_plan(42, 10, dur(300), &ChaosProfile::back_loaded(0.0)),

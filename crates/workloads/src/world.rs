@@ -2084,52 +2084,3 @@ mod fault_injection_tests {
         assert_eq!(result.join_log.assoc.len(), 0);
     }
 }
-
-#[cfg(all(test, feature = "proptest-tests"))]
-mod determinism_props {
-    use super::*;
-    use crate::scenarios::lab_scenario;
-    use proptest::prelude::*;
-    use spider_core::{OperationMode, SpiderConfig, SpiderDriver};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-        /// Any (seed, backhaul) pair yields bit-identical runs: the whole
-        /// pipeline is a pure function of its inputs.
-        #[test]
-        fn world_is_a_pure_function_of_its_inputs(
-            seed in 0u64..1_000,
-            backhaul_kbps in 50u64..500,
-        ) {
-            let run = || {
-                let cfg = lab_scenario(
-                    &[Channel::CH1],
-                    backhaul_kbps as f64 * 1_000.0,
-                    SimDuration::from_secs(10),
-                    seed,
-                );
-                World::new(
-                    cfg,
-                    SpiderDriver::new(SpiderConfig::for_mode(
-                        OperationMode::SingleChannelMultiAp(Channel::CH1),
-                        1,
-                    )),
-                )
-                .run()
-            };
-            let a = run();
-            let b = run();
-            prop_assert_eq!(a.bytes, b.bytes);
-            prop_assert_eq!(a.tcp_retransmits, b.tcp_retransmits);
-            prop_assert_eq!(a.join_log.join.len(), b.join_log.join.len());
-            // And throughput never exceeds what the backhaul can carry
-            // (plus a small burst tolerance for the first window).
-            prop_assert!(
-                a.avg_throughput_bps <= backhaul_kbps as f64 * 1_000.0 * 1.10 + 1.0,
-                "throughput {} exceeds backhaul {}",
-                a.avg_throughput_bps,
-                backhaul_kbps * 1_000
-            );
-        }
-    }
-}
